@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .flows import FlowSchedule
-from .simulator import SimConfig, run_controller
+from .simulator import SimConfig, run_grid_controller
 from .state import TrafficState
 from .topology import PhaseTable
 
@@ -79,11 +79,13 @@ def fixedtime_grid_search(
     flow: FlowSchedule,
     seed: int = 0,
     clearance: float = 5.0,
+    n_intersections: int = 1,
 ) -> tuple[FixedPlan, float]:
     """Best equal-split plan over the candidate cycle lengths.
 
     Cycles too short to give every phase the minimum green are skipped; the
-    calibration episode runs on the given flow and ties keep the first cycle.
+    calibration episode runs the plan at each of ``n_intersections``
+    intersections on the given flow, and ties keep the first cycle.
     """
     best: tuple[FixedPlan, float] | None = None
     for cycle in cycles:
@@ -91,9 +93,10 @@ def fixedtime_grid_search(
         if (cycle - clearance * n) / n < MIN_GREEN:
             continue
         plan = equal_split_plan(cycle, phase_indices, clearance)
-        metrics = run_controller(
-            FixedTimeController(plan, config.decision_interval), config, table, flow, seed
-        )
+        controllers = [
+            FixedTimeController(plan, config.decision_interval) for _ in range(n_intersections)
+        ]
+        metrics = run_grid_controller(controllers, config, table, flow, seed)
         if best is None or metrics.avg_travel_time < best[1]:
             best = (plan, metrics.avg_travel_time)
     if best is None:

@@ -1,135 +1,8 @@
-"""Grid training: one independent learner per intersection, shared simulator.
+"""``save_checkpoint`` and ``censored_travel_time`` under this module's name.
 
-Each intersection gets its own parameters, replay buffer, and learner; actors
-drive whole grids and fan the per-intersection transitions out to the
-matching buffers. Runs on the synchronous schedule only (one decision per
-actor, then one step of every learner), which keeps it reproducible.
+Grid training is ``training.train`` at any K. These two names stay here
+because perfbench's tracer imports this module and wraps them by attribute.
 """
 
-from __future__ import annotations
-
-import json
-from pathlib import Path
-
-import numpy as np
-
-from .networks import build_network, save_checkpoint
-from .replay import PrioritizedReplayBuffer
-from .simulator import GridSim
-from .training import (
-    CurvePoint,
-    EpsilonGreedyPolicy,
-    GreedyPolicy,
-    Learner,
-    Transition,
-    censored_travel_time,
-    write_curve_csv,
-)
-
-GRID_MANIFEST = "grid.json"
-
-
-def train_grid(config, table, out: Path) -> dict[str, Path]:
-    from .harness import build_flow, episode_flow_seed, eval_flow_seed, network_config
-
-    tc = config.train
-    if not tc.sync:
-        raise ValueError("grid training runs on the synchronous schedule; set train.sync")
-    n_inter = config.n_intersections
-    network = build_network(config.agent, table, network_config(config, config.agent))
-    buffers = [PrioritizedReplayBuffer(tc.buffer_capacity, tc.alpha) for _ in range(n_inter)]
-    learners = [
-        Learner(
-            network,
-            network.init_params(config.seed + 101 * k),
-            tc,
-            buffers[k],
-            np.random.default_rng(config.seed + 17 * k + 1),
-        )
-        for k in range(n_inter)
-    ]
-
-    def make_sim(seed: int) -> GridSim:
-        return GridSim(config.sim, table, build_flow(config, seed), n_inter, seed)
-
-    class _GridActor:
-        def __init__(self, actor_id: int):
-            self.actor_id = actor_id
-            self.episode = 0
-            self.decisions = 0
-            rng = np.random.default_rng(config.seed * 7919 + 31 * actor_id + 1)
-            eps = tc.actor_epsilon(actor_id)
-            self.policies = [
-                EpsilonGreedyPolicy(network, learners[k].snapshot(), eps, rng)
-                for k in range(n_inter)
-            ]
-            self.sim: GridSim | None = None
-            self.states = None
-
-        def take_decision(self) -> None:
-            if self.sim is None:
-                self.sim = make_sim(episode_flow_seed(config, self.actor_id, self.episode))
-                self.states = self.sim.reset()
-            if self.decisions % tc.snapshot_period == 0:
-                for k in range(n_inter):
-                    self.policies[k].params = learners[k].snapshot()
-            actions = [self.policies[k](self.states[k]) for k in range(n_inter)]
-            next_states, rewards, done = self.sim.step(actions)
-            for k in range(n_inter):
-                buffers[k].add(
-                    Transition(self.states[k], actions[k], rewards[k], next_states[k], done)
-                )
-            self.decisions += 1
-            if done:
-                self.episode += 1
-                self.sim = None
-                self.states = None
-            else:
-                self.states = next_states
-
-    actors = [_GridActor(i) for i in range(tc.n_actors)]
-    curve: list[CurvePoint] = []
-    best = {"tt": np.inf, "params": [l.snapshot() for l in learners], "step": 0}
-
-    def evaluate(step: int) -> None:
-        sim = make_sim(eval_flow_seed(config))
-        states = sim.reset()
-        policies = [GreedyPolicy(network, l.snapshot()) for l in learners]
-        done = False
-        while not done:
-            states, _, done = sim.step([policies[k](states[k]) for k in range(n_inter)])
-        m = sim.metrics()
-        censored = censored_travel_time(m, sim.config.episode_length)
-        curve.append(CurvePoint(step, m.avg_travel_time, m.exited_count, censored))
-        if censored < best["tt"]:
-            best["tt"] = censored
-            best["params"] = [l.snapshot() for l in learners]
-            best["step"] = step
-
-    evaluate(0)
-    if tc.max_learner_steps > 0:
-        warmup = max(tc.warmup_transitions, tc.batch_size)
-        while min(len(b) for b in buffers) < warmup:
-            for actor in actors:
-                actor.take_decision()
-        while learners[0].step_count < tc.max_learner_steps:
-            for actor in actors:
-                actor.take_decision()
-            for learner in learners:
-                learner.step()
-            if learners[0].step_count % tc.eval_period == 0:
-                evaluate(learners[0].step_count)
-        if learners[0].step_count % tc.eval_period != 0:
-            evaluate(learners[0].step_count)
-
-    paths: dict[str, Path] = {}
-    names = []
-    for k in range(n_inter):
-        ckpt = save_checkpoint(out / f"ckpt_i{k}.bin", config.agent, network, best["params"][k])
-        paths[f"checkpoint_i{k}"] = ckpt
-        names.append(ckpt.name)
-    manifest = out / GRID_MANIFEST
-    manifest.write_text(json.dumps({"agent": config.agent, "checkpoints": names}, indent=2))
-    paths["checkpoint"] = manifest
-    paths["curve"] = write_curve_csv(curve, out / "curve.csv")
-    return paths
+from .networks import save_checkpoint  # noqa: F401  re-export
+from .training import censored_travel_time  # noqa: F401  re-export

@@ -3,6 +3,7 @@ behind the CLI verbs (train / eval / compare / transfer / gen-flow)."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -28,9 +29,7 @@ from .networks import (
 from .simulator import (
     EpisodeMetrics,
     GridSim,
-    IntersectionSim,
     SimConfig,
-    run_controller,
     run_grid_controller,
     write_interval_csv,
     write_vehicle_csv,
@@ -41,6 +40,7 @@ from .training import GreedyPolicy, TrainConfig, train, write_curve_csv
 EVAL_SEED_OFFSET = 9973  # held-out evaluation flows live in their own seed stream
 TRANSFER_OPS = ("flip", "rot90", "rot180", "rot270")
 METHODS = ("frap", "vanilla", "fixedtime", "formula", "sotl")
+GRID_MANIFEST = "grid.json"  # lists a grid's per-intersection checkpoints
 
 
 @dataclass(frozen=True)
@@ -202,14 +202,17 @@ def make_classical_controller(
     table: PhaseTable,
     flow: fl.FlowSchedule,
 ):
-    """Build a baseline controller, calibrated on the given flow."""
+    """Build a baseline controller, calibrated on the given flow.
+
+    A fixed-time plan is calibrated on the config's K intersections, the
+    same plan running at each of them."""
     sim_cfg = config.sim
     clearance = float(sim_cfg.clearance)
     if method == "fixedtime":
         plan_phases = table.opposite_pair_phases() or tuple(range(table.n_phases))
         plan, _ = fixedtime_grid_search(
             config.classical.fixedtime_cycles, plan_phases, sim_cfg, table, flow,
-            seed=config.seed, clearance=clearance,
+            seed=config.seed, clearance=clearance, n_intersections=config.n_intersections,
         )
         return FixedTimeController(plan, sim_cfg.decision_interval)
     if method == "formula":
@@ -241,41 +244,43 @@ def network_config(config: ExperimentConfig, kind: str):
 # --- commands ---------------------------------------------------------------------
 
 def cmd_train(config: ExperimentConfig) -> dict[str, Path]:
-    """Train the configured agent; writes checkpoint(s) and the learning curve."""
+    """Train the configured agent; writes checkpoint(s) and the learning curve.
+
+    One intersection writes ``ckpt.bin``; a grid writes ``ckpt_i{k}.bin`` per
+    intersection and lists them in ``grid.json``, the path returned as
+    ``checkpoint``.
+    """
     if config.agent not in ("frap", "vanilla"):
         raise ValueError("only the frap and vanilla agents are trainable")
     out = Path(config.out_dir)
     echo_config(config, out)
     table = config.build_table()
-    if config.n_intersections == 1:
-        result_paths = _train_single(config, table, out)
-    else:
-        result_paths = _train_grid(config, table, out)
-    return result_paths
-
-
-def _train_single(config: ExperimentConfig, table: PhaseTable, out: Path) -> dict[str, Path]:
     network = build_network(config.agent, table, network_config(config, config.agent))
+    n = config.n_intersections
 
-    def env_factory(actor_id: int, episode: int) -> IntersectionSim:
-        seed = episode_flow_seed(config, actor_id, episode)
-        return IntersectionSim(config.sim, table, build_flow(config, seed), seed)
+    def make_sim(seed: int) -> GridSim:
+        return GridSim(config.sim, table, build_flow(config, seed), n, seed)
 
-    def eval_factory() -> IntersectionSim:
-        seed = eval_flow_seed(config)
-        return IntersectionSim(config.sim, table, build_flow(config, seed), seed)
-
-    result = train(network, config.train, env_factory, eval_factory, seed=config.seed)
-    ckpt = save_checkpoint(out / "ckpt.bin", config.agent, network, result.best_params)
-    curve = write_curve_csv(result.curve, out / "curve.csv")
-    return {"checkpoint": ckpt, "curve": curve}
-
-
-def _train_grid(config: ExperimentConfig, table: PhaseTable, out: Path) -> dict[str, Path]:
-    from .gridtrain import train_grid  # local import: grid training reuses this module
-
-    result_paths = train_grid(config, table, out)
-    return result_paths
+    result = train(
+        network,
+        config.train,
+        lambda actor_id, episode: make_sim(episode_flow_seed(config, actor_id, episode)),
+        lambda: make_sim(eval_flow_seed(config)),
+        seed=config.seed,
+    )
+    paths = {"curve": write_curve_csv(result.curve, out / "curve.csv")}
+    if n == 1:
+        paths["checkpoint"] = save_checkpoint(
+            out / "ckpt.bin", config.agent, network, result.best_params
+        )
+        return paths
+    names = [
+        save_checkpoint(out / f"ckpt_i{k}.bin", config.agent, network, params).name
+        for k, params in enumerate(result.best)
+    ]
+    paths["checkpoint"] = out / GRID_MANIFEST
+    paths["checkpoint"].write_text(json.dumps({"agent": config.agent, "checkpoints": names}, indent=2))
+    return paths
 
 
 def _metrics_summary(metrics: EpisodeMetrics) -> str:
@@ -288,26 +293,21 @@ def _metrics_summary(metrics: EpisodeMetrics) -> str:
 def evaluate_checkpoint(
     config: ExperimentConfig, checkpoint: str | Path, flow: fl.FlowSchedule
 ) -> EpisodeMetrics:
+    """Greedy episode with one parameter set per intersection: a grid manifest
+    (``.json``) lists them, a single checkpoint serves every intersection."""
     table = config.build_table()
     checkpoint = Path(checkpoint)
-    if checkpoint.name.endswith(".json") and config.n_intersections > 1:
-        # Grid manifest: one independently trained checkpoint per intersection.
-        manifest = json.loads(checkpoint.read_text())
-        names = manifest["checkpoints"]
-        if len(names) != config.n_intersections:
+    n = config.n_intersections
+    if checkpoint.suffix == ".json":
+        names = json.loads(checkpoint.read_text())["checkpoints"]
+        if len(names) != n:
             raise ValueError(
-                f"grid manifest lists {len(names)} checkpoints, config has "
-                f"{config.n_intersections} intersections"
+                f"grid manifest lists {len(names)} checkpoints, config has {n} intersections"
             )
-        controllers = []
-        for name in names:
-            _, network, params = load_checkpoint(checkpoint.parent / name, table)
-            controllers.append(GreedyPolicy(network, params))
-        return run_grid_controller(controllers, config.sim, table, flow, config.seed)
-    kind, network, params = load_checkpoint(checkpoint, table)
-    if config.n_intersections == 1:
-        return run_controller(GreedyPolicy(network, params), config.sim, table, flow, config.seed)
-    controllers = [GreedyPolicy(network, params) for _ in range(config.n_intersections)]
+        loaded = [load_checkpoint(checkpoint.parent / name, table) for name in names]
+    else:
+        loaded = [load_checkpoint(checkpoint, table)] * n
+    controllers = [GreedyPolicy(network, params) for _, network, params in loaded]
     return run_grid_controller(controllers, config.sim, table, flow, config.seed)
 
 
@@ -341,15 +341,10 @@ def cmd_compare(
                 raise ValueError(f"method {method} needs a checkpoint (use {method}=PATH)")
             metrics = evaluate_checkpoint(config, checkpoints[method], flow)
         elif method in METHODS:
+            # Calibrated once; every intersection runs its own copy.
             controller = make_classical_controller(method, config, table, flow)
-            if config.n_intersections == 1:
-                metrics = run_controller(controller, config.sim, table, flow, config.seed)
-            else:
-                controllers = [
-                    make_classical_controller(method, config, table, flow)
-                    for _ in range(config.n_intersections)
-                ]
-                metrics = run_grid_controller(controllers, config.sim, table, flow, config.seed)
+            controllers = [copy.deepcopy(controller) for _ in range(config.n_intersections)]
+            metrics = run_grid_controller(controllers, config.sim, table, flow, config.seed)
         else:
             raise ValueError(f"unknown method {method!r}")
         rows.append((method, metrics))

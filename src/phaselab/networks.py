@@ -221,7 +221,8 @@ def save_checkpoint(path: str | Path, kind: str, network, params: dict[str, Tens
 
 
 def load_checkpoint(path: str | Path, table: PhaseTable):
-    """Load (kind, network, params); raises ValueError on a table mismatch."""
+    """Load (kind, network, params); raises ValueError on a table mismatch or
+    on arrays whose names or shapes the described network does not have."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".meta.json").read_text())
     kind = meta["kind"]
@@ -240,5 +241,16 @@ def load_checkpoint(path: str | Path, table: PhaseTable):
         raise ValueError(f"unknown checkpoint kind {kind!r}")
     network = build_network(kind, table, config)
     arrays = nm.load_arrays(path)
+    expected = {k: t.shape for k, t in network.init_params(0).items()}
+    for name in sorted(expected.keys() | arrays.keys()):
+        if name not in arrays:
+            raise ValueError(f"checkpoint {path} lacks array {name!r}")
+        if name not in expected:
+            raise ValueError(f"checkpoint {path} has array {name!r}, unknown to its {kind} network")
+        if arrays[name].shape != expected[name]:
+            raise ValueError(
+                f"checkpoint {path}: array {name!r} has shape {arrays[name].shape}, "
+                f"its {kind} network expects {expected[name]}"
+            )
     params = {k: Tensor(v) for k, v in arrays.items()}
     return kind, network, params

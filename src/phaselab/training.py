@@ -1,16 +1,17 @@
 """DQN training: Bellman targets, prioritized learner, and exploration actors.
 
 The acting and learning halves are decoupled: N actors run epsilon-greedy
-episodes on private simulator instances and push transitions into a sink; one
-learner drains the sink into the prioritized buffer, samples batches, applies
-Adam on a masked Huber loss, and periodically syncs the target network and
-publishes parameter snapshots the actors pick up.
+episodes on private K-intersection simulators and push transitions into a
+sink; each intersection has one learner that drains its share of the sink into
+a prioritized buffer, samples batches, applies Adam on a masked Huber loss,
+and periodically syncs the target network and publishes parameter snapshots
+the actors pick up. A single intersection is the K = 1 case.
 
-Two schedules implement that contract. The threaded mode runs actors and the
-learner concurrently with a bounded queue providing backpressure. The
-synchronous mode interleaves everything on one thread on a fixed schedule
-(each actor takes one decision per learner step) and is bit-reproducible.
-"""
+Two schedules implement that contract. The threaded mode (K = 1 only) runs
+actors and the learner concurrently with a bounded queue providing
+backpressure. The synchronous mode interleaves everything on one thread on a
+fixed schedule (each actor takes one decision per learner step) and is
+bit-reproducible."""
 
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Tensor
 from .replay import PrioritizedReplayBuffer
-from .simulator import IntersectionSim, run_controller
+from .simulator import GridSim
 from .state import TrafficState
 
 
@@ -252,8 +253,11 @@ class GreedyPolicy:
 class Actor:
     """Runs epsilon-greedy episodes on private simulators, emitting transitions.
 
-    ``env_factory(actor_id, episode)`` must build a fresh IntersectionSim; the
-    snapshot channel is polled every ``snapshot_period`` decisions.
+    ``env_factory(actor_id, episode)`` must build a fresh K-intersection
+    simulator (a GridSim; an IntersectionSim is K = 1). ``snapshot_fn()``
+    returns one parameter set per intersection and is polled every
+    ``snapshot_period`` decisions. Each decision acts at every intersection
+    and hands ``sink`` the list of its K transitions.
     """
 
     def __init__(
@@ -261,9 +265,9 @@ class Actor:
         actor_id: int,
         network,
         epsilon: float,
-        env_factory: Callable[[int, int], IntersectionSim],
-        snapshot_fn: Callable[[], dict[str, Tensor]],
-        sink: Callable[[Transition], None],
+        env_factory: Callable[[int, int], GridSim],
+        snapshot_fn: Callable[[], list[dict[str, Tensor]]],
+        sink: Callable[[list[Transition]], None],
         seed: int,
         snapshot_period: int = 10,
     ):
@@ -273,34 +277,34 @@ class Actor:
         self.snapshot_fn = snapshot_fn
         self.sink = sink
         self.snapshot_period = snapshot_period
-        self.policy = EpsilonGreedyPolicy(network, snapshot_fn(), epsilon, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)  # shared by the K policies, in order
+        self.policies = [EpsilonGreedyPolicy(network, p, epsilon, rng) for p in snapshot_fn()]
         self.episode = 0
         self.decisions = 0
-        self._sim: IntersectionSim | None = None
-        self._state: TrafficState | None = None
-
-    def _ensure_episode(self) -> None:
-        if self._sim is None:
-            self._sim = self.env_factory(self.actor_id, self.episode)
-            self._state = self._sim.reset()
+        self._sim: GridSim | None = None
+        self._states: list[TrafficState] | None = None
 
     def take_decision(self) -> None:
-        """One environment decision: act, observe, push the transition."""
-        self._ensure_episode()
+        """One environment decision: act, observe, push the transitions."""
+        if self._sim is None:
+            self._sim = self.env_factory(self.actor_id, self.episode)
+            self._states = self._sim.reset()
         if self.decisions % self.snapshot_period == 0:
-            self.policy.params = self.snapshot_fn()
-        action = self.policy(self._state)
-        next_state, reward, done = self._sim.step(action)
-        self.sink(
-            Transition(state=self._state, action=action, reward=reward, next_state=next_state, done=done)
-        )
+            for policy, params in zip(self.policies, self.snapshot_fn()):
+                policy.params = params
+        actions = [policy(s) for policy, s in zip(self.policies, self._states)]
+        next_states, rewards, done = self._sim.step(actions)
+        self.sink([
+            Transition(state=s, action=a, reward=r, next_state=s2, done=done)
+            for s, a, r, s2 in zip(self._states, actions, rewards, next_states)
+        ])
         self.decisions += 1
         if done:
             self.episode += 1
             self._sim = None
-            self._state = None
+            self._states = None
         else:
-            self._state = next_state
+            self._states = next_states
 
 
 @dataclass(frozen=True)
@@ -332,11 +336,25 @@ def censored_travel_time(metrics, episode_length: float) -> float:
 
 @dataclass
 class TrainResult:
-    best_params: dict[str, Tensor]
+    """Outcome of a run. ``best`` and ``final`` hold one parameter set per
+    intersection; ``best_params`` and ``final_params`` are the single set of a
+    one-intersection run."""
+
+    best: list[dict[str, Tensor]]
     best_travel_time: float
     best_step: int
     curve: list[CurvePoint] = field(default_factory=list)
-    final_params: dict[str, Tensor] = field(default_factory=dict)
+    final: list[dict[str, Tensor]] = field(default_factory=list)
+
+    @property
+    def best_params(self) -> dict[str, Tensor]:
+        (params,) = self.best
+        return params
+
+    @property
+    def final_params(self) -> dict[str, Tensor]:
+        (params,) = self.final
+        return params
 
 
 def write_curve_csv(curve: Sequence[CurvePoint], path: str | Path) -> Path:
@@ -351,31 +369,46 @@ def write_curve_csv(curve: Sequence[CurvePoint], path: str | Path) -> Path:
 def train(
     network,
     config: TrainConfig,
-    env_factory: Callable[[int, int], IntersectionSim],
-    eval_factory: Callable[[], IntersectionSim],
+    env_factory: Callable[[int, int], GridSim],
+    eval_factory: Callable[[], GridSim],
     seed: int = 0,
     progress: Callable[[int, float], None] | None = None,
 ) -> TrainResult:
     """Full actor/learner training run; returns the best-by-eval parameters.
 
-    Every ``eval_period`` learner steps (plus step 0 and the final step) a
-    greedy episode runs on the held-out evaluation environment and its travel
-    time is appended to the learning curve.
+    The factories build K-intersection simulators, K read from the first
+    evaluation environment. Intersection k gets its own learner, replay
+    buffer and parameters (seeds ``seed + 101 k`` and ``seed + 17 k + 1``),
+    so K = 1 is the single-intersection run. Every ``eval_period`` learner
+    steps (plus step 0 and the final step) a greedy episode runs on a fresh
+    evaluation environment and its travel time is appended to the learning
+    curve. Grids train on the synchronous schedule only.
     """
-    init_params = network.init_params(seed)
-    buffer = PrioritizedReplayBuffer(config.buffer_capacity, config.alpha)
-    learner = Learner(network, init_params, config, buffer, np.random.default_rng(seed + 1))
+    first_eval = eval_factory()
+    n = first_eval.n_intersections
+    if n > 1 and not config.sync:
+        raise ValueError("grid training runs on the synchronous schedule; set train.sync")
+    learners = [
+        Learner(
+            network,
+            network.init_params(seed + 101 * k),
+            config,
+            PrioritizedReplayBuffer(config.buffer_capacity, config.alpha),
+            np.random.default_rng(seed + 17 * k + 1),
+        )
+        for k in range(n)
+    ]
     result = TrainResult(
-        best_params=learner.snapshot(), best_travel_time=np.inf, best_step=0
+        best=[l.snapshot() for l in learners], best_travel_time=np.inf, best_step=0
     )
 
-    def evaluate(step: int) -> None:
-        sim = eval_factory()
-        state = sim.reset()
-        policy = GreedyPolicy(network, learner.snapshot())
+    def evaluate(step: int, sim: GridSim | None = None) -> None:
+        sim = eval_factory() if sim is None else sim
+        states = sim.reset()
+        policies = [GreedyPolicy(network, l.snapshot()) for l in learners]
         done = False
         while not done:
-            state, _, done = sim.step(policy(state))
+            states, _, done = sim.step([p(s) for p, s in zip(policies, states)])
         m = sim.metrics()
         censored = censored_travel_time(m, sim.config.episode_length)
         result.curve.append(
@@ -389,20 +422,24 @@ def train(
         if censored < result.best_travel_time:
             result.best_travel_time = censored
             result.best_step = step
-            result.best_params = learner.snapshot()
+            result.best = [p.params for p in policies]
         if progress is not None:
             progress(step, censored)
 
-    evaluate(0)
+    evaluate(0, first_eval)
     if config.max_learner_steps > 0:
-        if config.sync:
-            _train_sync(network, config, env_factory, learner, buffer, evaluate, seed)
-        else:
-            _train_threaded(network, config, env_factory, learner, buffer, evaluate, seed)
-        if learner.step_count % config.eval_period != 0:
-            evaluate(learner.step_count)
-    result.final_params = learner.snapshot()
+        schedule = _train_sync if config.sync else _train_threaded
+        schedule(network, config, env_factory, learners, evaluate, seed)
+        if learners[0].step_count % config.eval_period != 0:
+            evaluate(learners[0].step_count)
+    result.final = [l.snapshot() for l in learners]
     return result
+
+
+def _store(learners: Sequence[Learner], transitions: Sequence[Transition]) -> None:
+    """Fan one decision's transitions out to the per-intersection buffers."""
+    for learner, t in zip(learners, transitions):
+        learner.buffer.add(t)
 
 
 def _make_actors(network, config, env_factory, snapshot_fn, sink, seed) -> list[Actor]:
@@ -421,45 +458,64 @@ def _make_actors(network, config, env_factory, snapshot_fn, sink, seed) -> list[
     ]
 
 
-def _train_sync(network, config, env_factory, learner, buffer, evaluate, seed) -> None:
-    actors = _make_actors(network, config, env_factory, learner.snapshot, buffer.add, seed)
+def _train_sync(network, config, env_factory, learners, evaluate, seed) -> None:
+    actors = _make_actors(
+        network, config, env_factory,
+        lambda: [l.snapshot() for l in learners],
+        lambda transitions: _store(learners, transitions),
+        seed,
+    )
     warmup = max(config.warmup_transitions, config.batch_size)
-    while len(buffer) < warmup:
+    while len(learners[0].buffer) < warmup:
         for actor in actors:
             actor.take_decision()
-    while learner.step_count < config.max_learner_steps:
+    while learners[0].step_count < config.max_learner_steps:
         for actor in actors:
             actor.take_decision()
-        learner.step()
-        if learner.step_count % config.eval_period == 0:
-            evaluate(learner.step_count)
+        for learner in learners:
+            learner.step()
+        if learners[0].step_count % config.eval_period == 0:
+            evaluate(learners[0].step_count)
 
 
-def _train_threaded(network, config, env_factory, learner, buffer, evaluate, seed) -> None:
+_POLL_S = 0.1  # bound on every blocking queue call in threaded mode
+
+
+def _train_threaded(network, config, env_factory, learners, evaluate, seed) -> None:
+    """Actors on daemon threads feed the learner through a bounded queue.
+
+    The first exception an actor raises stops every actor and is re-raised
+    here, on the learner's thread, within one poll interval.
+    """
     sink: queue.Queue = queue.Queue(maxsize=config.queue_capacity)
     stop = threading.Event()
+    errors: list[Exception] = []
     lock = threading.Lock()
-    latest = {"params": learner.snapshot()}
+    latest = {"params": [l.snapshot() for l in learners]}
 
-    def snapshot_fn() -> dict[str, Tensor]:
+    def snapshot_fn() -> list[dict[str, Tensor]]:
         with lock:
             return latest["params"]
 
     def actor_main(actor: Actor) -> None:
-        while not stop.is_set():
-            try:
+        try:
+            while not stop.is_set():
                 actor.take_decision()
-            except Exception:  # surfaced via the report below
-                stop.set()
-                raise
+        except Exception as err:  # re-raised on the learner's thread
+            errors.append(err)
+            stop.set()
 
-    def actor_sink(t: Transition) -> None:
+    def actor_sink(transitions: list[Transition]) -> None:
         while not stop.is_set():
             try:
-                sink.put(t, timeout=0.1)
+                sink.put(transitions, timeout=_POLL_S)
                 return
             except queue.Full:
                 continue
+
+    def check_actors() -> None:
+        if errors:
+            raise errors[0]
 
     actors = _make_actors(network, config, env_factory, snapshot_fn, actor_sink, seed)
     threads = [
@@ -470,19 +526,25 @@ def _train_threaded(network, config, env_factory, learner, buffer, evaluate, see
         t.start()
     try:
         warmup = max(config.warmup_transitions, config.batch_size)
-        while len(buffer) < warmup:
-            buffer.add(sink.get())
-        while learner.step_count < config.max_learner_steps:
+        while len(learners[0].buffer) < warmup:
+            check_actors()
+            try:
+                _store(learners, sink.get(timeout=_POLL_S))
+            except queue.Empty:
+                continue
+        while learners[0].step_count < config.max_learner_steps:
+            check_actors()
             while True:  # drain whatever the actors produced
                 try:
-                    buffer.add(sink.get_nowait())
+                    _store(learners, sink.get_nowait())
                 except queue.Empty:
                     break
-            learner.step()
+            for learner in learners:
+                learner.step()
             with lock:
-                latest["params"] = learner.snapshot()
-            if learner.step_count % config.eval_period == 0:
-                evaluate(learner.step_count)
+                latest["params"] = [l.snapshot() for l in learners]
+            if learners[0].step_count % config.eval_period == 0:
+                evaluate(learners[0].step_count)
     finally:
         stop.set()
         for t in threads:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -140,6 +141,54 @@ class TestCommands:
         four = tiny_config(tmp_path, phase_set="4-phase")
         with pytest.raises(ValueError, match="phases"):
             cmd_eval(four, paths["checkpoint"])
+
+
+class TestGrid:
+    """The same commands on a 2x2 grid: one learner and checkpoint per intersection."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        cfg = tiny_config(tmp_path_factory.mktemp("grid"), grid_rows=2, grid_cols=2)
+        return cfg, cmd_train(cfg)
+
+    def test_sync_train_writes_manifest_and_is_reproducible(self, trained, tmp_path):
+        cfg, paths = trained
+        out = paths["checkpoint"].parent
+        assert paths["checkpoint"] == out / "grid.json"
+        manifest = json.loads(paths["checkpoint"].read_text())
+        assert manifest["checkpoints"] == [f"ckpt_i{k}.bin" for k in range(4)]
+        rerun = cmd_train(dataclasses.replace(cfg, out_dir=str(tmp_path / "rerun")))
+        names = ["grid.json", "curve.csv"] + [f"ckpt_i{k}.bin" for k in range(4)]
+        for name in names:
+            assert (out / name).read_bytes() == (rerun["checkpoint"].parent / name).read_bytes()
+
+    def test_eval_on_manifest_writes_per_intersection_intervals(self, trained, tmp_path):
+        cfg, paths = trained
+        cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "eval"))
+        cmd_eval(cfg, paths["checkpoint"])
+        for k in range(4):
+            assert (tmp_path / "eval" / f"intervals_i{k}.csv").exists()
+
+    def test_manifest_length_must_match_grid(self, trained, tmp_path):
+        cfg, paths = trained
+        manifest = json.loads(paths["checkpoint"].read_text())
+        manifest["checkpoints"] = manifest["checkpoints"][:3]
+        short = paths["checkpoint"].parent / "short.json"
+        short.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="3 checkpoints"):
+            cmd_eval(dataclasses.replace(cfg, out_dir=str(tmp_path / "eval")), short)
+
+    def test_threaded_grid_training_rejected(self, tmp_path):
+        cfg = tiny_config(tmp_path, grid_rows=2, grid_cols=2, train={"sync": False})
+        with pytest.raises(ValueError, match="synchronous"):
+            cmd_train(cfg)
+
+    def test_compare_classical_methods_on_grid(self, tmp_path):
+        cfg = tiny_config(tmp_path, grid_rows=2, grid_cols=2)
+        rows = cmd_compare(cfg, ["fixedtime", "formula", "sotl"])
+        assert [method for method, _ in rows] == ["fixedtime", "formula", "sotl"]
+        entered = {m.exited_count + m.in_network_count for _, m in rows}
+        assert len(entered) == 1
 
 
 class TestCli:

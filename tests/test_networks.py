@@ -270,3 +270,15 @@ class TestCheckpointSidecar:
         table3 = pl.build_phase_table(3)
         with pytest.raises(ValueError):
             load_checkpoint(path, table3)
+
+    def test_arrays_must_match_the_described_network(self, table4, tmp_path):
+        small = FrapNetwork(table4, FrapConfig(demand_dim=8, conv_channels=8))
+        large = FrapNetwork(table4, FrapConfig(conv_layers=2))
+        # .meta.json describes the large network; the arrays are the small one's
+        path = save_checkpoint(tmp_path / "model.bin", "frap", large, small.init_params(0))
+        with pytest.raises(ValueError, match="'b_d0' has shape"):
+            load_checkpoint(path, table4)
+        extra = {**large.init_params(0), "stray": Tensor(np.zeros(3))}
+        path = save_checkpoint(tmp_path / "extra.bin", "frap", large, extra)
+        with pytest.raises(ValueError, match="stray"):
+            load_checkpoint(path, table4)

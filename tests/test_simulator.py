@@ -26,7 +26,7 @@ def cfg():
 class TestReset:
     def test_empty_flow_all_zero(self, table4, cfg):
         sim = pl.IntersectionSim(cfg, table4, FlowSchedule(events=()))
-        s = sim.reset()
+        [s] = sim.reset()
         assert np.array_equal(s.counts, np.zeros(8))
         assert s.phase_index == 0
         assert np.array_equal(s.signal_bits, np.array(table4.phases[0].bits))
@@ -34,15 +34,15 @@ class TestReset:
     def test_two_resets_identical(self, table4, cfg):
         flow = single_hop([0.0, 5.0, 7.5], 0)
         sim = pl.IntersectionSim(cfg, table4, flow)
-        s1 = sim.reset()
-        sim.step(0)
-        s2 = sim.reset()
+        [s1] = sim.reset()
+        sim.step([0])
+        [s2] = sim.reset()
         assert states_equal(s1, s2)
 
     def test_future_arrivals_not_visible(self, table4, cfg):
         flow = single_hop([5.0], 0)
         sim = pl.IntersectionSim(cfg, table4, flow)
-        s = sim.reset()
+        [s] = sim.reset()
         assert s.counts.sum() == 0
 
     def test_invalid_flow_reference_rejected(self, table4, cfg):
@@ -55,7 +55,7 @@ class TestStep:
     def test_empty_network_zero_reward(self, table4, cfg):
         sim = pl.IntersectionSim(cfg, table4, FlowSchedule(events=()))
         sim.reset()
-        s, r, done = sim.step(0)
+        [s], [r], done = sim.step([0])
         assert r == 0.0
         assert s.counts.sum() == 0
         assert not done
@@ -66,7 +66,7 @@ class TestStep:
         sim = pl.IntersectionSim(cfg, table4, single_hop([0.0], 0))
         sim.reset()
         for _ in range(4):
-            sim.step(0)
+            sim.step([0])
         m = sim.metrics()
         assert m.exited_count == 1
         assert m.vehicles[0].queue_join == 30.0
@@ -79,13 +79,13 @@ class TestStep:
         sim.reset()
         # phase 3 = {E-T, E-L}: keeps movement 4 red while vehicles arrive
         for _ in range(4):
-            sim.step(3)
-        before = sim._engine.counts(0)[4]
+            sim.step([3])
+        before = sim.counts(0)[4]
         assert before == 5
-        s, _, _ = sim.step(table4.phase_with_members([4, 5]))  # green on S-T
+        [s], _, _ = sim.step([table4.phase_with_members([4, 5])])  # green on S-T
         # phase change burns 5 s clearance; 5 green seconds serve floor(5/2)=2
         assert s.counts[4] == 3
-        s, _, _ = sim.step(table4.phase_with_members([4, 5]))  # full 10 s green
+        [s], _, _ = sim.step([table4.phase_with_members([4, 5])])  # full 10 s green
         assert s.counts[4] == 0
         assert sim.metrics().exited_count == 5
 
@@ -93,7 +93,7 @@ class TestStep:
         sim = pl.IntersectionSim(cfg, table4, FlowSchedule(events=()))
         sim.reset()
         with pytest.raises(ValueError):
-            sim.step(8)
+            sim.step([8])
 
     def test_step_after_done_rejected(self, table4):
         sim = pl.IntersectionSim(
@@ -102,17 +102,17 @@ class TestStep:
         sim.reset()
         done = False
         while not done:
-            _, _, done = sim.step(0)
+            _, _, done = sim.step([0])
         with pytest.raises(RuntimeError):
-            sim.step(0)
+            sim.step([0])
 
     def test_reward_is_negative_mean_queue(self, table4, cfg):
         sim = pl.IntersectionSim(cfg, table4, single_hop([0.0, 0.0, 0.0], 4))
         sim.reset()
-        _, _, _ = sim.step(0)
-        _, _, _ = sim.step(0)
-        _, _, _ = sim.step(0)
-        s, r, _ = sim.step(0)  # three vehicles queued on S-T (red)
+        _, _, _ = sim.step([0])
+        _, _, _ = sim.step([0])
+        _, _, _ = sim.step([0])
+        [s], [r], _ = sim.step([0])  # three vehicles queued on S-T (red)
         assert s.counts[4] == 3
         assert r == -3 / 8
 
@@ -124,7 +124,7 @@ class TestStep:
         done = False
         max_count = 0
         while not done:
-            s, _, done = sim.step(0)
+            [s], _, done = sim.step([0])
             max_count = max(max_count, int(s.counts[4]))
         assert max_count == 5  # capacity bound holds
 
@@ -202,7 +202,7 @@ class TestConservation:
         sim.reset()
         done = False
         while not done:
-            _, _, done = sim.step(int(rng.integers(8)))
+            _, _, done = sim.step([int(rng.integers(8))])
         assert not failures
 
     @given(seed=st.integers(0, 10_000))
@@ -218,7 +218,7 @@ class TestConservation:
         sim.reset()
         done = False
         while not done:
-            s, r, done = sim.step(int(rng.integers(8)))
+            [s], [r], done = sim.step([int(rng.integers(8))])
             assert np.all(s.counts >= 0)
             assert np.all(s.counts <= 12)
             assert r <= 0.0
@@ -232,13 +232,13 @@ class TestGrid:
         )
         single = pl.IntersectionSim(config, table4, flow)
         grid = pl.GridSim(config, table4, flow, n_intersections=1)
-        s1, sg = single.reset(), grid.reset()
+        [s1], sg = single.reset(), grid.reset()
         assert states_equal(s1, sg[0])
         rng = np.random.default_rng(2)
         done = False
         while not done:
             a = int(rng.integers(8))
-            s1, r1, done = single.step(a)
+            [s1], [r1], done = single.step([a])
             sg, rg, gdone = grid.step([a])
             assert states_equal(s1, sg[0])
             assert r1 == rg[0]
@@ -292,7 +292,7 @@ class TestGrid:
             # intersection 0 serves W-T; intersection 1 stays red for it
             states, _, done = grid.step([wt, ns])
             assert states[1].counts[6] <= 3
-        snap = grid._engine.conservation_snapshot(float(grid._engine.clock))
+        snap = grid.conservation_snapshot(float(grid.clock))
         assert snap["entered"] == 12
         assert snap["exited"] == 0  # intersection 1 never served W-T
         assert snap["in_queue"] + snap["waiting"] + snap["on_approach"] == 12

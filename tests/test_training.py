@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -219,8 +221,8 @@ class TestActorPolicy:
             network=net,
             epsilon=0.5,
             env_factory=_env_factory(table4, episode_length=50),
-            snapshot_fn=lambda: params,
-            sink=sink.append,
+            snapshot_fn=lambda: [params],
+            sink=sink.extend,
             seed=1,
             snapshot_period=3,
         )
@@ -269,3 +271,28 @@ class TestTrain:
         steps = [p.learner_step for p in result.curve]
         assert steps == [0, 10, 20]
         assert all(np.isfinite(p.eval_travel_time) for p in result.curve)
+
+    def test_threaded_actor_failure_is_raised(self, table4):
+        net = _small_net(table4)
+        cfg = TrainConfig(
+            max_learner_steps=20, batch_size=8, warmup_transitions=16,
+            n_actors=2, eval_period=10, sync=False,
+        )
+        factory = _env_factory(table4, episode_length=100)
+
+        def failing(actor_id: int, episode: int):
+            raise RuntimeError("no simulator today")
+
+        raised = []
+
+        def run() -> None:
+            try:
+                train(net, cfg, failing, lambda: factory(9, 0), seed=0)
+            except RuntimeError as err:
+                raised.append(err)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10.0)
+        assert not runner.is_alive(), "train() blocked after its actors failed"
+        assert [str(e) for e in raised] == ["no simulator today"]
