@@ -51,12 +51,20 @@ class FlowSchedule:
                 if not 0 <= mov < n_movements:
                     raise ValueError(f"vehicle {e.vehicle_id}: unknown movement id {mov}")
 
-    def movement_volumes(self, n_movements: int, duration: float) -> np.ndarray:
-        """First-hop arrival rates in veh/h per movement (calibration input)."""
+    def movement_volumes(
+        self, n_movements: int, duration: float, n_intersections: int = 1
+    ) -> np.ndarray:
+        """Per-intersection arrival rates in veh/h per movement (calibration input).
+
+        Every (intersection, movement) hop of every route counts, so a vehicle
+        crossing a grid loads each intersection it passes; the total is
+        averaged over the ``n_intersections`` intersections.
+        """
         counts = np.zeros(n_movements)
         for e in self.events:
-            counts[e.route[0][1]] += 1.0
-        return counts * 3600.0 / duration
+            for _, movement in e.route:
+                counts[movement] += 1.0
+        return counts * 3600.0 / duration / n_intersections
 
 
 def _fmt(x: float) -> str:

@@ -38,6 +38,10 @@ from .topology import PhaseTable, build_phase_table, find_op
 from .training import GreedyPolicy, TrainConfig, train, write_curve_csv
 
 EVAL_SEED_OFFSET = 9973  # held-out evaluation flows live in their own seed stream
+# Classical calibration draws live in a third stream. An actor stream
+# (actor_id * 1009 + episode) reaches it only at 99 actors or after more
+# than 1100 episodes of one actor.
+CALIBRATION_SEED_OFFSET = 99_991
 TRANSFER_OPS = ("flip", "rot90", "rot180", "rot270")
 METHODS = ("frap", "vanilla", "fixedtime", "formula", "sotl")
 GRID_MANIFEST = "grid.json"  # lists a grid's per-intersection checkpoints
@@ -194,6 +198,10 @@ def eval_flow_seed(config: ExperimentConfig) -> int:
     return config.seed * 100_003 + EVAL_SEED_OFFSET
 
 
+def calibration_flow_seed(config: ExperimentConfig) -> int:
+    return config.seed * 100_003 + CALIBRATION_SEED_OFFSET
+
+
 # --- controllers ------------------------------------------------------------------
 
 def make_classical_controller(
@@ -216,7 +224,9 @@ def make_classical_controller(
         )
         return FixedTimeController(plan, sim_cfg.decision_interval)
     if method == "formula":
-        volumes = flow.movement_volumes(table.n_movements, config.flow.duration)
+        volumes = flow.movement_volumes(
+            table.n_movements, config.flow.duration, config.n_intersections
+        )
         return formula_controller(
             volumes, table, sim_cfg.decision_interval,
             saturation_headway=sim_cfg.saturation_headway, clearance=clearance,
@@ -328,12 +338,17 @@ def cmd_eval(config: ExperimentConfig, checkpoint: str | Path) -> EpisodeMetrics
 def cmd_compare(
     config: ExperimentConfig, methods: Sequence[str], checkpoints: dict[str, str] | None = None
 ) -> list[tuple[str, EpisodeMetrics]]:
-    """Run every method on the identical flow instance; emits compare.csv."""
+    """Run every method on the identical flow instance; emits compare.csv.
+
+    Classical methods are calibrated on a draw of their own seed stream, not
+    on the held-out flow they are scored on (a flow file is both at once).
+    """
     checkpoints = checkpoints or {}
     out = Path(config.out_dir)
     echo_config(config, out)
     table = config.build_table()
     flow = build_flow(config, eval_flow_seed(config))
+    calibration_flow = None
     rows: list[tuple[str, EpisodeMetrics]] = []
     for method in methods:
         if method in ("frap", "vanilla"):
@@ -341,8 +356,10 @@ def cmd_compare(
                 raise ValueError(f"method {method} needs a checkpoint (use {method}=PATH)")
             metrics = evaluate_checkpoint(config, checkpoints[method], flow)
         elif method in METHODS:
+            if calibration_flow is None:
+                calibration_flow = build_flow(config, calibration_flow_seed(config))
             # Calibrated once; every intersection runs its own copy.
-            controller = make_classical_controller(method, config, table, flow)
+            controller = make_classical_controller(method, config, table, calibration_flow)
             controllers = [copy.deepcopy(controller) for _ in range(config.n_intersections)]
             metrics = run_grid_controller(controllers, config.sim, table, flow, config.seed)
         else:

@@ -14,12 +14,17 @@ Because every layer is shared across movements and phase pairs, relabelling
 the intersection by any symmetry op permutes the Q-vector by the induced
 phase permutation. The flat baseline below has no such structure and serves
 as the negative control.
+
+Both networks are fused kernels: ``forward`` computes the Q-values in plain
+numpy and, given a tape, records one node whose inputs are the parameter
+tensors (in ``params`` order) and whose VJP is the network's hand-derived
+backward pass.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -47,20 +52,59 @@ class VanillaConfig:
     norm_capacity: float = 40.0
 
 
-def _as_batch(counts: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def _as_batch(counts: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts = np.asarray(counts, dtype=np.float64)
     bits = np.asarray(bits, dtype=np.float64)
     if counts.shape != bits.shape:
         raise ValueError(f"counts {counts.shape} and bits {bits.shape} differ")
     if counts.ndim == 1:
-        return counts[None, :], bits[None, :], True
+        return counts[None, :], bits[None, :]
     if counts.ndim == 2:
-        return counts, bits, False
+        return counts, bits
     raise ValueError(f"expected 1-d or 2-d inputs, got {counts.shape}")
 
 
+def _relu_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(x @ w + b) over the rows of a 2-d array."""
+    out = x @ w
+    out += b
+    return np.maximum(out, 0.0, out=out)
+
+
+def _relu_grads(g_out: np.ndarray, x: np.ndarray, out: np.ndarray, w: np.ndarray):
+    """(g_x, g_w, g_b) of ``out = relu(x @ w + b)`` given the gradient of ``out``."""
+    g = g_out * (out > 0.0)
+    return g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+def _selector(index: np.ndarray, n: int) -> np.ndarray:
+    """One-hot matrix S [index.size, n] with S[k, index[k]] = 1; S.T @ g
+    scatter-adds the rows of g into the n slots they were gathered from."""
+    flat = index.ravel()
+    out = np.zeros((flat.size, n))
+    out[np.arange(flat.size), flat] = 1.0
+    return out
+
+
 class FrapNetwork:
-    """Phase-competition Q-network bound to one phase table."""
+    """Phase-competition Q-network bound to one phase table.
+
+    The kernel keeps rows movement- or cell-major, with the batch inside, so
+    gathers and scatters move whole contiguous [B, C] blocks:
+
+    - Split projection. The first pair convolution acts on [d(p), d(q)], so
+      it is A(p) + Bq(q) with A = d W0[:D] + b and Bq = d W0[D:], computed per
+      phase and added over the opponent slots: no [.., 2D] pair volume, and
+      the gemm runs over B*P rows, not B*P*(P-1).
+    - Relation branch on the two ``rel_emb`` rows; a cell's score takes the
+      row its ``pair_relation`` names. It does not depend on the batch.
+    - Value-sorted opponent sum. Q(p) sums p's scores in ascending value
+      order, so permuting opponents leaves Q bitwise unchanged and exact Q
+      ties survive symmetry relabelling.
+
+    ``opponents`` and ``pair_relation`` are read at call time and the network
+    keeps no scratch state, so concurrent calls are safe.
+    """
 
     def __init__(self, table: PhaseTable, config: FrapConfig = FrapConfig()):
         self.table = table
@@ -73,7 +117,6 @@ class FrapNetwork:
             [[q for q in range(p) if q != pi] for pi in range(p)], dtype=np.int64
         )  # [P, P-1], ascending, own index skipped
         self.opponents = opponents
-        self.own = np.repeat(np.arange(p, dtype=np.int64)[:, None], p - 1, axis=1)
         self.pair_relation = np.take_along_axis(table.relation, opponents, axis=1)  # [P, P-1]
 
     @property
@@ -107,55 +150,126 @@ class FrapNetwork:
         params["b_out"] = np.zeros(1)
         return {k: Tensor(v) for k, v in params.items()}
 
-    def movement_demand(
-        self, params: dict[str, Tensor], counts, bits, tape: Tape | None = None
-    ) -> Tensor:
+    def _movement_rows(self, p: dict[str, np.ndarray], counts, bits):
+        """(xv, xs, h, d): branch inputs [M*B, 1], concatenated branch
+        activations [M*B, 2H] and demands [M*B, D], rows movement-major."""
+        counts, bits = _as_batch(counts, bits)
+        if counts.shape[1] != self.table.n_movements:
+            raise ValueError(f"expected {self.table.n_movements} movements, got {counts.shape[1]}")
+        xv = counts.T.reshape(-1, 1) / self.config.norm_capacity
+        xs = bits.T.reshape(-1, 1)
+        h = np.concatenate(
+            [_relu_rows(xv, p["w_v"], p["b_v"]), _relu_rows(xs, p["w_s"], p["b_s"])], axis=1
+        )
+        return xv, xs, h, _relu_rows(h, p["w_h"], p["b_h"])
+
+    def movement_demand(self, params: dict[str, Tensor], counts, bits) -> Tensor:
         """Per-movement demand vectors, shape [B, M, demand_dim]."""
-        counts, bits, _ = _as_batch(counts, bits)
-        b, m = counts.shape
-        if m != self.table.n_movements:
-            raise ValueError(f"expected {self.table.n_movements} movements, got {m}")
-        xv = Tensor(counts.reshape(b * m, 1) / self.config.norm_capacity)
-        xs = Tensor(bits.reshape(b * m, 1))
-        hv = nm.relu(nm.affine(xv, params["w_v"], params["b_v"], tape), tape)
-        hs = nm.relu(nm.affine(xs, params["w_s"], params["b_s"], tape), tape)
-        h = nm.concat([hv, hs], axis=1, tape=tape)
-        d = nm.relu(nm.affine(h, params["w_h"], params["b_h"], tape), tape)
-        return nm.reshape(d, (b, m, self.config.demand_dim), tape)
+        d = self._movement_rows({k: t.data for k, t in params.items()}, counts, bits)[3]
+        return Tensor._wrap(d.reshape(self.table.n_movements, -1, d.shape[1]).transpose(1, 0, 2))
 
-    def phase_demand(self, movement_demands: Tensor, tape: Tape | None = None) -> Tensor:
+    def phase_demand(self, movement_demands: Tensor) -> Tensor:
         """Sum the two member demands of every phase: [B, M, .] -> [B, P, .]."""
-        first = nm.take(movement_demands, self.members[:, 0], axis=1, tape=tape)
-        second = nm.take(movement_demands, self.members[:, 1], axis=1, tape=tape)
-        return nm.add(first, second, tape)
-
-    def build_volumes(
-        self, params: dict[str, Tensor], phase_demands: Tensor, tape: Tape | None = None
-    ) -> tuple[Tensor, Tensor]:
-        """Pair demand volume D [B, P, P-1, 2*demand] and relation volume E [P, P-1, rel]."""
-        own = nm.take(phase_demands, self.own, axis=1, tape=tape)
-        opp = nm.take(phase_demands, self.opponents, axis=1, tape=tape)
-        demand_volume = nm.concat([own, opp], axis=3, tape=tape)
-        relation_volume = nm.embed(params["rel_emb"], self.pair_relation, tape)
-        return demand_volume, relation_volume
+        d = movement_demands.data
+        return Tensor._wrap(d[:, self.members[:, 0]] + d[:, self.members[:, 1]])
 
     def forward(self, params: dict[str, Tensor], counts, bits, tape: Tape | None = None) -> Tensor:
-        """Q-values for a batch of states, shape [B, P]."""
-        d_move = self.movement_demand(params, counts, bits, tape)
-        d_phase = self.phase_demand(d_move, tape)
-        h_d, h_r = self.build_volumes(params, d_phase, tape)
-        for k in range(self.config.conv_layers):
-            h_d = nm.relu(nm.conv1x1(h_d, params[f"w_d{k}"], params[f"b_d{k}"], tape), tape)
-            h_r = nm.relu(nm.conv1x1(h_r, params[f"w_r{k}"], params[f"b_r{k}"], tape), tape)
-        h_c = nm.mul_elem(h_d, h_r, tape)  # broadcasts E across the batch
-        scores = nm.conv1x1(h_c, params["w_out"], params["b_out"], tape)
-        if self.config.output_relu:
-            scores = nm.relu(scores, tape)
-        # Value-sorted summation keeps Q bitwise independent of opponent
-        # order, so exact ties survive symmetry relabelling.
-        q = nm.sum_axis_canonical(scores, axis=2, tape=tape)
-        b = q.data.shape[0]
-        return nm.reshape(q, (b, self.table.n_phases), tape)
+        """Q-values for a batch of states, shape [B, P]; one tape node."""
+        cfg = self.config
+        p = {k: t.data for k, t in params.items()}
+        n_ph, n_dem, n_ch = self.table.n_phases, cfg.demand_dim, cfg.conv_channels
+        opponents, relation = self.opponents, self.pair_relation
+        xv, xs, h, d = self._movement_rows(p, counts, bits)
+        batch = xv.shape[0] // self.table.n_movements
+        d3 = d.reshape(-1, batch, n_dem)
+        dp = (d3[self.members[:, 0]] + d3[self.members[:, 1]]).reshape(-1, n_dem)  # [P*B, D]
+
+        # Layer 0, split: pre(p, j) = A(p) + Bq(opponents[p, j]), cells [P*(P-1), B, C].
+        w0 = p["w_d0"]
+        a = dp @ w0[:n_dem]
+        a += p["b_d0"]
+        bq = (dp @ w0[n_dem:]).reshape(n_ph, batch * n_ch)
+        cells = np.take(bq, opponents.ravel(), axis=0).reshape(n_ph, -1, batch * n_ch)
+        cells += a.reshape(n_ph, 1, batch * n_ch)
+        hd = [np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)]  # rows (p, j, b)
+        for k in range(1, cfg.conv_layers):
+            hd.append(_relu_rows(hd[-1], p[f"w_d{k}"], p[f"b_d{k}"]))
+
+        hr = [p["rel_emb"]]  # one row per relation kind
+        for k in range(cfg.conv_layers):
+            hr.append(_relu_rows(hr[-1], p[f"w_r{k}"], p[f"b_r{k}"]))
+        w_rel = hr[-1] * p["w_out"][:, 0]  # [2, C]
+
+        # Score every cell against both relation kinds (one gemm, so a row's
+        # score does not depend on the batch size), then keep its own kind.
+        n_cells = relation.size
+        by_kind = (hd[-1] @ w_rel.T).reshape(n_cells, batch, 2)
+        scores = by_kind[np.arange(n_cells), :, relation.ravel()].reshape(n_ph, -1, batch)
+        scores += p["b_out"][0]
+        if cfg.output_relu:
+            pre_scores = scores
+            scores = np.maximum(scores, 0.0)
+        q = np.sort(scores.transpose(0, 2, 1), axis=2).sum(axis=2).T  # [B, P]
+
+        names = tuple(params)
+
+        def grads_of(gq: np.ndarray) -> tuple[np.ndarray, ...]:
+            g: dict[str, np.ndarray] = {}
+            gs = np.broadcast_to(gq.T[:, None, :], scores.shape)  # [P, P-1, B]
+            if cfg.output_relu:
+                gs = gs * (pre_scores > 0.0)
+            gs = gs.reshape(n_cells, batch)
+            g["b_out"] = np.array([gs.sum()])
+            # Last conv: per cell, sum_b gs * h; then by relation kind.
+            h3 = hd[-1].reshape(n_cells, batch, n_ch)
+            gh_cells = np.matmul(gs[:, None, :], h3).reshape(n_cells, n_ch)
+            g_rel = _selector(relation, 2).T @ gh_cells  # [2, C]
+            g["w_out"] = (g_rel * hr[-1]).sum(axis=0)[:, None]
+            g_r = g_rel * p["w_out"][:, 0]
+            for k in reversed(range(cfg.conv_layers)):
+                g_r, g[f"w_r{k}"], g[f"b_r{k}"] = _relu_grads(g_r, hr[k], hr[k + 1], p[f"w_r{k}"])
+            g["rel_emb"] = g_r
+
+            # Pair cells one phase at a time, so every temporary is [P-1, B, C]:
+            # a second full [P(P-1), B, C] array next to the forward's makes
+            # the allocator hand its pages back and fault them in every step.
+            n_opp = n_cells // n_ph
+            for k in range(1, cfg.conv_layers):
+                g[f"w_d{k}"] = np.zeros_like(p[f"w_d{k}"])
+                g[f"b_d{k}"] = np.zeros_like(p[f"b_d{k}"])
+            g_a = np.empty((n_ph, batch * n_ch))
+            g_bq = np.zeros((n_ph, batch * n_ch))
+            for ph in range(n_ph):
+                own = slice(ph * n_opp, (ph + 1) * n_opp)
+                rows = slice(own.start * batch, own.stop * batch)
+                g_h = np.einsum("kb,kc->kbc", gs[own], w_rel[relation[ph]]).reshape(-1, n_ch)
+                for k in reversed(range(1, cfg.conv_layers)):
+                    g_h, g_w, g_b = _relu_grads(g_h, hd[k - 1][rows], hd[k][rows], p[f"w_d{k}"])
+                    g[f"w_d{k}"] += g_w
+                    g[f"b_d{k}"] += g_b
+                g_h *= hd[0][rows] > 0.0
+                # Layer 0: A(p) collects p's cells, Bq(q) every cell q opposes.
+                g_cells = g_h.reshape(n_opp, batch * n_ch)
+                g_a[ph] = g_cells.sum(axis=0)
+                g_bq[opponents[ph]] += g_cells
+            g_a = g_a.reshape(-1, n_ch)
+            g_bq = g_bq.reshape(-1, n_ch)
+            g["w_d0"] = np.concatenate([dp.T @ g_a, dp.T @ g_bq])
+            g["b_d0"] = g_a.sum(axis=0)
+            g_dp = g_a @ w0[:n_dem].T + g_bq @ w0[n_dem:].T  # [P*B, D]
+            n_mov = self.table.n_movements
+            member_of = _selector(self.members[:, 0], n_mov) + _selector(self.members[:, 1], n_mov)
+            g_d = (member_of.T @ g_dp.reshape(n_ph, -1)).reshape(-1, n_dem)
+            g_h, g["w_h"], g["b_h"] = _relu_grads(g_d, h, d, p["w_h"])
+            n_hid = cfg.movement_hidden
+            for br, x, c in (("v", xv, slice(None, n_hid)), ("s", xs, slice(n_hid, None))):
+                _, g[f"w_{br}"], g[f"b_{br}"] = _relu_grads(g_h[:, c], x, h[:, c], p[f"w_{br}"])
+            return tuple(g[n] for n in names)
+
+        q = Tensor._wrap(q)
+        if tape is not None:
+            tape.record(q, tuple(params.values()), grads_of)
+        return q
 
     def q_values(self, params: dict[str, Tensor], state: TrafficState) -> np.ndarray:
         return self.forward(params, state.counts, state.signal_bits).data[0]
@@ -182,13 +296,30 @@ class VanillaNetwork:
         return {k: Tensor(v) for k, v in params.items()}
 
     def forward(self, params: dict[str, Tensor], counts, bits, tape: Tape | None = None) -> Tensor:
-        counts, bits, _ = _as_batch(counts, bits)
-        x = Tensor(np.concatenate([counts / self.config.norm_capacity, bits], axis=1))
+        """Q-values for a batch of states, shape [B, P]; one tape node."""
+        p = {k: t.data for k, t in params.items()}
+        counts, bits = _as_batch(counts, bits)
         n_layers = len(self.config.hidden)
-        h = x
+        hs = [np.concatenate([counts / self.config.norm_capacity, bits], axis=1)]
         for i in range(n_layers):
-            h = nm.relu(nm.affine(h, params[f"w{i}"], params[f"b{i}"], tape), tape)
-        return nm.affine(h, params[f"w{n_layers}"], params[f"b{n_layers}"], tape)
+            hs.append(_relu_rows(hs[-1], p[f"w{i}"], p[f"b{i}"]))
+        q = hs[-1] @ p[f"w{n_layers}"] + p[f"b{n_layers}"]
+
+        names = tuple(params)
+
+        def grads_of(g_out: np.ndarray) -> tuple[np.ndarray, ...]:
+            grads: dict[str, np.ndarray] = {}
+            for i in reversed(range(n_layers + 1)):
+                grads[f"w{i}"] = hs[i].T @ g_out
+                grads[f"b{i}"] = g_out.sum(axis=0)
+                if i:
+                    g_out = (g_out @ p[f"w{i}"].T) * (hs[i] > 0.0)
+            return tuple(grads[n] for n in names)
+
+        q = Tensor._wrap(q)
+        if tape is not None:
+            tape.record(q, tuple(params.values()), grads_of)
+        return q
 
     def q_values(self, params: dict[str, Tensor], state: TrafficState) -> np.ndarray:
         return self.forward(params, state.counts, state.signal_bits).data[0]
@@ -205,9 +336,9 @@ def build_network(kind: str, table: PhaseTable, config=None):
 # --- checkpoints with a self-describing sidecar -------------------------------
 
 def save_checkpoint(path: str | Path, kind: str, network, params: dict[str, Tensor]) -> Path:
-    """Write arrays (.bin + .json manifest) and a .meta.json model sidecar."""
+    """Write arrays (.bin + .json manifest) and a .meta.json model sidecar,
+    each to a temporary name first, then renamed over the previous files."""
     path = Path(path)
-    nm.save_arrays(path, {k: t.data for k, t in params.items()})
     meta = {
         "kind": kind,
         "config": asdict(network.config),
@@ -216,7 +347,9 @@ def save_checkpoint(path: str | Path, kind: str, network, params: dict[str, Tens
     }
     if isinstance(network.config, VanillaConfig):
         meta["config"]["hidden"] = list(network.config.hidden)
-    path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    files = nm.array_files(path, {k: t.data for k, t in params.items()})
+    files[path.with_suffix(".meta.json")] = json.dumps(meta, indent=2, sort_keys=True).encode()
+    nm.write_files(files)
     return path
 
 

@@ -1,12 +1,14 @@
-"""Dense float64 tensors with a reverse-mode tape for the Q-network graphs.
+"""Dense float64 tensors, a node tape, the Huber loss, Adam and checkpoints.
 
-The operator set is exactly what the phase-competition network needs: affine
-maps, 1x1 convolutions over (phase, opponent) cells, ReLU, concatenation,
-gathers, element-wise product with broadcasting, axis sums, and a masked
-Huber loss. Every op records onto an explicit :class:`Tape`; ``backward``
-walks the tape once in reverse and returns gradients keyed by name.
+The Q-networks are fused kernels (see ``networks``): each forward computes
+its output in plain numpy and, given a :class:`Tape`, records one node whose
+inputs are the parameter tensors and whose VJP is the network's hand-derived
+backward pass. The masked Huber loss records a second node on top.
+``backward`` walks the nodes once in reverse, accumulating gradients by
+tensor identity, and returns them keyed by parameter name. So a learner step
+is two nodes, not one node per primitive op.
 
-Tensors are immutable values: ops never mutate their inputs and always
+Tensors are immutable values: nodes never mutate their inputs and always
 allocate fresh output arrays. A tape is confined to a single forward/backward
 pass on one thread.
 """
@@ -16,12 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
-
-# When True, ops reject non-finite inputs (slow; meant for tests/debugging).
-debug_checks = False
 
 
 class Tensor:
@@ -42,10 +41,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
@@ -58,7 +53,7 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of primitive applications for one forward pass."""
+    """Ordered record of node applications for one forward pass."""
 
     def __init__(self) -> None:
         self._nodes: list[_Node] = []
@@ -66,161 +61,9 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
+    def record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
+        """Append a node: ``vjp(g_out)`` returns one gradient (or None) per input."""
         self._nodes.append(_Node(out=out, inputs=inputs, vjp=vjp))
-
-
-def _check_finite(name: str, *tensors: Tensor) -> None:
-    if debug_checks:
-        for t in tensors:
-            if not np.all(np.isfinite(t.data)):
-                raise ValueError(f"{name}: non-finite input")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a gradient back to the shape it was broadcast from."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def _matmul_bias(opname: str, x: Tensor, w: Tensor, b: Tensor, tape: Tape | None) -> Tensor:
-    if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0] or b.data.shape != (w.data.shape[1],):
-        raise ValueError(
-            f"{opname}: incompatible shapes x{x.shape} w{w.shape} b{b.shape}"
-        )
-    _check_finite(opname, x, w, b)
-    cin, cout = w.data.shape
-    x2 = x.data.reshape(-1, cin)  # one flat gemm beats many small batched ones
-    out = Tensor._wrap((x2 @ w.data + b.data).reshape(x.data.shape[:-1] + (cout,)))
-    if tape is not None:
-        def vjp(g: np.ndarray):
-            g2 = g.reshape(-1, cout)
-            gx = (g2 @ w.data.T).reshape(x.data.shape)
-            gw = x2.T @ g2
-            gb = g2.sum(axis=0)
-            return gx, gw, gb
-
-        tape._record(out, (x, w, b), vjp)
-    return out
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """x @ w + b over the last axis."""
-    return _matmul_bias("affine", x, w, b, tape)
-
-
-def conv1x1(x: Tensor, w: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Per-cell affine map over the channel axis of a (.., phase, opponent, C) volume."""
-    if x.data.ndim < 2:
-        raise ValueError(f"conv1x1: volume must have at least 2 dims, got {x.shape}")
-    return _matmul_bias("conv1x1", x, w, b, tape)
-
-
-def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    _check_finite("relu", x)
-    out = Tensor._wrap(np.maximum(x.data, 0.0))
-    if tape is not None:
-        mask = x.data > 0.0
-        tape._record(out, (x,), lambda g: (g * mask,))
-    return out
-
-
-def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    _check_finite("add", a, b)
-    out = Tensor._wrap(a.data + b.data)
-    if tape is not None:
-        tape._record(
-            out, (a, b),
-            lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-        )
-    return out
-
-
-def mul_elem(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    _check_finite("mul_elem", a, b)
-    out = Tensor._wrap(a.data * b.data)
-    if tape is not None:
-        tape._record(
-            out, (a, b),
-            lambda g: (
-                _unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape),
-            ),
-        )
-    return out
-
-
-def concat(xs: Sequence[Tensor], axis: int, tape: Tape | None = None) -> Tensor:
-    xs = tuple(xs)
-    _check_finite("concat", *xs)
-    out = Tensor._wrap(np.concatenate([x.data for x in xs], axis=axis))
-    if tape is not None:
-        sizes = [x.data.shape[axis] for x in xs]
-        splits = np.cumsum(sizes)[:-1]
-        tape._record(out, xs, lambda g: tuple(np.split(g, splits, axis=axis)))
-    return out
-
-
-def take(x: Tensor, indices: np.ndarray, axis: int, tape: Tape | None = None) -> Tensor:
-    """Gather slices of ``x`` along ``axis`` by an integer index array."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if np.any(idx < 0) or np.any(idx >= x.data.shape[axis]):
-        raise ValueError(f"take: indices out of range for axis {axis} of {x.shape}")
-    out = Tensor._wrap(np.take(x.data, idx, axis=axis))
-    if tape is not None:
-        # Scatter-add as a matmul with a one-hot selection matrix; much faster
-        # than np.add.at and handles duplicate indices correctly.
-        src = x.data.shape[axis]
-        flat = idx.ravel()
-        select = np.zeros((src, flat.size))
-        select[flat, np.arange(flat.size)] = 1.0
-        pre = int(np.prod(x.data.shape[:axis], dtype=np.int64))
-        post = int(np.prod(x.data.shape[axis + 1 :], dtype=np.int64))
-
-        def vjp(g: np.ndarray):
-            g3 = g.reshape(pre, flat.size, post)
-            return (np.matmul(select, g3).reshape(x.data.shape),)
-
-        tape._record(out, (x,), vjp)
-    return out
-
-
-def embed(table: Tensor, indices: np.ndarray, tape: Tape | None = None) -> Tensor:
-    """Row lookup: ``out[...] = table[indices[...]]``."""
-    return take(table, indices, axis=0, tape=tape)
-
-
-def sum_axis(x: Tensor, axis: int, tape: Tape | None = None) -> Tensor:
-    _check_finite("sum_axis", x)
-    out = Tensor._wrap(x.data.sum(axis=axis))
-    if tape is not None:
-        tape._record(out, (x,), lambda g: (np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy(),))
-    return out
-
-
-def sum_axis_canonical(x: Tensor, axis: int, tape: Tape | None = None) -> Tensor:
-    """Axis sum accumulated in value-sorted order.
-
-    Permuting slices along the axis leaves the result bitwise unchanged
-    (the sorted sequence is the same), which keeps exact Q-value ties stable
-    under symmetry relabelling of the opponent enumeration.
-    """
-    _check_finite("sum_axis_canonical", x)
-    out = Tensor._wrap(np.sort(x.data, axis=axis).sum(axis=axis))
-    if tape is not None:
-        tape._record(out, (x,), lambda g: (np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy(),))
-    return out
-
-
-def reshape(x: Tensor, shape: tuple[int, ...], tape: Tape | None = None) -> Tensor:
-    out = Tensor._wrap(x.data.reshape(shape))
-    if tape is not None:
-        tape._record(out, (x,), lambda g: (g.reshape(x.data.shape),))
-    return out
 
 
 def huber_loss(
@@ -233,11 +76,15 @@ def huber_loss(
     """Masked Huber loss, averaged over the leading (batch) axis.
 
     ``loss = sum(mask * H_delta(pred - target)) / pred.shape[0]`` where the
-    mask both selects entries and carries any per-item weights.
+    mask both selects entries and carries any per-item weights. All three
+    tensors have the same shape.
     """
-    _check_finite("huber_loss", pred, target, mask)
     if delta <= 0:
         raise ValueError("huber_loss: delta must be positive")
+    if target.shape != pred.shape or mask.shape != pred.shape:
+        raise ValueError(
+            f"huber_loss: pred{pred.shape}, target{target.shape} and mask{mask.shape} differ"
+        )
     r = pred.data - target.data
     absr = np.abs(r)
     h = np.where(absr <= delta, 0.5 * r * r, delta * (absr - 0.5 * delta))
@@ -245,14 +92,11 @@ def huber_loss(
     out = Tensor._wrap(np.asarray((mask.data * h).sum() / batch))
     if tape is not None:
         def vjp(g: np.ndarray):
-            dr = np.clip(r, -delta, delta) * mask.data * (float(g) / batch)
-            return (
-                _unbroadcast(dr, pred.data.shape),
-                _unbroadcast(-dr, target.data.shape),
-                _unbroadcast(h * (float(g) / batch), mask.data.shape),
-            )
+            scale = float(g) / batch
+            dr = np.clip(r, -delta, delta) * mask.data * scale
+            return dr, -dr, h * scale
 
-        tape._record(out, (pred, target, mask), vjp)
+        tape.record(out, (pred, target, mask), vjp)
     return out
 
 
@@ -327,8 +171,8 @@ def adam_update(
 
 # --- checkpoints --------------------------------------------------------------
 
-def save_arrays(path: str | Path, arrays: Mapping[str, np.ndarray]) -> Path:
-    """Write named arrays to ``path`` (raw little-endian) plus a JSON manifest.
+def array_files(path: str | Path, arrays: Mapping[str, np.ndarray]) -> dict[Path, bytes]:
+    """Encode named arrays as ``path`` (raw little-endian) plus a JSON manifest.
 
     The manifest sits next to the binary with a ``.json`` suffix and lists
     (name, shape, dtype, byte offset) per array in name order.
@@ -345,11 +189,29 @@ def save_arrays(path: str | Path, arrays: Mapping[str, np.ndarray]) -> Path:
         )
         blobs.append(blob)
         offset += len(blob)
-    path.write_bytes(b"".join(blobs))
-    path.with_suffix(".json").write_text(
-        json.dumps({"byte_order": "little", "arrays": manifest}, indent=2, sort_keys=True)
-    )
-    return path
+    text = json.dumps({"byte_order": "little", "arrays": manifest}, indent=2, sort_keys=True)
+    return {path: b"".join(blobs), path.with_suffix(".json"): text.encode()}
+
+
+def write_files(files: Mapping[Path, bytes]) -> None:
+    """Write every file to a temporary name beside it, then rename each over
+    its target. A failure while writing leaves the previous files untouched;
+    no temporary file outlives the call."""
+    staged = [(path.with_name(f".{path.name}.tmp"), path) for path in files]
+    try:
+        for tmp, path in staged:
+            tmp.write_bytes(files[path])
+        for tmp, path in staged:
+            tmp.replace(path)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def save_arrays(path: str | Path, arrays: Mapping[str, np.ndarray]) -> Path:
+    """Write named arrays and their manifest (see :func:`array_files`)."""
+    write_files(array_files(path, arrays))
+    return Path(path)
 
 
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:

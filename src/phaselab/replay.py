@@ -7,15 +7,20 @@ maximum so they never exceed 1.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
 
 
 class SegmentTree:
-    """Array-backed binary tree reducing leaf values with a numpy ufunc."""
+    """Array-backed binary tree reducing leaf values with a numpy ufunc.
 
-    def __init__(self, capacity: int, ufunc, neutral: float):
+    ``combine`` is the same reduction on two Python floats; single-leaf
+    updates use it to skip ufunc dispatch, with the identical IEEE result.
+    """
+
+    def __init__(self, capacity: int, ufunc, neutral: float, combine):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         size = 1
@@ -23,31 +28,40 @@ class SegmentTree:
             size *= 2
         self._size = size
         self._ufunc = ufunc
+        self._combine = combine
         self._tree = np.full(2 * size, neutral, dtype=np.float64)
 
     def __setitem__(self, idx: int, value: float) -> None:
+        tree, combine = self._tree, self._combine
         i = idx + self._size
-        self._tree[i] = value
+        tree[i] = value
         i //= 2
         while i >= 1:
-            self._tree[i] = self._ufunc(self._tree[2 * i], self._tree[2 * i + 1])
+            tree[i] = combine(tree.item(2 * i), tree.item(2 * i + 1))
             i //= 2
 
     def set_many(self, idxs: np.ndarray, values: np.ndarray) -> None:
+        """Set many leaves, then recompute their ancestors one level at a time.
+
+        All leaves sit at the same depth, so each level is one vectorized
+        update; a parent shared by several leaves is recomputed once per
+        leaf, to the same value.
+        """
+        tree = self._tree
+        children = tree.reshape(-1, 2)  # row i holds nodes 2i and 2i+1
         i = np.asarray(idxs, dtype=np.int64) + self._size
-        self._tree[i] = values
-        parents = np.unique(i >> 1)
-        parents = parents[parents >= 1]
-        while parents.size:
-            self._tree[parents] = self._ufunc(
-                self._tree[2 * parents], self._tree[2 * parents + 1]
-            )
-            if parents[0] == 1:
-                break
-            parents = np.unique(parents >> 1)
+        tree[i] = values
+        i >>= 1
+        while i.size and i[0] >= 1:
+            pairs = children[i]
+            tree[i] = self._ufunc(pairs[:, 0], pairs[:, 1])
+            i >>= 1
 
     def __getitem__(self, idx: int) -> float:
         return float(self._tree[idx + self._size])
+
+    def leaves(self, idxs: np.ndarray) -> np.ndarray:
+        return self._tree[np.asarray(idxs, dtype=np.int64) + self._size]
 
     @property
     def root(self) -> float:
@@ -56,7 +70,7 @@ class SegmentTree:
 
 class SumTree(SegmentTree):
     def __init__(self, capacity: int):
-        super().__init__(capacity, np.add, 0.0)
+        super().__init__(capacity, np.add, 0.0, operator.add)
 
     def prefix_index(self, mass: float) -> int:
         """Largest slot whose prefix sum exceeds ``mass`` (tree descent)."""
@@ -71,10 +85,22 @@ class SumTree(SegmentTree):
                 i = left + 1
         return i - self._size
 
+    def prefix_indices(self, masses: np.ndarray) -> np.ndarray:
+        """:meth:`prefix_index` for every mass, descending in lockstep."""
+        left_of = self._tree[0::2]  # left_of[i] is node i's left child, node 2i
+        mass = np.array(masses, dtype=np.float64)
+        i = np.ones(mass.shape, dtype=np.int64)
+        for _ in range(self._size.bit_length() - 1):
+            left_mass = left_of[i]
+            right = left_mass <= mass
+            mass -= np.where(right, left_mass, 0.0)
+            i = 2 * i + right
+        return i - self._size
+
 
 class MaxTree(SegmentTree):
     def __init__(self, capacity: int):
-        super().__init__(capacity, np.maximum, 0.0)
+        super().__init__(capacity, np.maximum, 0.0, max)
 
 
 class PrioritizedReplayBuffer:
@@ -124,17 +150,12 @@ class PrioritizedReplayBuffer:
         total = self._sum.root
         # Descent can fall on a zero-mass slot when a draw hits a prefix-sum
         # boundary exactly; occupied slots are always 0.._size-1, so clamp.
-        indices = np.array(
-            [
-                min(self._sum.prefix_index(u), self._size - 1)
-                for u in rng.uniform(0.0, total, size=batch_size)
-            ],
-            dtype=np.int64,
-        )
-        probs = np.array([self._sum[i] for i in indices]) / total
+        masses = rng.uniform(0.0, total, size=batch_size)
+        indices = np.minimum(self._sum.prefix_indices(masses), self._size - 1)
+        probs = self._sum.leaves(indices) / total
         weights = (self._size * probs) ** (-beta)
         weights = weights / weights.max()
-        items = [self._items[i] for i in indices]
+        items = [self._items[i] for i in indices.tolist()]
         return indices, items, weights
 
     def update_priorities(self, indices: Sequence[int], priorities: Sequence[float]) -> None:
@@ -142,11 +163,11 @@ class PrioritizedReplayBuffer:
         pri = np.asarray(priorities, dtype=np.float64)
         if np.any(pri <= 0):
             raise ValueError("priority must be positive")
-        for i in idx:
-            if self._items[i] is None:
-                raise IndexError(f"slot {i} is empty")
+        empty = idx[(idx < 0) | (idx >= self._size)]  # slots fill 0, 1, .. and never empty
+        if empty.size:
+            raise IndexError(f"slot {empty[0]} is empty")
         self._sum.set_many(idx, pri**self.alpha)
         self._max.set_many(idx, pri)
-        for i, p in zip(idx, pri):
+        for i, p in zip(idx.tolist(), pri.tolist()):
             if hasattr(self._items[i], "priority"):
-                self._items[i].priority = float(p)
+                self._items[i].priority = p

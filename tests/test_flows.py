@@ -147,6 +147,16 @@ class TestGridSynthesis:
         assert len(flow) == 3 * 120  # once per intersection
         assert {e.route for e in flow.events} == {((0, 1),), ((1, 1),), ((2, 1),)}
 
+    def test_movement_volumes_are_per_intersection(self):
+        # A corridor vehicle loads every intersection it crosses; a left turn
+        # loads one. Both come out at the synthesis rate per intersection.
+        spec = FlowSynthesisSpec(
+            rates=(0.0, 120.0, 0.0, 0.0, 0.0, 0.0, 360.0, 0.0), process="uniform"
+        )
+        flow = synthesize_grid_flow(spec, rows=1, cols=3, seed=0)
+        volumes = flow.movement_volumes(8, spec.duration, n_intersections=3)
+        assert np.allclose(volumes, spec.rates)
+
 
 class TestMirrorFlow:
     def _small_flow(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import phaselab as pl
+from phaselab import harness
 from phaselab.cli import main as cli_main
 from phaselab.harness import (
     ExperimentConfig,
@@ -119,6 +120,23 @@ class TestCommands:
         entered = {m.exited_count + m.in_network_count for _, m in rows}
         assert len(entered) == 1
 
+    def test_compare_calibrates_off_the_eval_flow(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path)
+        seen = []
+        search = harness.fixedtime_grid_search
+
+        def spy(cycles, phases, sim_cfg, table, flow, **kwargs):
+            seen.append(flow)
+            return search(cycles, phases, sim_cfg, table, flow, **kwargs)
+
+        monkeypatch.setattr(harness, "fixedtime_grid_search", spy)
+        cmd_compare(cfg, ["fixedtime"])
+        [calibration] = seen
+        held_out = harness.build_flow(cfg, harness.eval_flow_seed(cfg))
+        assert calibration.events != held_out.events
+        drawn = harness.build_flow(cfg, harness.calibration_flow_seed(cfg))
+        assert calibration.events == drawn.events
+
     def test_transfer_identity_matches_eval(self, tmp_path):
         cfg = tiny_config(tmp_path)
         paths = cmd_train(cfg)
@@ -182,6 +200,23 @@ class TestGrid:
         cfg = tiny_config(tmp_path, grid_rows=2, grid_cols=2, train={"sync": False})
         with pytest.raises(ValueError, match="synchronous"):
             cmd_train(cfg)
+
+    def test_formula_volumes_are_per_intersection(self):
+        # The default flow on 2x2 loads each intersection about as much as
+        # the same flow on 1x1, so Webster does not pin the 180 s cycle.
+        grid = ExperimentConfig(grid_rows=2, grid_cols=2)
+        single = ExperimentConfig()
+        table = single.build_table()
+        volumes = {}
+        for cfg in (single, grid):
+            flow = harness.build_flow(cfg, harness.eval_flow_seed(cfg))
+            volumes[cfg.n_intersections] = flow.movement_volumes(
+                table.n_movements, cfg.flow.duration, cfg.n_intersections
+            )
+        assert np.all(np.abs(volumes[4] / volumes[1] - 1.0) < 0.2)
+        flow = harness.build_flow(grid, harness.eval_flow_seed(grid))
+        plan = harness.make_classical_controller("formula", grid, table, flow).plan
+        assert plan.cycle_length < 180.0
 
     def test_compare_classical_methods_on_grid(self, tmp_path):
         cfg = tiny_config(tmp_path, grid_rows=2, grid_cols=2)

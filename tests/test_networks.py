@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from phaselab.networks import (
     FrapNetwork,
     VanillaConfig,
     VanillaNetwork,
+    build_network,
     load_checkpoint,
     save_checkpoint,
 )
@@ -33,6 +37,45 @@ def _random_batch(table, rng, batch):
     for i in range(batch):
         bits[i, list(table.phases[int(rng.integers(table.n_phases))].members)] = 1.0
     return counts, bits
+
+
+def _check_full_graph_gradient(net, table, seed, trials=3):
+    """Backward of ``net`` against central differences, for every parameter.
+
+    The scalar is a Huber loss in its linear region (targets sit 50 away from
+    Q, far beyond delta = 1), so it weights each Q-value by a fixed random
+    factor. Zero-initialised biases leave ReLU inputs exactly at the kink,
+    where central differences are invalid; perturb all parameters first.
+    """
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        params = {
+            k: Tensor(t.data + rng.normal(0.0, 0.3, size=t.data.shape))
+            for k, t in net.init_params(300 + trial).items()
+        }
+        counts, bits = _random_batch(table, rng, 2)
+        q0 = net.forward(params, counts, bits).data
+        target = Tensor(q0 + 50.0 * rng.choice([-1.0, 1.0], size=q0.shape))
+        mask = Tensor(rng.uniform(0.1, 1.0, size=q0.shape))
+
+        def scalar(arrays):
+            q = net.forward({k: Tensor(v) for k, v in arrays.items()}, counts, bits)
+            return float(nm.huber_loss(q, target, mask).data)
+
+        tape = Tape()
+        tensors = {k: Tensor(t.data) for k, t in params.items()}
+        loss = nm.huber_loss(net.forward(tensors, counts, bits, tape), target, mask, tape=tape)
+        grads = nm.backward(tape, loss, tensors)
+        # Step 1e-4: at 1e-3 the probes of a composed ReLU graph bracket
+        # kinks often enough to corrupt the quotient.
+        fd, masks = finite_difference_grads_filtered(
+            scalar, {k: t.data for k, t in params.items()}, eps=1e-4
+        )
+        total = sum(m.size for m in masks.values())
+        reliable = sum(int(m.sum()) for m in masks.values())
+        assert reliable > 0.95 * total  # kink-straddling coordinates are rare
+        for name in tensors:
+            assert masked_relative_error(grads[name], fd[name], masks[name]) < 1e-4, name
 
 
 class TestMovementDemand:
@@ -86,18 +129,14 @@ class TestPhaseDemand:
 
 
 class TestVolumes:
+    # The pair volumes are indexed by opponents [P, P-1] and pair_relation
+    # [P, P-1]: slot j of phase p holds opponent opponents[p, j] and the
+    # relation embedding row pair_relation[p, j].
     def test_shapes_are_p_by_p_minus_1(self, table4, frap4):
-        params = frap4.init_params(0)
-        dp = Tensor(np.random.default_rng(0).normal(size=(3, 8, 16)))
-        d_vol, e_vol = frap4.build_volumes(params, dp)
-        assert d_vol.data.shape == (3, 8, 7, 32)
-        assert e_vol.data.shape == (8, 7, 4)
+        assert frap4.opponents.shape == (8, 7)
+        assert frap4.pair_relation.shape == (8, 7)
 
     def test_relation_rows_match_table(self, table4, frap4):
-        params = frap4.init_params(0)
-        dp = Tensor(np.zeros((1, 8, 16)))
-        _, e_vol = frap4.build_volumes(params, dp)
-        emb = params["rel_emb"].data
         nt_st = table4.phase_with_members([0, 4])
         nt_nl = table4.phase_with_members([0, 1])
         el_wl = table4.phase_with_members([3, 7])
@@ -105,19 +144,16 @@ class TestVolumes:
         opp_of_nt_st = [q for q in range(8) if q != nt_st]
         slot_partial = opp_of_nt_st.index(nt_nl)
         slot_full = opp_of_nt_st.index(el_wl)
-        assert np.array_equal(e_vol.data[nt_st, slot_partial], emb[0])  # shares N-T
-        assert np.array_equal(e_vol.data[nt_st, slot_full], emb[1])  # disjoint
+        assert frap4.pair_relation[nt_st, slot_partial] == 0  # shares N-T
+        assert frap4.pair_relation[nt_st, slot_full] == 1  # disjoint
+        for p in range(8):
+            for slot, q in enumerate(frap4.opponents[p]):
+                assert frap4.pair_relation[p, slot] == table4.relation[p, q]
 
     def test_opponent_ordering_enumeration_oracle(self, table4, frap4):
-        params = frap4.init_params(0)
-        rng = np.random.default_rng(7)
-        dp_np = rng.normal(size=(1, 8, 16))
-        d_vol, _ = frap4.build_volumes(params, Tensor(dp_np))
         for p in range(8):
             opponents = [q for q in range(8) if q != p]  # ascending, skip self
-            for slot, q in enumerate(opponents):
-                expected = np.concatenate([dp_np[0, p], dp_np[0, q]])
-                assert np.array_equal(d_vol.data[0, p, slot], expected)
+            assert frap4.opponents[p].tolist() == opponents
 
 
 class TestQForward:
@@ -173,40 +209,22 @@ class TestQForward:
             assert np.all(np.isfinite(q))
 
     def test_full_graph_gradient_finite_differences(self, table4):
-        # Zero-initialised biases leave ReLU inputs exactly at the kink, where
-        # central differences are invalid; perturb all parameters first.
-        net = FrapNetwork(table4, FrapConfig())
-        rng = np.random.default_rng(29)
-        for trial in range(3):
-            params = {
-                k: Tensor(t.data + rng.normal(0.0, 0.3, size=t.data.shape))
-                for k, t in net.init_params(300 + trial).items()
-            }
-            counts, bits = _random_batch(table4, rng, 2)
-            weights = rng.normal(size=(2, 8))
+        _check_full_graph_gradient(FrapNetwork(table4, FrapConfig()), table4, seed=29)
 
-            def scalar(arrays):
-                tensors = {k: Tensor(v) for k, v in arrays.items()}
-                q = net.forward(tensors, counts, bits)
-                return float((q.data * weights).sum())
+    def test_full_graph_gradient_output_relu(self, table4):
+        net = FrapNetwork(table4, FrapConfig(output_relu=True))
+        _check_full_graph_gradient(net, table4, seed=30, trials=2)
 
-            tape = Tape()
-            tensors = {k: Tensor(t.data) for k, t in params.items()}
-            q = net.forward(tensors, counts, bits, tape)
-            loss = nm.sum_axis(
-                nm.sum_axis(nm.mul_elem(q, Tensor(weights), tape), 1, tape), 0, tape
-            )
-            grads = nm.backward(tape, loss, tensors)
-            # Step 1e-4: at 1e-3 the probes of a composed ReLU graph bracket
-            # kinks often enough to corrupt the quotient.
-            fd, masks = finite_difference_grads_filtered(
-                scalar, {k: t.data for k, t in params.items()}, eps=1e-4
-            )
-            total = sum(m.size for m in masks.values())
-            reliable = sum(int(m.sum()) for m in masks.values())
-            assert reliable > 0.95 * total  # kink-straddling coordinates are rare
-            for name in tensors:
-                assert masked_relative_error(grads[name], fd[name], masks[name]) < 1e-4, name
+    def test_full_graph_gradient_two_conv_layers(self, table4):
+        net = FrapNetwork(table4, FrapConfig(conv_layers=2))
+        _check_full_graph_gradient(net, table4, seed=31, trials=2)
+
+    @pytest.mark.parametrize("kind", ["frap", "vanilla"])
+    def test_forward_records_one_node(self, table4, kind):
+        net = build_network(kind, table4)
+        tape = Tape()
+        net.forward(net.init_params(0), *_random_batch(table4, np.random.default_rng(0), 3), tape)
+        assert len(tape) == 1
 
     def test_three_approach_table_works_unpadded(self):
         table3 = pl.build_phase_table(3)
@@ -235,6 +253,10 @@ class TestVanilla:
             q = net.forward(params, counts, bits).data[0]
             ref = vanilla_reference(counts[0], bits[0], table4, {k: t.data for k, t in params.items()}, cfg)
             assert np.abs(q - ref).max() < 1e-10
+
+    def test_full_graph_gradient_finite_differences(self, table4):
+        net = VanillaNetwork(table4, VanillaConfig())
+        _check_full_graph_gradient(net, table4, seed=37, trials=2)
 
     def test_not_equivariant_counterexample_search(self, table4, group4):
         net = VanillaNetwork(table4, VanillaConfig())
@@ -282,3 +304,34 @@ class TestCheckpointSidecar:
         path = save_checkpoint(tmp_path / "extra.bin", "frap", large, extra)
         with pytest.raises(ValueError, match="stray"):
             load_checkpoint(path, table4)
+
+    @pytest.mark.parametrize("fail_at", ["second temp file", "first rename"])
+    def test_interrupted_save_keeps_previous_checkpoint(
+        self, table4, tmp_path, monkeypatch, fail_at
+    ):
+        net = FrapNetwork(table4, FrapConfig())
+        old = net.init_params(0)
+        path = save_checkpoint(tmp_path / "model.bin", "frap", net, old)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        if fail_at == "second temp file":
+            write_bytes, calls = Path.write_bytes, []
+
+            def flaky_write_bytes(self, data):
+                calls.append(self)
+                if len(calls) == 2:
+                    raise OSError("disk full")
+                return write_bytes(self, data)
+
+            monkeypatch.setattr(Path, "write_bytes", flaky_write_bytes)
+        else:
+            def failing_replace(src, dst):
+                raise OSError("rename failed")
+
+            monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            save_checkpoint(path, "frap", net, net.init_params(1))
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == before  # no temp file left
+        _, _, loaded = load_checkpoint(path, table4)
+        for k in old:
+            assert np.array_equal(loaded[k].data, old[k].data)

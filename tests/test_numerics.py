@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import phaselab.numerics as nm
+from phaselab.networks import FrapConfig, FrapNetwork, VanillaConfig, VanillaNetwork
 from phaselab.numerics import Tape, Tensor
 
-from oracles import adam_reference, finite_difference_grads, relative_error
+from oracles import adam_reference, finite_difference_grads, frap_reference, relative_error
 
 FD_TOL = 1e-4
 
@@ -27,65 +28,127 @@ def _grad_case(build, params_np, seed=None):
     return grads
 
 
+# Affine maps, ReLU, 1x1 convolutions and embedding lookups are no longer
+# tape ops: they run inside the fused network kernels. The tests named after
+# them check the same facts through those kernels. A vanilla network with no
+# hidden layer is one affine map; one hidden layer makes affine-ReLU-affine.
+
+
+def _features(counts, bits, norm_capacity=40.0):
+    return np.concatenate([counts / norm_capacity, bits], axis=1)
+
+
+def _random_inputs(table, rng, batch):
+    counts = rng.integers(0, 41, size=(batch, table.n_movements)).astype(float)
+    bits = rng.integers(0, 2, size=(batch, table.n_movements)).astype(float)
+    return counts, bits
+
+
+def _kernel_grad_case(net, params_np, counts, bits, rng):
+    """FD check of the kernel's one tape node, through a Huber loss held in
+    its linear region (targets 50 from Q), which weights each Q linearly."""
+    q0 = net.forward({k: Tensor(v) for k, v in params_np.items()}, counts, bits).data
+    target = Tensor(q0 + 50.0 * rng.choice([-1.0, 1.0], size=q0.shape))
+    mask = Tensor(rng.uniform(0.1, 1.0, size=q0.shape))
+
+    def build(t, tape):
+        return nm.huber_loss(net.forward(t, counts, bits, tape), target, mask, tape=tape), None
+
+    return _grad_case(build, params_np)
+
+
 class TestForwardSemantics:
-    def test_relu_values(self):
-        out = nm.relu(Tensor([-1.0, 0.0, 2.0]))
-        assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+    def test_relu_values(self, table4):
+        # Identity layers around one ReLU: Q is relu of the first 8 features.
+        net = VanillaNetwork(table4, VanillaConfig(hidden=(16,)))
+        params = {
+            "w0": Tensor(np.eye(16)),
+            "b0": Tensor(np.zeros(16)),
+            "w1": Tensor(np.eye(16)[:, :8]),
+            "b1": Tensor(np.zeros(8)),
+        }
+        counts = np.array([-40.0, 0.0, 80.0, -4.0, 4.0, 0.0, 40.0, -80.0])
+        q = net.forward(params, counts, np.ones(8)).data[0]
+        assert np.array_equal(q, [0.0, 0.0, 2.0, 0.0, 0.1, 0.0, 1.0, 0.0])
 
-    def test_affine_matches_numpy(self):
+    def test_affine_matches_numpy(self, table4):
+        net = VanillaNetwork(table4, VanillaConfig(hidden=()))
         rng = np.random.default_rng(0)
-        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 5)), rng.normal(size=5)
-        out = nm.affine(Tensor(x), Tensor(w), Tensor(b))
-        assert np.allclose(out.data, x @ w + b)
+        params = {"w0": rng.normal(size=(16, 8)), "b0": rng.normal(size=8)}
+        counts, bits = _random_inputs(table4, rng, 4)
+        q = net.forward({k: Tensor(v) for k, v in params.items()}, counts, bits).data
+        assert np.allclose(q, _features(counts, bits) @ params["w0"] + params["b0"])
 
-    def test_conv1x1_identity_filter(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(8, 7, 4))
-        out = nm.conv1x1(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4)))
-        assert np.array_equal(out.data, x)
+    def test_conv1x1_identity_filter(self, table4):
+        # An identity pair filter passes [d(p), d(q)] through unchanged; with a
+        # relation branch of ones and unit output weights a pair scores
+        # |d(p)|_1 + |d(q)|_1, so Q(p) = (P-1)|d(p)|_1 + sum_{q != p} |d(q)|_1.
+        cfg = FrapConfig(conv_channels=2 * FrapConfig().demand_dim)
+        net = FrapNetwork(table4, cfg)
+        params = net.init_params(1)
+        params["w_d0"] = Tensor(np.eye(cfg.conv_channels))
+        params["b_d0"] = Tensor(np.zeros(cfg.conv_channels))
+        params["w_r0"] = Tensor(np.zeros((cfg.relation_dim, cfg.conv_channels)))
+        params["b_r0"] = Tensor(np.ones(cfg.conv_channels))
+        params["w_out"] = Tensor(np.ones((cfg.conv_channels, 1)))
+        params["b_out"] = Tensor(np.zeros(1))
+        counts, bits = _random_inputs(table4, np.random.default_rng(1), 3)
+        q = net.forward(params, counts, bits).data
+        norms = net.phase_demand(net.movement_demand(params, counts, bits)).data.sum(axis=2)
+        n_ph = table4.n_phases
+        expected = (n_ph - 1) * norms + (norms.sum(axis=1, keepdims=True) - norms)
+        assert np.abs(q - expected).max() < 1e-10 * np.abs(expected).max()
 
-    def test_conv1x1_equals_per_cell_affine_loop(self):
+    def test_conv1x1_equals_per_cell_affine_loop(self, table4):
+        # Two stacked pair convolutions over a batch against the per-pair-cell
+        # loop of affine maps in frap_reference, one state at a time.
+        cfg = FrapConfig(conv_layers=2)
+        net = FrapNetwork(table4, cfg)
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(5, 3, 4))
-        w = rng.normal(size=(4, 6))
-        b = rng.normal(size=6)
-        out = nm.conv1x1(Tensor(x), Tensor(w), Tensor(b))
-        expected = np.empty((5, 3, 6))
-        for i in range(5):
-            for j in range(3):
-                expected[i, j] = x[i, j] @ w + b
-        # identical math; only BLAS accumulation order may differ
-        assert np.abs(out.data - expected).max() < 1e-12
+        params = {
+            k: t.data + rng.normal(0.0, 0.3, size=t.data.shape)
+            for k, t in net.init_params(2).items()
+        }
+        counts, bits = _random_inputs(table4, rng, 5)
+        q = net.forward({k: Tensor(v) for k, v in params.items()}, counts, bits).data
+        for b in range(5):
+            expected = frap_reference(counts[b], bits[b], table4, params, cfg)
+            # identical math; only BLAS accumulation order may differ
+            assert np.abs(q[b] - expected).max() < 1e-12 * max(1.0, np.abs(expected).max())
 
-    def test_embed_rows(self):
-        table = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        out = nm.embed(table, np.array([[0, 1], [1, 1]]))
-        assert np.array_equal(out.data, [[[1, 2], [3, 4]], [[3, 4], [3, 4]]])
+    def test_embed_rows(self, table4):
+        # A pair embeds the rel_emb row its relation names: swapping the two
+        # rows is the same as swapping every pair's relation.
+        net = FrapNetwork(table4, FrapConfig())
+        params = net.init_params(4)
+        swapped = dict(params, rel_emb=Tensor(params["rel_emb"].data[::-1].copy()))
+        relabelled = FrapNetwork(table4, FrapConfig())
+        relabelled.pair_relation[...] = 1 - relabelled.pair_relation
+        counts, bits = _random_inputs(table4, np.random.default_rng(4), 3)
+        q_swapped = net.forward(swapped, counts, bits).data
+        q_relabelled = relabelled.forward(params, counts, bits).data
+        assert np.abs(q_swapped - q_relabelled).max() < 1e-12
+        assert np.abs(q_swapped - net.forward(params, counts, bits).data).max() > 1e-6
 
     def test_shape_mismatch_raises(self):
+        pred = Tensor(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            nm.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))), Tensor(np.ones(5)))
+            nm.huber_loss(pred, Tensor(np.ones((1, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ValueError):
-            nm.take(Tensor(np.ones((2, 3))), np.array([5]), axis=0)
-
-    def test_debug_mode_rejects_non_finite(self):
-        nm.debug_checks = True
-        try:
-            with pytest.raises(ValueError):
-                nm.relu(Tensor([np.nan]))
-        finally:
-            nm.debug_checks = False
+            nm.huber_loss(pred, Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
 
     def test_ops_do_not_mutate_inputs(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(3, 4)))
-        before = x.data.copy()
-        nm.relu(x)
-        nm.add(x, x)
-        nm.mul_elem(x, x)
-        nm.sum_axis(x, 0)
-        nm.concat([x, x], axis=1)
-        assert np.array_equal(x.data, before)
+        x, target, mask = (Tensor(rng.normal(size=(3, 4))) for _ in range(3))
+        before = [t.data.copy() for t in (x, target, mask)]
+        tape = Tape()
+        loss = nm.huber_loss(x, target, mask, tape=tape)
+        grads = nm.backward(tape, loss, {"x": x})
+        grads_before = grads["x"].copy()
+        nm.adam_update({"x": x}, grads, nm.adam_init({"x": x}), lr=0.1)
+        for t, b in zip((x, target, mask), before):
+            assert np.array_equal(t.data, b)
+        assert np.array_equal(grads["x"], grads_before)
 
     def test_huber_quadratic_and_linear_regions(self):
         pred = Tensor([[0.5, 3.0]])
@@ -97,163 +160,94 @@ class TestForwardSemantics:
 
 
 class TestGradients:
-    def test_affine_gradient_random(self):
+    def test_affine_gradient_random(self, table4):
+        net = VanillaNetwork(table4, VanillaConfig(hidden=()))
         rng = np.random.default_rng(10)
         for _ in range(20):
-            params = {
-                "x": rng.normal(size=(4, 3)),
-                "w": rng.normal(size=(3, 5)),
-                "b": rng.normal(size=5),
-            }
+            params = {"w0": rng.normal(size=(16, 8)), "b0": rng.normal(size=8)}
+            counts, bits = _random_inputs(table4, rng, 4)
+            _kernel_grad_case(net, params, counts, bits, rng)
 
-            def build(t, tape):
-                out = nm.affine(t["x"], t["w"], t["b"], tape)
-                return nm.sum_axis(nm.sum_axis(out, 1, tape), 0, tape), None
-
-            _grad_case(build, params)
-
-    def test_chained_affine_relu_gradient(self):
+    def test_chained_affine_relu_gradient(self, table4):
+        net = VanillaNetwork(table4, VanillaConfig(hidden=(6,)))
         rng = np.random.default_rng(11)
         for _ in range(20):
-            params = {
-                "x": rng.normal(size=(3, 4)),
-                "w1": rng.normal(size=(4, 6)),
-                "b1": rng.normal(size=6),
-                "w2": rng.normal(size=(6, 2)),
-                "b2": rng.normal(size=2),
-            }
+            while True:  # central differences are invalid at a ReLU kink
+                params = {
+                    "w0": rng.normal(size=(16, 6)),
+                    "b0": rng.normal(size=6),
+                    "w1": rng.normal(size=(6, 8)),
+                    "b1": rng.normal(size=8),
+                }
+                counts, bits = _random_inputs(table4, rng, 3)
+                pre = _features(counts, bits) @ params["w0"] + params["b0"]
+                if np.all(np.abs(pre) > 0.05):
+                    break
+            _kernel_grad_case(net, params, counts, bits, rng)
 
-            def build(t, tape):
-                h = nm.relu(nm.affine(t["x"], t["w1"], t["b1"], tape), tape)
-                out = nm.affine(h, t["w2"], t["b2"], tape)
-                return nm.sum_axis(nm.sum_axis(out, 1, tape), 0, tape), None
-
-            _grad_case(build, params)
-
-    OPS = ["add", "mul_elem", "concat", "take", "embed", "sum_axis", "conv1x1", "reshape", "huber"]
+    OPS = ["huber"]
 
     @pytest.mark.parametrize("op_name", OPS)
     def test_each_primitive_gradient(self, op_name):
-        rng = np.random.default_rng(100 + self.OPS.index(op_name))
+        rng = np.random.default_rng(108)
         for _ in range(20):
-            if op_name == "add":
-                params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}
+            while True:  # central differences are invalid at the |r|=delta kink
+                pred = rng.normal(size=(4, 3)) * 2
+                target = rng.normal(size=(4, 3))
+                if np.all(np.abs(np.abs(pred - target) - 1.0) > 0.05):
+                    break
+            params = {
+                "pred": pred,
+                "target": target,
+                "mask": rng.uniform(0.1, 1.0, size=(4, 3)),
+            }
 
-                def build(t, tape):
-                    out = nm.add(t["a"], t["b"], tape)
-                    return nm.sum_axis(nm.sum_axis(out, 1, tape), 0, tape), None
-
-            elif op_name == "mul_elem":
-                params = {"a": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(3, 4))}
-
-                def build(t, tape):
-                    out = nm.mul_elem(t["a"], t["b"], tape)
-                    out = nm.sum_axis(nm.sum_axis(nm.sum_axis(out, 2, tape), 1, tape), 0, tape)
-                    return out, None
-
-            elif op_name == "concat":
-                params = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 2))}
-
-                def build(t, tape):
-                    out = nm.concat([t["a"], t["b"]], axis=1, tape=tape)
-                    w = Tensor(np.arange(5.0)[:, None])
-                    out = nm.affine(out, w, Tensor(np.zeros(1)), tape)
-                    return nm.sum_axis(nm.sum_axis(out, 1, tape), 0, tape), None
-
-            elif op_name == "take":
-                idx = np.array([[0, 2, 0], [1, 1, 2]])
-                params = {"x": rng.normal(size=(2, 3, 4))}
-
-                def build(t, tape):
-                    out = nm.take(t["x"], idx, axis=1, tape=tape)
-                    for ax in (3, 2, 1, 0):
-                        out = nm.sum_axis(out, ax, tape)
-                    return out, None
-
-            elif op_name == "embed":
-                idx = np.array([0, 1, 1, 0, 1])
-                params = {"table": rng.normal(size=(2, 4))}
-
-                def build(t, tape):
-                    out = nm.embed(t["table"], idx, tape)
-                    w = Tensor(rng.normal(size=(4, 1)))
-                    out = nm.conv1x1(out, Tensor(np.ones((4, 1))), Tensor(np.zeros(1)), tape)
-                    return nm.sum_axis(nm.sum_axis(out, 1, tape), 0, tape), None
-
-            elif op_name == "sum_axis":
-                params = {"x": rng.normal(size=(3, 4, 2))}
-
-                def build(t, tape):
-                    out = nm.sum_axis(t["x"], 1, tape)
-                    return nm.sum_axis(nm.sum_axis(out, 1, tape), 0, tape), None
-
-            elif op_name == "conv1x1":
-                params = {
-                    "x": rng.normal(size=(4, 3, 5)),
-                    "w": rng.normal(size=(5, 2)),
-                    "b": rng.normal(size=2),
-                }
-
-                def build(t, tape):
-                    out = nm.conv1x1(t["x"], t["w"], t["b"], tape)
-                    for ax in (2, 1, 0):
-                        out = nm.sum_axis(out, ax, tape)
-                    return out, None
-
-            elif op_name == "reshape":
-                params = {"x": rng.normal(size=(3, 4))}
-
-                def build(t, tape):
-                    out = nm.reshape(t["x"], (2, 6), tape)
-                    out = nm.mul_elem(out, out, tape)
-                    return nm.sum_axis(nm.sum_axis(out, 1, tape), 0, tape), None
-
-            else:  # huber
-                while True:  # central differences are invalid at the |r|=delta kink
-                    pred = rng.normal(size=(4, 3)) * 2
-                    target = rng.normal(size=(4, 3))
-                    if np.all(np.abs(np.abs(pred - target) - 1.0) > 0.05):
-                        break
-                params = {
-                    "pred": pred,
-                    "target": target,
-                    "mask": rng.uniform(0.1, 1.0, size=(4, 3)),
-                }
-
-                def build(t, tape):
-                    return nm.huber_loss(t["pred"], t["target"], t["mask"], 1.0, tape), None
+            def build(t, tape):
+                return nm.huber_loss(t["pred"], t["target"], t["mask"], 1.0, tape), None
 
             _grad_case(build, params)
 
     def test_backward_loss_must_be_scalar(self):
         tape = Tape()
         x = Tensor(np.ones((2, 2)))
-        out = nm.relu(x, tape)
+        out = Tensor(2.0 * x.data)
+        tape.record(out, (x,), lambda g: (2.0 * g,))
         with pytest.raises(ValueError):
             nm.backward(tape, out, {"x": x})
 
     def test_backward_loss_must_be_on_tape(self):
         tape = Tape()
-        x = Tensor(np.ones(3))
-        nm.relu(x, tape)
-        stray = nm.sum_axis(Tensor(np.ones(3)), 0)  # recorded nowhere
+        x, ones = Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3)))
+        nm.huber_loss(x, ones, ones, tape=tape)
+        stray = nm.huber_loss(x, ones, ones)  # recorded nowhere
         with pytest.raises(ValueError):
             nm.backward(tape, stray, {"x": x})
 
     def test_sum_of_parameter_gives_ones(self):
+        # In the linear region a batch-of-one Huber loss is sum(x) + const.
         tape = Tape()
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        loss = nm.sum_axis(nm.sum_axis(x, 1, tape), 0, tape)
+        x = Tensor(np.arange(6.0).reshape(1, 6))
+        loss = nm.huber_loss(x, Tensor(x.data - 10.0), Tensor(np.ones((1, 6))), tape=tape)
         grads = nm.backward(tape, loss, {"x": x})
-        assert np.array_equal(grads["x"], np.ones((2, 3)))
+        assert np.array_equal(grads["x"], np.ones((1, 6)))
 
     def test_disconnected_parameter_gets_zero(self):
         tape = Tape()
-        x = Tensor(np.ones(3))
+        x = Tensor(np.ones((1, 3)))
         unused = Tensor(np.ones(4))
-        loss = nm.sum_axis(x, 0, tape)
+        loss = nm.huber_loss(x, Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 3))), tape=tape)
         grads = nm.backward(tape, loss, {"x": x, "unused": unused})
         assert np.array_equal(grads["unused"], np.zeros(4))
+
+    def test_gradients_chain_through_nodes(self):
+        # Two recorded nodes, y = 3x then the loss: backward multiplies the VJPs.
+        tape = Tape()
+        x = Tensor(np.array([[1.0, -2.0]]))
+        y = Tensor(3.0 * x.data)
+        tape.record(y, (x,), lambda g: (3.0 * g,))
+        loss = nm.huber_loss(y, Tensor(y.data - 10.0), Tensor(np.ones((1, 2))), tape=tape)
+        grads = nm.backward(tape, loss, {"x": x})
+        assert np.array_equal(grads["x"], np.full((1, 2), 3.0))
 
 
 class TestAdam:

@@ -18,6 +18,17 @@ class TestSegmentTrees:
         assert tree.prefix_index(3.999) == 1
         assert tree.prefix_index(13.999) == 4
 
+    def test_lockstep_descent_matches_prefix_index(self):
+        rng = np.random.default_rng(1)
+        for capacity in (1, 2, 7, 64, 1000):
+            tree = SumTree(capacity)
+            tree.set_many(np.arange(capacity), rng.uniform(0.0, 3.0, size=capacity))
+            leaves = tree._tree[tree._size : tree._size + capacity]
+            boundaries = np.concatenate([[0.0], np.cumsum(leaves)[:-1]])
+            masses = np.concatenate([rng.uniform(0.0, tree.root, size=200), boundaries])
+            expected = [tree.prefix_index(m) for m in masses]
+            assert tree.prefix_indices(masses).tolist() == expected
+
     def test_set_many_matches_sequential(self):
         rng = np.random.default_rng(0)
         for capacity in (1, 2, 7, 64):
