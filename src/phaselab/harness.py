@@ -191,7 +191,15 @@ def build_flow(config: ExperimentConfig, seed: int) -> fl.FlowSchedule:
 
 
 def episode_flow_seed(config: ExperimentConfig, actor_id: int, episode: int) -> int:
-    return config.seed * 100_003 + actor_id * 1_009 + episode
+    """Flow seed of an actor's episode; raises ValueError where the actor
+    stream reaches the held-out eval or the calibration seed."""
+    seed = config.seed * 100_003 + actor_id * 1_009 + episode
+    if seed in (eval_flow_seed(config), calibration_flow_seed(config)):
+        raise ValueError(
+            f"actor {actor_id} episode {episode} would train on flow seed {seed}, "
+            "which is reserved for evaluation or calibration"
+        )
+    return seed
 
 
 def eval_flow_seed(config: ExperimentConfig) -> int:

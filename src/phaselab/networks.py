@@ -64,9 +64,19 @@ def _as_batch(counts: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndar
     raise ValueError(f"expected 1-d or 2-d inputs, got {counts.shape}")
 
 
+def _rows_at(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w over the rows of a 2-d array. numpy sends a one-row product to
+    gemv, which rounds differently from gemm, so a single row goes through
+    gemm as the first of two: a state's Q-values then do not depend on how
+    many states share its batch."""
+    if x.shape[0] == 1:
+        return (np.concatenate([x, x]) @ w)[:1]
+    return x @ w
+
+
 def _relu_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """relu(x @ w + b) over the rows of a 2-d array."""
-    out = x @ w
+    out = _rows_at(x, w)
     out += b
     return np.maximum(out, 0.0, out=out)
 
@@ -193,7 +203,11 @@ class FrapNetwork:
         cells += a.reshape(n_ph, 1, batch * n_ch)
         hd = [np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)]  # rows (p, j, b)
         for k in range(1, cfg.conv_layers):
-            hd.append(_relu_rows(hd[-1], p[f"w_d{k}"], p[f"b_d{k}"]))
+            # One gemm per phase: OpenBLAS rounds a product over all
+            # P(P-1)B rows differently once B reaches a few dozen, and a
+            # state's Q would then depend on the batch size.
+            blocks = np.split(hd[-1], n_ph)
+            hd.append(np.concatenate([_relu_rows(x, p[f"w_d{k}"], p[f"b_d{k}"]) for x in blocks]))
 
         hr = [p["rel_emb"]]  # one row per relation kind
         for k in range(cfg.conv_layers):
@@ -303,7 +317,7 @@ class VanillaNetwork:
         hs = [np.concatenate([counts / self.config.norm_capacity, bits], axis=1)]
         for i in range(n_layers):
             hs.append(_relu_rows(hs[-1], p[f"w{i}"], p[f"b{i}"]))
-        q = hs[-1] @ p[f"w{n_layers}"] + p[f"b{n_layers}"]
+        q = _rows_at(hs[-1], p[f"w{n_layers}"]) + p[f"b{n_layers}"]
 
         names = tuple(params)
 

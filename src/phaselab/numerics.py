@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -129,17 +129,32 @@ def backward(tape: Tape, loss: Tensor, wrt: Mapping[str, Tensor]) -> dict[str, n
 
 @dataclass
 class AdamState:
+    """Step count and the first/second moments, one flat vector each, laid
+    out like the parameters: in ``params`` order, each tensor raveled."""
+
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+
+def _flat(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def _views(flat: np.ndarray, like: Mapping[str, Tensor]) -> dict[str, Tensor]:
+    """Named views into ``flat``, laid out and shaped like ``like``'s tensors."""
+    out: dict[str, Tensor] = {}
+    offset = 0
+    for name, t in like.items():
+        size = t.data.size
+        out[name] = Tensor._wrap(flat[offset : offset + size].reshape(t.data.shape))
+        offset += size
+    return out
 
 
 def adam_init(params: Mapping[str, Tensor]) -> AdamState:
-    return AdamState(
-        step=0,
-        m={k: np.zeros_like(t.data) for k, t in params.items()},
-        v={k: np.zeros_like(t.data) for k, t in params.items()},
-    )
+    size = sum(t.data.size for t in params.values())
+    return AdamState(step=0, m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_update(
@@ -151,22 +166,24 @@ def adam_update(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> dict[str, Tensor]:
-    """One Adam step with bias correction; returns fresh parameter tensors."""
+    """One Adam step with bias correction on the flat parameter vector;
+    returns fresh parameter tensors, views into one new flat vector.
+
+    A non-finite gradient raises before the state changes."""
     if set(params) != set(grads):
         raise ValueError("params and grads must have identical key sets")
+    g = _flat(grads[name] for name in params)
+    if not np.isfinite(g).all():
+        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+        raise ValueError(f"non-finite gradient for parameter {bad!r}")
     state.step += 1
     t = state.step
-    out: dict[str, Tensor] = {}
-    for name in params:
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        out[name] = Tensor._wrap(params[name].data - lr * m_hat / (np.sqrt(v_hat) + eps))
-    return out
+    state.m = beta1 * state.m + (1.0 - beta1) * g
+    state.v = beta2 * state.v + (1.0 - beta2) * g * g
+    m_hat = state.m / (1.0 - beta1**t)
+    v_hat = state.v / (1.0 - beta2**t)
+    theta = _flat(x.data for x in params.values())
+    return _views(theta - lr * m_hat / (np.sqrt(v_hat) + eps), params)
 
 
 # --- checkpoints --------------------------------------------------------------

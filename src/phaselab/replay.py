@@ -7,6 +7,7 @@ maximum so they never exceed 1.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Sequence
 
@@ -60,6 +61,20 @@ class SegmentTree:
     def __getitem__(self, idx: int) -> float:
         return float(self._tree[idx + self._size])
 
+    def grown(self, capacity: int) -> "SegmentTree":
+        """A tree of the same kind with room for ``capacity`` leaves, holding
+        this tree's leaves. Every node is the reduction of its children, so
+        each node of this tree keeps its value, and the nodes above it only
+        combine it with neutral subtrees."""
+        out = type(self)(capacity)
+        out._tree[out._size : out._size + self._size] = self._tree[self._size :]
+        level = out._size
+        while level > 1:
+            level //= 2
+            children = out._tree[2 * level : 4 * level]
+            out._tree[level : 2 * level] = out._ufunc(children[0::2], children[1::2])
+        return out
+
     def leaves(self, idxs: np.ndarray) -> np.ndarray:
         return self._tree[np.asarray(idxs, dtype=np.int64) + self._size]
 
@@ -103,11 +118,21 @@ class MaxTree(SegmentTree):
         super().__init__(capacity, np.maximum, 0.0, max)
 
 
+_FIRST_SLOTS = 1024  # slots a buffer allocates up front; doubled as the fill reaches them
+
+
 class PrioritizedReplayBuffer:
     """Ring buffer with proportional prioritized sampling.
 
     Evicts FIFO at capacity. Slots never written have zero mass and are
     therefore never sampled; overwritten (evicted) items are unreachable.
+    Items live in a list that grows with the fill; a subclass may keep them
+    elsewhere by overriding ``_store``, ``_gather`` and ``_grow``. The max
+    tree holds every item's raw priority (see :meth:`priorities`).
+
+    The trees grow with the fill too, doubling up to ``capacity``: a tree
+    over the occupied slots samples exactly as one over all ``capacity``
+    slots would (the rest have zero mass), with fewer levels to walk.
     """
 
     def __init__(self, capacity: int, alpha: float = 0.6):
@@ -115,9 +140,10 @@ class PrioritizedReplayBuffer:
             raise ValueError("alpha must be in [0, 1]")
         self.capacity = capacity
         self.alpha = alpha
-        self._items: list = [None] * capacity
-        self._sum = SumTree(capacity)
-        self._max = MaxTree(capacity)
+        self._items: list = []
+        self._slots = min(capacity, _FIRST_SLOTS)
+        self._sum = SumTree(self._slots)
+        self._max = MaxTree(self._slots)
         self._next = 0
         self._size = 0
 
@@ -128,20 +154,38 @@ class PrioritizedReplayBuffer:
         """Largest raw priority currently stored, or 0 when empty."""
         return self._max.root
 
+    def priorities(self) -> np.ndarray:
+        """Raw priority of every stored item, by slot."""
+        return self._max.leaves(np.arange(self._size))
+
     def add(self, item, priority: float | None = None) -> None:
         """Insert with the given priority; default is the current max (1 if empty)."""
         if priority is None:
             priority = self.max_priority() or 1.0
-        if priority <= 0:
-            raise ValueError("priority must be positive")
+        if not (math.isfinite(priority) and priority > 0):
+            raise ValueError(f"priority must be positive and finite, got {priority}")
         slot = self._next
-        self._items[slot] = item
+        if slot == self._slots:
+            self._grow(min(self.capacity, 2 * self._slots))
+        self._store(slot, item)
         self._sum[slot] = priority**self.alpha
         self._max[slot] = priority
         self._next = (self._next + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
-        if hasattr(item, "priority"):
-            item.priority = priority
+
+    def _store(self, slot: int, item) -> None:
+        if slot == len(self._items):
+            self._items.append(item)
+        else:
+            self._items[slot] = item
+
+    def _gather(self, indices: np.ndarray):
+        return [self._items[i] for i in indices.tolist()]
+
+    def _grow(self, slots: int) -> None:
+        self._sum = self._sum.grown(slots)
+        self._max = self._max.grown(slots)
+        self._slots = slots
 
     def sample(self, batch_size: int, beta: float, rng: np.random.Generator):
         """Draw iid proportional samples; returns (indices, items, is_weights)."""
@@ -155,19 +199,15 @@ class PrioritizedReplayBuffer:
         probs = self._sum.leaves(indices) / total
         weights = (self._size * probs) ** (-beta)
         weights = weights / weights.max()
-        items = [self._items[i] for i in indices.tolist()]
-        return indices, items, weights
+        return indices, self._gather(indices), weights
 
     def update_priorities(self, indices: Sequence[int], priorities: Sequence[float]) -> None:
         idx = np.asarray(indices, dtype=np.int64)
         pri = np.asarray(priorities, dtype=np.float64)
-        if np.any(pri <= 0):
-            raise ValueError("priority must be positive")
+        if not np.all(np.isfinite(pri) & (pri > 0)):
+            raise ValueError("priorities must be positive and finite")
         empty = idx[(idx < 0) | (idx >= self._size)]  # slots fill 0, 1, .. and never empty
         if empty.size:
             raise IndexError(f"slot {empty[0]} is empty")
         self._sum.set_many(idx, pri**self.alpha)
         self._max.set_many(idx, pri)
-        for i, p in zip(idx.tolist(), pri.tolist()):
-            if hasattr(self._items[i], "priority"):
-                self._items[i].priority = p

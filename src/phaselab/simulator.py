@@ -146,51 +146,11 @@ class GridSim:
 
     # -- micro dynamics --------------------------------------------------------
 
-    def _arrivals(self, s: int) -> None:
-        cap = self.config.lane_capacity
-        while self._heap and self._heap[0][0] <= s:
-            _, _, v = heapq.heappop(self._heap)
-            k, m = v.route[v.hop]
-            queue = self._queues[k][m]
-            if len(queue) < cap and not self._waiting[k][m]:
-                if v.queue_join is None:
-                    v.queue_join = float(s)
-                queue.append(v)
-            else:
-                self._waiting[k][m].append(v)
-
-    def _depart(self, v: _Vehicle, s: int) -> None:
-        exit_t = float(s + 1)
-        v.hop += 1
-        if v.hop == len(v.route):
-            v.exit_time = exit_t
-            self.exited_count += 1
-        else:
-            heapq.heappush(self._heap, (exit_t + self.config.approach_time, self._seq, v))
-            self._seq += 1
-
-    def _discharge(self, k: int, m: int, s: int) -> None:
-        if self._last_green[k][m] != s - 1:
-            self._acc[k][m] = 0.0  # green was interrupted; service restarts
-        self._last_green[k][m] = s
-        queue = self._queues[k][m]
-        if not queue:
-            self._acc[k][m] = 0.0
-            return
-        self._acc[k][m] += 1.0
-        headway = self.config.saturation_headway
-        while self._acc[k][m] >= headway and queue:
-            self._acc[k][m] -= headway
-            self._depart(queue.popleft(), s)
-        waiting = self._waiting[k][m]
-        cap = self.config.lane_capacity
-        while waiting and len(queue) < cap:
-            v = waiting.popleft()
-            if v.queue_join is None:
-                v.queue_join = float(s)
-            queue.append(v)
-
     def step(self, actions: Sequence[int]) -> tuple[list[TrafficState], list[float], bool]:
+        """Advance one decision interval, second by second: arrivals join
+        their stop-line queue (or wait upstream when it is full), then every
+        green movement outside clearance discharges at the saturation rate,
+        its departures exiting or travelling on to their next hop."""
         if self.done:
             raise RuntimeError("step() called after the episode ended")
         if len(actions) != self.n_intersections:
@@ -200,33 +160,76 @@ class GridSim:
                 raise ValueError(f"invalid phase index {a}")
         changed = [a != cur for a, cur in zip(actions, self.current)]
         self.current = list(actions)
-        clearance = self.config.clearance
-        for i in range(self.config.decision_interval):
+        cfg = self.config
+        clearance, cap, headway = cfg.clearance, cfg.lane_capacity, cfg.saturation_headway
+        approach_time = cfg.approach_time
+        heap, queues, waiting = self._heap, self._queues, self._waiting
+        green = [
+            (queues[k], waiting[k], self._acc[k], self._last_green[k],
+             self._phase_members[self.current[k]], changed[k])
+            for k in range(self.n_intersections)
+        ]
+        on_microstep = self.on_microstep
+        for i in range(cfg.decision_interval):
             s = self.clock + i
-            self._arrivals(s)
-            for k in range(self.n_intersections):
-                if changed[k] and i < clearance:
+            while heap and heap[0][0] <= s:
+                v = heapq.heappop(heap)[2]
+                k, m = v.route[v.hop]
+                queue = queues[k][m]
+                if len(queue) < cap and not waiting[k][m]:
+                    if v.queue_join is None:
+                        v.queue_join = float(s)
+                    queue.append(v)
+                else:
+                    waiting[k][m].append(v)
+            for qs, ws, acc, last_green, members, switched in green:
+                if switched and i < clearance:
                     continue  # yellow + all-red: no discharge anywhere
-                for m in self._phase_members[self.current[k]]:
-                    self._discharge(k, m, s)
-            if self.on_microstep is not None:
-                self.on_microstep(self, s + 1)
-        self.clock += self.config.decision_interval
-        self.done = self.clock >= self.config.episode_length
-        rewards = []
-        for k in range(self.n_intersections):
-            counts = self.counts(k)
-            reward = -float(np.mean(counts))
+                for m in members:
+                    # service restarts when green was interrupted
+                    served = acc[m] + 1.0 if last_green[m] == s - 1 else 1.0
+                    last_green[m] = s
+                    queue = qs[m]
+                    if not queue:
+                        acc[m] = 0.0
+                        continue
+                    while served >= headway and queue:
+                        served -= headway
+                        v = queue.popleft()
+                        v.hop += 1
+                        if v.hop == len(v.route):
+                            v.exit_time = float(s + 1)
+                            self.exited_count += 1
+                        else:
+                            heapq.heappush(heap, (float(s + 1) + approach_time, self._seq, v))
+                            self._seq += 1
+                    acc[m] = served
+                    wait = ws[m]
+                    while wait and len(queue) < cap:
+                        v = wait.popleft()
+                        if v.queue_join is None:
+                            v.queue_join = float(s)
+                        queue.append(v)
+            if on_microstep is not None:
+                on_microstep(self, s + 1)
+        self.clock += cfg.decision_interval
+        self.done = self.clock >= cfg.episode_length
+        states, rewards = [], []
+        for k, phase in enumerate(self.current):
+            lens = [len(q) for q in queues[k]]
+            reward = -(sum(lens) / len(lens))  # integer sums are exact: bitwise the float mean
             rewards.append(reward)
             self._intervals[k].append(
-                IntervalRecord(
-                    t=float(self.clock),
-                    phase=self.current[k],
-                    reward=reward,
-                    counts=tuple(int(c) for c in counts),
+                IntervalRecord(t=float(self.clock), phase=phase, reward=reward, counts=tuple(lens))
+            )
+            states.append(
+                TrafficState(
+                    counts=np.array(lens, dtype=np.int64),
+                    signal_bits=self._phase_bits[phase].copy(),
+                    phase_index=phase,
                 )
             )
-        return self.states(), rewards, self.done
+        return states, rewards, self.done
 
     # -- observation and accounting --------------------------------------------
 
@@ -315,7 +318,7 @@ def run_grid_controller(
 ) -> EpisodeMetrics:
     """Closed-loop episode with one independent controller per intersection."""
     sim = GridSim(config, table, flow, len(controllers), seed)
-    states = sim.reset()
+    states = sim.states()
     for c in controllers:
         if hasattr(c, "reset"):
             c.reset()

@@ -10,17 +10,18 @@ the actors pick up. A single intersection is the K = 1 case.
 Two schedules implement that contract. The threaded mode (K = 1 only) runs
 actors and the learner concurrently with a bounded queue providing
 backpressure. The synchronous mode interleaves everything on one thread on a
-fixed schedule (each actor takes one decision per learner step) and is
-bit-reproducible."""
+fixed schedule and is bit-reproducible: each round, all actors decide in
+lockstep (one batched forward per intersection), then every learner steps
+once. Replay keeps transitions as rows of arrays, so a learner step gathers
+its batch with one index per array."""
 
 from __future__ import annotations
 
-import csv
 import queue
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +39,82 @@ class Transition:
     reward: float
     next_state: TrafficState
     done: bool
-    priority: float = 0.0  # assigned by the replay buffer
+
+
+class Batch(NamedTuple):
+    """Transitions as rows: counts and signal bits [B, M] (float64), action
+    [B] (int64), reward and not-done (1.0 unless terminal) [B] (float64)."""
+
+    counts: np.ndarray
+    bits: np.ndarray
+    action: np.ndarray
+    reward: np.ndarray
+    next_counts: np.ndarray
+    next_bits: np.ndarray
+    not_done: np.ndarray
+
+
+def stack_transitions(transitions: Sequence[Transition]) -> Batch:
+    """The rows of a list of transitions, as a replay buffer holds them."""
+
+    def rows(arrays) -> np.ndarray:
+        return np.stack(list(arrays)).astype(np.float64)
+
+    return Batch(
+        counts=rows(t.state.counts for t in transitions),
+        bits=rows(t.state.signal_bits for t in transitions),
+        action=np.array([t.action for t in transitions], dtype=np.int64),
+        reward=np.array([t.reward for t in transitions], dtype=np.float64),
+        next_counts=rows(t.next_state.counts for t in transitions),
+        next_bits=rows(t.next_state.signal_bits for t in transitions),
+        not_done=np.array([0.0 if t.done else 1.0 for t in transitions]),
+    )
+
+
+class TransitionReplay(PrioritizedReplayBuffer):
+    """Prioritized replay keeping each transition as one row of the
+    :class:`Batch` arrays, so ``sample`` returns a Batch gathered with one
+    fancy index per array. The arrays grow with the buffer's slots, doubling
+    up to ``capacity``, never to it up front."""
+
+    def __init__(self, capacity: int, alpha: float = 0.6):
+        super().__init__(capacity, alpha)
+        self._rows: Batch | None = None
+
+    def _store(self, slot: int, t: Transition) -> None:
+        if self._rows is None:
+            self._rows = self._allocate(self._slots, t.state.n_movements)
+        rows = self._rows
+        rows.counts[slot] = t.state.counts
+        rows.bits[slot] = t.state.signal_bits
+        rows.action[slot] = t.action
+        rows.reward[slot] = t.reward
+        rows.next_counts[slot] = t.next_state.counts
+        rows.next_bits[slot] = t.next_state.signal_bits
+        rows.not_done[slot] = 0.0 if t.done else 1.0
+
+    def _grow(self, slots: int) -> None:
+        super()._grow(slots)
+        if self._rows is not None:
+            old = self._rows
+            self._rows = self._allocate(slots, old.counts.shape[1])
+            for new, column in zip(self._rows, old):
+                new[: len(column)] = column
+
+    @staticmethod
+    def _allocate(size: int, n_movements: int) -> Batch:
+        return Batch(
+            counts=np.empty((size, n_movements)),
+            bits=np.empty((size, n_movements)),
+            action=np.empty(size, dtype=np.int64),
+            reward=np.empty(size),
+            next_counts=np.empty((size, n_movements)),
+            next_bits=np.empty((size, n_movements)),
+            not_done=np.empty(size),
+        )
+
+    def _gather(self, indices: np.ndarray) -> Batch:
+        return Batch(*(column[indices] for column in self._rows))
 
 
 @dataclass(frozen=True)
@@ -87,31 +163,27 @@ class TrainConfig:
         return self.epsilon**exponent
 
 
-def _batch_features(states: Sequence[TrafficState]) -> tuple[np.ndarray, np.ndarray]:
-    counts = np.stack([s.counts for s in states]).astype(np.float64)
-    bits = np.stack([s.signal_bits for s in states]).astype(np.float64)
-    return counts, bits
-
-
-def _targets_only(
-    batch: Sequence[Transition],
+def td_targets(
+    batch: Batch,
     network,
     online_params: dict[str, Tensor],
     target_params: dict[str, Tensor],
     gamma: float,
     double_dqn: bool,
 ) -> np.ndarray:
-    counts, bits = _batch_features([t.next_state for t in batch])
-    q_target_next = network.forward(target_params, counts, bits).data
+    """TD targets of a batch of rows.
+
+    target = r for terminal transitions, else r + gamma * Q_target(s', a*),
+    where a* is the online argmax (double-DQN) or the target argmax.
+    """
+    q_target_next = network.forward(target_params, batch.next_counts, batch.next_bits).data
     if double_dqn:
-        q_online_next = network.forward(online_params, counts, bits).data
+        q_online_next = network.forward(online_params, batch.next_counts, batch.next_bits).data
         best = np.argmax(q_online_next, axis=1)
     else:
         best = np.argmax(q_target_next, axis=1)
-    boot = q_target_next[np.arange(len(batch)), best]
-    rewards = np.array([t.reward for t in batch])
-    not_done = np.array([0.0 if t.done else 1.0 for t in batch])
-    return rewards + gamma * not_done * boot
+    boot = q_target_next[np.arange(len(best)), best]
+    return batch.reward + gamma * batch.not_done * boot
 
 
 def bellman_targets(
@@ -122,28 +194,22 @@ def bellman_targets(
     gamma: float,
     double_dqn: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-item TD targets and errors.
-
-    target = r for terminal transitions, else r + gamma * Q_target(s', a*),
-    where a* is the online argmax (double-DQN) or the target argmax.
-    """
-    targets = _targets_only(batch, network, online_params, target_params, gamma, double_dqn)
-    counts, bits = _batch_features([t.state for t in batch])
-    q_now = network.forward(online_params, counts, bits).data
-    actions = np.array([t.action for t in batch])
-    td_errors = targets - q_now[np.arange(len(batch)), actions]
-    return targets, td_errors
+    """Per-item TD targets (see :func:`td_targets`) and TD errors."""
+    rows = stack_transitions(batch)
+    targets = td_targets(rows, network, online_params, target_params, gamma, double_dqn)
+    q_now = network.forward(online_params, rows.counts, rows.bits).data
+    return targets, targets - q_now[np.arange(len(batch)), rows.action]
 
 
 class Learner:
-    """Owns the online/target parameters and the prioritized buffer."""
+    """Owns the online/target parameters and the prioritized buffer of rows."""
 
     def __init__(
         self,
         network,
         params: dict[str, Tensor],
         config: TrainConfig,
-        buffer: PrioritizedReplayBuffer,
+        buffer: TransitionReplay,
         rng: np.random.Generator,
     ):
         self.network = network
@@ -163,19 +229,17 @@ class Learner:
         indices, batch, weights = self.buffer.sample(
             cfg.batch_size, cfg.beta(self.step_count), self.rng
         )
-        targets = _targets_only(
+        targets = td_targets(
             batch, self.network, self.online, self.target, cfg.gamma, cfg.double_dqn
         )
-        counts, bits = _batch_features([t.state for t in batch])
         tape = nm.Tape()
-        q_pred = self.network.forward(self.online, counts, bits, tape)
-        n_actions = q_pred.data.shape[1]
-        actions = np.array([t.action for t in batch])
-        rows = np.arange(len(batch))
-        td_errors = targets - q_pred.data[rows, actions]
-        mask = np.zeros((len(batch), n_actions))
-        mask[rows, actions] = weights
-        target_mat = np.broadcast_to(targets[:, None], (len(batch), n_actions))
+        q_pred = self.network.forward(self.online, batch.counts, batch.bits, tape)
+        n, n_actions = q_pred.data.shape
+        rows = np.arange(n)
+        td_errors = targets - q_pred.data[rows, batch.action]
+        mask = np.zeros((n, n_actions))
+        mask[rows, batch.action] = weights
+        target_mat = np.broadcast_to(targets[:, None], (n, n_actions))
         loss = nm.huber_loss(q_pred, Tensor(target_mat), Tensor(mask), delta=1.0, tape=tape)
         grads = nm.backward(tape, loss, self.online)
         self.online = nm.adam_update(
@@ -197,10 +261,14 @@ class EpsilonGreedyPolicy:
         self.epsilon = epsilon
         self.rng = rng
 
-    def __call__(self, state: TrafficState) -> int:
+    def __call__(self, state: TrafficState, q: np.ndarray | None = None) -> int:
+        """Act on ``state``; ``q``, if given, is its precomputed Q row under
+        ``params``. The rng draws are the same either way."""
         if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
             return int(self.rng.integers(self.network.n_actions))
-        return int(np.argmax(self.network.q_values(self.params, state)))
+        if q is None:
+            q = self.network.q_values(self.params, state)
+        return int(np.argmax(q))
 
 
 class GreedyPolicy:
@@ -257,7 +325,8 @@ class Actor:
     simulator (a GridSim; an IntersectionSim is K = 1). ``snapshot_fn()``
     returns one parameter set per intersection and is polled every
     ``snapshot_period`` decisions. Each decision acts at every intersection
-    and hands ``sink`` the list of its K transitions.
+    and hands ``sink`` the list of its K transitions. A decision is the
+    one-actor case of :func:`decision_round`.
     """
 
     def __init__(
@@ -286,13 +355,11 @@ class Actor:
 
     def take_decision(self) -> None:
         """One environment decision: act, observe, push the transitions."""
-        if self._sim is None:
-            self._sim = self.env_factory(self.actor_id, self.episode)
-            self._states = self._sim.reset()
-        if self.decisions % self.snapshot_period == 0:
-            for policy, params in zip(self.policies, self.snapshot_fn()):
-                policy.params = params
-        actions = [policy(s) for policy, s in zip(self.policies, self._states)]
+        decision_round([self])
+
+    def _act(self, q_rows: Sequence[np.ndarray]) -> None:
+        """Pick from the Q rows of the current states, step, push, advance."""
+        actions = [p(s, q) for p, s, q in zip(self.policies, self._states, q_rows)]
         next_states, rewards, done = self._sim.step(actions)
         self.sink([
             Transition(state=s, action=a, reward=r, next_state=s2, done=done)
@@ -305,6 +372,46 @@ class Actor:
             self._states = None
         else:
             self._states = next_states
+
+
+def decision_round(actors: Sequence[Actor]) -> None:
+    """One decision of every actor, in lockstep.
+
+    Actors without an episode start one, and actors due a refresh take new
+    parameters, one snapshot per ``snapshot_fn`` however many actors poll
+    it. Then one batched forward per intersection scores every actor's
+    state, explorers included; the actors must hold one parameter set per
+    intersection, as actors sharing a ``snapshot_fn`` and its period do.
+    Last, each actor's policies pick from their Q rows, drawing from the
+    actor's rng as a lone actor would, and its simulator steps. Row i of a
+    batched forward is bitwise the Q-values of state i alone, so a round
+    gives the same actions, transitions and rng states as the actors
+    deciding one at a time.
+    """
+    fresh: dict[Callable, list[dict[str, Tensor]]] = {}
+    for actor in actors:
+        if actor._sim is None:
+            actor._sim = actor.env_factory(actor.actor_id, actor.episode)
+            actor._states = actor._sim.states()
+        if actor.decisions % actor.snapshot_period == 0:
+            fn = actor.snapshot_fn
+            if fn not in fresh:
+                fresh[fn] = fn()
+            for policy, params in zip(actor.policies, fresh[fn]):
+                policy.params = params
+    q_by_intersection = []
+    for k, policy in enumerate(actors[0].policies):
+        if any(actor.policies[k].params is not policy.params for actor in actors):
+            raise ValueError("actors in one round must hold the same parameters")
+        states = [actor._states[k] for actor in actors]
+        q = policy.network.forward(
+            policy.params,
+            np.stack([s.counts for s in states]),
+            np.stack([s.signal_bits for s in states]),
+        )
+        q_by_intersection.append(q.data)
+    for i, actor in enumerate(actors):
+        actor._act([q[i] for q in q_by_intersection])
 
 
 @dataclass(frozen=True)
@@ -359,9 +466,12 @@ class TrainResult:
 
 def write_curve_csv(curve: Sequence[CurvePoint], path: str | Path) -> Path:
     path = Path(path)
-    lines = ["learner_step,eval_travel_time,exited_count"]
+    lines = ["learner_step,eval_travel_time,exited_count,censored_travel_time"]
     for p in curve:
-        lines.append(f"{p.learner_step},{format(p.eval_travel_time, '.6g')},{p.exited_count}")
+        lines.append(
+            f"{p.learner_step},{format(p.eval_travel_time, '.6g')},{p.exited_count},"
+            f"{format(p.censored_travel_time, '.6g')}"
+        )
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -393,7 +503,7 @@ def train(
             network,
             network.init_params(seed + 101 * k),
             config,
-            PrioritizedReplayBuffer(config.buffer_capacity, config.alpha),
+            TransitionReplay(config.buffer_capacity, config.alpha),
             np.random.default_rng(seed + 17 * k + 1),
         )
         for k in range(n)
@@ -404,7 +514,7 @@ def train(
 
     def evaluate(step: int, sim: GridSim | None = None) -> None:
         sim = eval_factory() if sim is None else sim
-        states = sim.reset()
+        states = sim.states()
         policies = [GreedyPolicy(network, l.snapshot()) for l in learners]
         done = False
         while not done:
@@ -467,11 +577,9 @@ def _train_sync(network, config, env_factory, learners, evaluate, seed) -> None:
     )
     warmup = max(config.warmup_transitions, config.batch_size)
     while len(learners[0].buffer) < warmup:
-        for actor in actors:
-            actor.take_decision()
+        decision_round(actors)
     while learners[0].step_count < config.max_learner_steps:
-        for actor in actors:
-            actor.take_decision()
+        decision_round(actors)
         for learner in learners:
             learner.step()
         if learners[0].step_count % config.eval_period == 0:

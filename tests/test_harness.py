@@ -79,6 +79,24 @@ class TestConfig:
         assert cfg.train.sync is True
 
 
+class TestSeedStreams:
+    def test_actor_stream_never_reaches_the_held_out_flow(self):
+        cfg = ExperimentConfig()
+        # 9973 = 9 * 1009 + 892: actor 9's episode 892 would be the eval flow
+        with pytest.raises(ValueError, match="actor 9 episode 892"):
+            harness.episode_flow_seed(cfg, 9, 892)
+        assert harness.episode_flow_seed(cfg, 9, 891) == 9 * 1009 + 891
+        assert harness.episode_flow_seed(cfg, 8, 892) == 8 * 1009 + 892
+
+    def test_actor_stream_never_reaches_the_calibration_flow(self):
+        cfg = ExperimentConfig(seed=2)
+        base = 2 * 100_003
+        # 99 991 = 99 * 1009 + 100
+        with pytest.raises(ValueError, match="actor 99 episode 100"):
+            harness.episode_flow_seed(cfg, 99, 100)
+        assert harness.episode_flow_seed(cfg, 99, 99) == base + 99 * 1009 + 99
+
+
 class TestCommands:
     def test_train_writes_artifacts(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -90,7 +108,7 @@ class TestCommands:
         assert (out / "config.json").exists()
         assert (out / "table.json").exists()
         curve = paths["curve"].read_text().splitlines()
-        assert curve[0] == "learner_step,eval_travel_time,exited_count"
+        assert curve[0] == "learner_step,eval_travel_time,exited_count,censored_travel_time"
         assert curve[1].startswith("0,")
         assert curve[-1].startswith("8,")
 

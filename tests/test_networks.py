@@ -235,6 +235,34 @@ class TestQForward:
         assert np.all(np.isfinite(q))
 
 
+@pytest.mark.parametrize(
+    "kind, config",
+    [
+        ("frap", FrapConfig()),
+        ("frap", FrapConfig(output_relu=True)),
+        ("frap", FrapConfig(conv_layers=2)),
+        ("vanilla", VanillaConfig()),
+    ],
+    ids=["frap", "frap-output-relu", "frap-two-conv-layers", "vanilla"],
+)
+@pytest.mark.parametrize("batch", [1, 4, 64])
+def test_batched_row_is_the_single_state_q(table4, kind, config, batch):
+    # Lockstep acting scores N actors' states in one forward; it matches
+    # actors deciding alone only if row i is bitwise q_values on state i.
+    net = build_network(kind, table4, config)
+    rng = np.random.default_rng(batch)
+    for seed in range(3):
+        params = net.init_params(seed)
+        states = [random_state(table4, rng) for _ in range(batch)]
+        q = net.forward(
+            params,
+            np.stack([s.counts for s in states]),
+            np.stack([s.signal_bits for s in states]),
+        ).data
+        for row, state in zip(q, states):
+            assert np.array_equal(row, net.q_values(params, state))
+
+
 class TestVanilla:
     def test_zero_weights_give_output_bias(self, table4):
         net = VanillaNetwork(table4, VanillaConfig())

@@ -279,6 +279,42 @@ class TestAdam:
         with pytest.raises(ValueError, match="bad_param"):
             nm.adam_update(params, {"bad_param": np.array([np.nan])}, state, lr=0.1)
 
+    def test_flat_update_equals_per_tensor_recurrence(self):
+        # Adam runs on one flat vector; element-wise it is the per-tensor
+        # recurrence, so results agree bitwise and come back as named views.
+        rng = np.random.default_rng(4)
+        shapes = {"w": (3, 4), "b": (4,), "s": (1,)}
+        params = {k: Tensor(rng.normal(size=sh)) for k, sh in shapes.items()}
+        state = nm.adam_init(params)
+        ref = {k: t.data.copy() for k, t in params.items()}
+        m = {k: np.zeros(sh) for k, sh in shapes.items()}
+        v = {k: np.zeros(sh) for k, sh in shapes.items()}
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=sh) for k, sh in shapes.items()}
+            params = nm.adam_update(params, grads, state, lr=0.01)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+                m_hat = m[k] / (1.0 - 0.9**t)
+                v_hat = v[k] / (1.0 - 0.999**t)
+                ref[k] = ref[k] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            for k in shapes:
+                assert params[k].shape == shapes[k]
+                assert np.array_equal(params[k].data, ref[k])
+        assert state.m.shape == state.v.shape == (17,)
+        bases = {id(t.data.base) for t in params.values()}
+        assert len(bases) == 1
+
+    def test_non_finite_gradient_leaves_state_unchanged(self):
+        params = {"a": Tensor([1.0, 2.0]), "b": Tensor([3.0])}
+        state = nm.adam_init(params)
+        nm.adam_update(params, {"a": np.ones(2), "b": np.ones(1)}, state, lr=0.1)
+        m, v = state.m.copy(), state.v.copy()
+        with pytest.raises(ValueError, match="'b'"):
+            nm.adam_update(params, {"a": np.ones(2), "b": np.array([np.inf])}, state, lr=0.1)
+        assert state.step == 1
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
     def test_key_mismatch_rejected(self):
         params = {"a": Tensor([1.0])}
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from phaselab import replay
 from phaselab.replay import MaxTree, PrioritizedReplayBuffer, SumTree
 
 
@@ -141,3 +142,69 @@ class TestBuffer:
             buf.update_priorities([0], [0.0])
         with pytest.raises(IndexError):
             buf.update_priorities([3], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_priorities_leave_the_trees_alone(self, bad):
+        buf = PrioritizedReplayBuffer(capacity=8, alpha=0.6)
+        for i, p in enumerate((1.0, 2.0, 0.5)):
+            buf.add(i, priority=p)
+        trees = buf._sum._tree.copy(), buf._max._tree.copy()
+        root = buf._sum.root
+        with pytest.raises(ValueError):
+            buf.add("x", priority=bad)
+        with pytest.raises(ValueError):
+            buf.update_priorities([0, 1], [3.0, bad])
+        assert len(buf) == 3
+        assert buf._sum.root == root
+        assert np.array_equal(buf._sum._tree, trees[0])
+        assert np.array_equal(buf._max._tree, trees[1])
+
+    def test_priorities_are_the_raw_leaves(self):
+        buf = PrioritizedReplayBuffer(capacity=8, alpha=0.5)
+        for i, p in enumerate((1.0, 4.0, 9.0)):
+            buf.add(i, priority=p)
+        buf.update_priorities([1], [2.5])
+        assert buf.priorities().tolist() == [1.0, 2.5, 9.0]
+
+
+class TestGrowth:
+    @staticmethod
+    def _run(buf, seed):
+        """Random adds, samples and priority updates; returns what sampling saw."""
+        rng = np.random.default_rng(seed)
+        draw = np.random.default_rng(seed + 1)
+        seen = []
+        for step in range(4000):
+            x = rng.random()
+            if x < 0.6 or len(buf) < 8:
+                priority = None if rng.random() < 0.5 else float(rng.uniform(0.01, 5.0))
+                buf.add(step, priority)
+            elif x < 0.8:
+                seen.append(buf.sample(8, 0.5, draw))
+            else:
+                idx = rng.integers(0, len(buf), 8)
+                buf.update_priorities(idx, rng.uniform(0.001, 10.0, 8))
+        return seen
+
+    @pytest.mark.parametrize("capacity", [1500, 3000])
+    def test_growing_buffer_samples_like_a_full_size_one(self, capacity, monkeypatch):
+        # Trees (and rows) grow with the fill: 1024, 2048, ... slots. A draw
+        # then walks fewer levels but must land where the full tree's would.
+        grown = PrioritizedReplayBuffer(capacity, alpha=0.6)
+        monkeypatch.setattr(replay, "_FIRST_SLOTS", capacity)
+        full = PrioritizedReplayBuffer(capacity, alpha=0.6)
+        assert full._slots == capacity and grown._slots < capacity
+        for a, b in zip(self._run(grown, 5), self._run(full, 5)):
+            assert np.array_equal(a[0], b[0]) and a[1] == b[1] and np.array_equal(a[2], b[2])
+        assert grown._slots == capacity
+        assert grown._sum.root == full._sum.root
+        assert np.array_equal(grown.priorities(), full.priorities())
+
+    def test_grown_tree_keeps_leaves_and_root(self):
+        rng = np.random.default_rng(2)
+        for tree in (SumTree(5), MaxTree(5)):
+            tree.set_many(np.arange(5), rng.uniform(0.1, 3.0, 5))
+            bigger = tree.grown(37)
+            assert bigger._size == 64
+            assert np.array_equal(bigger.leaves(np.arange(5)), tree.leaves(np.arange(5)))
+            assert bigger.root == tree.root

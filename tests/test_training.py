@@ -5,10 +5,9 @@ import pytest
 from scipy import stats
 
 import phaselab as pl
-from phaselab.flows import FlowSynthesisSpec, synthesize_flow
+from phaselab.flows import FlowSynthesisSpec, synthesize_flow, synthesize_grid_flow
 from phaselab.networks import FrapConfig, FrapNetwork
 from phaselab.numerics import Tensor
-from phaselab.replay import PrioritizedReplayBuffer
 from phaselab.training import (
     Actor,
     EpsilonGreedyPolicy,
@@ -16,7 +15,10 @@ from phaselab.training import (
     Learner,
     TrainConfig,
     Transition,
+    TransitionReplay,
     bellman_targets,
+    decision_round,
+    stack_transitions,
     train,
 )
 
@@ -108,7 +110,7 @@ class TestLearner:
     def _loaded_learner(self, table, config=None, seed=0):
         net = _small_net(table)
         cfg = config or TrainConfig(batch_size=8, max_learner_steps=100, target_sync=5)
-        buf = PrioritizedReplayBuffer(256, cfg.alpha)
+        buf = TransitionReplay(256, cfg.alpha)
         rng = np.random.default_rng(seed)
         for t in _random_transitions(table, rng, 64, done_every=8):
             buf.add(t)
@@ -117,7 +119,7 @@ class TestLearner:
     def test_zero_td_batch_keeps_params(self, table4):
         net = _small_net(table4)
         cfg = TrainConfig(batch_size=8, max_learner_steps=10)
-        buf = PrioritizedReplayBuffer(64, cfg.alpha)
+        buf = TransitionReplay(64, cfg.alpha)
         params = net.init_params(7)
         rng = np.random.default_rng(7)
         for _ in range(16):
@@ -135,7 +137,7 @@ class TestLearner:
     def test_step_updates_priorities(self, table4):
         learner = self._loaded_learner(table4)
         learner.step()
-        pri = [t.priority for t in learner.buffer._items if t is not None]
+        pri = learner.buffer.priorities()
         assert any(p != 1.0 for p in pri)
 
     def test_target_changes_only_at_sync_steps(self, table4):
@@ -233,6 +235,113 @@ class TestActorPolicy:
         dones = [t.done for t in sink]
         assert dones[4] and dones[9]
         assert all(t.reward <= 0 for t in sink)
+
+
+class TestLockstep:
+    @staticmethod
+    def _grid_actors(table, net, snapshot_fn, sinks):
+        config = pl.SimConfig(episode_length=50)  # 5 decisions per episode
+
+        def factory(actor_id: int, episode: int) -> pl.GridSim:
+            seed = 100 * actor_id + episode
+            spec = FlowSynthesisSpec(rates=(900.0,) * 8, duration=50.0)
+            return pl.GridSim(config, table, synthesize_grid_flow(spec, 2, 2, seed), 4, seed)
+
+        return [
+            Actor(
+                actor_id=i,
+                network=net,
+                epsilon=eps,
+                env_factory=factory,
+                snapshot_fn=snapshot_fn,
+                sink=sinks[i].append,
+                seed=11 + i,
+                snapshot_period=3,
+            )
+            for i, eps in enumerate((0.6, 0.2, 0.0))
+        ]
+
+    def test_round_equals_actors_deciding_alone(self, table4):
+        net = _small_net(table4)
+        clock = [0]
+
+        def snapshot_fn():  # a fresh copy per call, whose values follow the clock
+            return [net.init_params(10 * clock[0] + k) for k in range(4)]
+
+        runs = []
+        for lockstep in (False, True):
+            sinks = [[], [], []]
+            actors = self._grid_actors(table4, net, snapshot_fn, sinks)
+            for step in range(8):  # refreshes at 0, 3 and 6; episodes end at 5
+                clock[0] = step
+                if lockstep:
+                    decision_round(actors)
+                else:
+                    for actor in actors:
+                        actor.take_decision()
+            runs.append((actors, sinks))
+        (alone, alone_sinks), (together, together_sinks) = runs
+        for a, b, sa, sb in zip(alone, together, alone_sinks, together_sinks):
+            assert a.episode == b.episode == 1
+            assert a.policies[0].rng.bit_generator.state == b.policies[0].rng.bit_generator.state
+            assert len(sa) == len(sb) == 8
+            for ta, tb in zip(sa, sb):
+                assert [t.action for t in ta] == [t.action for t in tb]
+                rows_a, rows_b = stack_transitions(ta), stack_transitions(tb)
+                for col_a, col_b in zip(rows_a, rows_b):
+                    assert np.array_equal(col_a, col_b)
+        actions = {t.action for sink in together_sinks for ts in sink for t in ts}
+        assert len(actions) > 1
+
+    def test_one_snapshot_and_one_forward_per_intersection(self, table4, monkeypatch):
+        net = _small_net(table4)
+        params = [net.init_params(k) for k in range(4)]
+        calls = {"snapshot": 0, "forward": 0}
+
+        def snapshot_fn():
+            calls["snapshot"] += 1
+            return [dict(p) for p in params]
+
+        forward = net.forward
+
+        def counting_forward(*args, **kwargs):
+            calls["forward"] += 1
+            return forward(*args, **kwargs)
+
+        actors = self._grid_actors(table4, net, snapshot_fn, [[], [], []])
+        monkeypatch.setattr(net, "forward", counting_forward)
+        calls["snapshot"] = 0  # each actor polled once when built
+        decision_round(actors)  # every actor refreshes at decision 0
+        assert calls == {"snapshot": 1, "forward": 4}
+        decision_round(actors)
+        assert calls == {"snapshot": 1, "forward": 8}
+
+
+    def test_actors_with_their_own_parameters_are_rejected(self, table4):
+        net = _small_net(table4)
+        actors = self._grid_actors(
+            table4, net, lambda: [net.init_params(k) for k in range(4)], [[], [], []]
+        )
+        own = [net.init_params(k) for k in range(4)]
+        actors[1].snapshot_fn = lambda: own
+        with pytest.raises(ValueError, match="same parameters"):
+            decision_round(actors)
+
+
+class TestTransitionReplay:
+    def test_sampled_rows_are_the_stacked_transitions(self, table4):
+        rng = np.random.default_rng(4)
+        transitions = _random_transitions(table4, rng, 2600, done_every=7)
+        buf = TransitionReplay(2500, alpha=0.6)  # grows past 1024 and 2048, then wraps
+        for t in transitions:
+            buf.add(t, priority=float(rng.uniform(0.1, 2.0)))
+        assert len(buf) == 2500
+        indices, batch, _ = buf.sample(64, 0.4, np.random.default_rng(5))
+        # slot i holds transition i, or i + 2500 once the ring wrapped past it
+        held = [transitions[i + 2500] if i < 100 else transitions[i] for i in indices]
+        for got, want in zip(batch, stack_transitions(held)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestTrain:
