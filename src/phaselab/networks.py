@@ -18,7 +18,8 @@ as the negative control.
 Both networks are fused kernels: ``forward`` computes the Q-values in plain
 numpy and, given a tape, records one node whose inputs are the parameter
 tensors (in ``params`` order) and whose VJP is the network's hand-derived
-backward pass.
+backward pass. ``q_values`` scores one state from the constants ``prepare``
+builds once per parameter set; its output is bitwise row 0 of ``forward``.
 """
 
 from __future__ import annotations
@@ -96,6 +97,28 @@ def _selector(index: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+class Prepared:
+    """Constants of one parameter set for single-state Q (see ``prepare``):
+    ``p``, the parameter arrays by name; for FRAP also ``w_rel``, the
+    relation branch's weights, and ``table``, the movement-demand table,
+    whose row 2c + b is the demand of a movement with count c and signal
+    bit b. The table grows as larger counts arrive."""
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = params
+        self.p = {k: t.data for k, t in params.items()}
+        self.w_rel: np.ndarray | None = None
+        self.table: np.ndarray | None = None
+
+
+def _prepared_for(network, params: dict[str, Tensor], prepared: Prepared | None) -> Prepared:
+    if prepared is None:
+        return network.prepare(params)
+    if prepared.params is not params:
+        raise ValueError("prepared constants belong to another parameter set")
+    return prepared
+
+
 class FrapNetwork:
     """Phase-competition Q-network bound to one phase table.
 
@@ -112,8 +135,10 @@ class FrapNetwork:
       order, so permuting opponents leaves Q bitwise unchanged and exact Q
       ties survive symmetry relabelling.
 
-    ``opponents`` and ``pair_relation`` are read at call time and the network
-    keeps no scratch state, so concurrent calls are safe.
+    ``opponents``, ``pair_relation`` and their flat index arrays are fixed at
+    construction and the network keeps no scratch state, so concurrent calls
+    are safe. A prepared demand table only ever grows by replacement, so it
+    may be shared too.
     """
 
     def __init__(self, table: PhaseTable, config: FrapConfig = FrapConfig()):
@@ -128,6 +153,12 @@ class FrapNetwork:
         )  # [P, P-1], ascending, own index skipped
         self.opponents = opponents
         self.pair_relation = np.take_along_axis(table.relation, opponents, axis=1)  # [P, P-1]
+        # Flat index arrays of the pair stage, built once: a single state's Q
+        # is a few dozen small numpy calls, so each one saved shows.
+        self._opponents_flat = opponents.ravel()
+        self._member_rows = self.members.T.ravel()  # first members, then second
+        self._cells = np.arange(opponents.size)
+        self._relation_flat = self.pair_relation.ravel()
 
     @property
     def n_actions(self) -> int:
@@ -160,6 +191,14 @@ class FrapNetwork:
         params["b_out"] = np.zeros(1)
         return {k: Tensor(v) for k, v in params.items()}
 
+    def _demand(self, p: dict[str, np.ndarray], xv: np.ndarray, xs: np.ndarray):
+        """(h, d) of movement rows with scaled counts xv [N, 1] and signal bits
+        xs [N, 1]: concatenated branch activations [N, 2H] and demands [N, D]."""
+        h = np.concatenate(
+            [_relu_rows(xv, p["w_v"], p["b_v"]), _relu_rows(xs, p["w_s"], p["b_s"])], axis=1
+        )
+        return h, _relu_rows(h, p["w_h"], p["b_h"])
+
     def _movement_rows(self, p: dict[str, np.ndarray], counts, bits):
         """(xv, xs, h, d): branch inputs [M*B, 1], concatenated branch
         activations [M*B, 2H] and demands [M*B, D], rows movement-major."""
@@ -168,10 +207,15 @@ class FrapNetwork:
             raise ValueError(f"expected {self.table.n_movements} movements, got {counts.shape[1]}")
         xv = counts.T.reshape(-1, 1) / self.config.norm_capacity
         xs = bits.T.reshape(-1, 1)
-        h = np.concatenate(
-            [_relu_rows(xv, p["w_v"], p["b_v"]), _relu_rows(xs, p["w_s"], p["b_s"])], axis=1
-        )
-        return xv, xs, h, _relu_rows(h, p["w_h"], p["b_h"])
+        return (xv, xs, *self._demand(p, xv, xs))
+
+    def _relation_rows(self, p: dict[str, np.ndarray]):
+        """(hr, w_rel): the relation branch's activations, one row per
+        relation kind, and w_rel [2, C], its last layer times ``w_out``."""
+        hr = [p["rel_emb"]]
+        for k in range(self.config.conv_layers):
+            hr.append(_relu_rows(hr[-1], p[f"w_r{k}"], p[f"b_r{k}"]))
+        return hr, hr[-1] * p["w_out"][:, 0]
 
     def movement_demand(self, params: dict[str, Tensor], counts, bits) -> Tensor:
         """Per-movement demand vectors, shape [B, M, demand_dim]."""
@@ -183,6 +227,41 @@ class FrapNetwork:
         d = movement_demands.data
         return Tensor._wrap(d[:, self.members[:, 0]] + d[:, self.members[:, 1]])
 
+    def _pair_stage(self, p: dict[str, np.ndarray], dp: np.ndarray, batch: int, w_rel: np.ndarray):
+        """(q, hd, scores): Q [B, P] from phase demands dp [P*B, D] (rows
+        phase-major) and relation weights w_rel [2, C], with the pair-cell
+        activations of every conv layer and the pair scores [P, P-1, B]
+        before any output ReLU, which the backward reads."""
+        cfg = self.config
+        n_ph, n_dem, n_ch = self.table.n_phases, cfg.demand_dim, cfg.conv_channels
+
+        # Layer 0, split: pre(p, j) = A(p) + Bq(opponents[p, j]), cells [P*(P-1), B, C].
+        w0 = p["w_d0"]
+        a = dp @ w0[:n_dem]
+        a += p["b_d0"]
+        bq = (dp @ w0[n_dem:]).reshape(n_ph, batch * n_ch)
+        cells = bq.take(self._opponents_flat, axis=0).reshape(n_ph, -1, batch * n_ch)
+        cells += a.reshape(n_ph, 1, batch * n_ch)
+        hd = [np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)]  # rows (p, j, b)
+        for k in range(1, cfg.conv_layers):
+            # One gemm per phase: OpenBLAS rounds a product over all
+            # P(P-1)B rows differently once B reaches a few dozen, and a
+            # state's Q would then depend on the batch size.
+            blocks = np.split(hd[-1], n_ph)
+            hd.append(np.concatenate([_relu_rows(x, p[f"w_d{k}"], p[f"b_d{k}"]) for x in blocks]))
+
+        # Score every cell against both relation kinds (one gemm, so a row's
+        # score does not depend on the batch size), then keep its own kind.
+        # w_rel.T stays a transposed view: a contiguous copy takes another
+        # BLAS path and changes the rounding.
+        by_kind = (hd[-1] @ w_rel.T).reshape(self._cells.size, batch, 2)
+        scores = by_kind[self._cells, :, self._relation_flat].reshape(n_ph, -1, batch)
+        scores += p["b_out"][0]
+        kept = np.maximum(scores, 0.0) if cfg.output_relu else scores
+        # np.add.reduce is the reduction .sum runs, without its Python wrapper.
+        q = np.add.reduce(np.sort(kept.transpose(0, 2, 1), axis=2), axis=2).T  # [B, P]
+        return q, hd, scores
+
     def forward(self, params: dict[str, Tensor], counts, bits, tape: Tape | None = None) -> Tensor:
         """Q-values for a batch of states, shape [B, P]; one tape node."""
         cfg = self.config
@@ -193,37 +272,10 @@ class FrapNetwork:
         batch = xv.shape[0] // self.table.n_movements
         d3 = d.reshape(-1, batch, n_dem)
         dp = (d3[self.members[:, 0]] + d3[self.members[:, 1]]).reshape(-1, n_dem)  # [P*B, D]
-
-        # Layer 0, split: pre(p, j) = A(p) + Bq(opponents[p, j]), cells [P*(P-1), B, C].
+        hr, w_rel = self._relation_rows(p)
+        q, hd, scores = self._pair_stage(p, dp, batch, w_rel)
         w0 = p["w_d0"]
-        a = dp @ w0[:n_dem]
-        a += p["b_d0"]
-        bq = (dp @ w0[n_dem:]).reshape(n_ph, batch * n_ch)
-        cells = np.take(bq, opponents.ravel(), axis=0).reshape(n_ph, -1, batch * n_ch)
-        cells += a.reshape(n_ph, 1, batch * n_ch)
-        hd = [np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)]  # rows (p, j, b)
-        for k in range(1, cfg.conv_layers):
-            # One gemm per phase: OpenBLAS rounds a product over all
-            # P(P-1)B rows differently once B reaches a few dozen, and a
-            # state's Q would then depend on the batch size.
-            blocks = np.split(hd[-1], n_ph)
-            hd.append(np.concatenate([_relu_rows(x, p[f"w_d{k}"], p[f"b_d{k}"]) for x in blocks]))
-
-        hr = [p["rel_emb"]]  # one row per relation kind
-        for k in range(cfg.conv_layers):
-            hr.append(_relu_rows(hr[-1], p[f"w_r{k}"], p[f"b_r{k}"]))
-        w_rel = hr[-1] * p["w_out"][:, 0]  # [2, C]
-
-        # Score every cell against both relation kinds (one gemm, so a row's
-        # score does not depend on the batch size), then keep its own kind.
         n_cells = relation.size
-        by_kind = (hd[-1] @ w_rel.T).reshape(n_cells, batch, 2)
-        scores = by_kind[np.arange(n_cells), :, relation.ravel()].reshape(n_ph, -1, batch)
-        scores += p["b_out"][0]
-        if cfg.output_relu:
-            pre_scores = scores
-            scores = np.maximum(scores, 0.0)
-        q = np.sort(scores.transpose(0, 2, 1), axis=2).sum(axis=2).T  # [B, P]
 
         names = tuple(params)
 
@@ -231,7 +283,7 @@ class FrapNetwork:
             g: dict[str, np.ndarray] = {}
             gs = np.broadcast_to(gq.T[:, None, :], scores.shape)  # [P, P-1, B]
             if cfg.output_relu:
-                gs = gs * (pre_scores > 0.0)
+                gs = gs * (scores > 0.0)
             gs = gs.reshape(n_cells, batch)
             g["b_out"] = np.array([gs.sum()])
             # Last conv: per cell, sum_b gs * h; then by relation kind.
@@ -285,8 +337,47 @@ class FrapNetwork:
             tape.record(q, tuple(params.values()), grads_of)
         return q
 
-    def q_values(self, params: dict[str, Tensor], state: TrafficState) -> np.ndarray:
-        return self.forward(params, state.counts, state.signal_bits).data[0]
+    def prepare(self, params: dict[str, Tensor]) -> Prepared:
+        """Single-state constants of ``params``: the relation weights and an
+        empty movement-demand table."""
+        prepared = Prepared(params)
+        prepared.w_rel = self._relation_rows(prepared.p)[1]
+        prepared.table = np.empty((0, self.config.demand_dim))
+        return prepared
+
+    def _demand_table(self, prepared: Prepared, top: int) -> np.ndarray:
+        """The demand table of ``prepared``, grown to cover counts 0..top by
+        one movement product over the missing rows. The rows are bitwise a
+        forward's, since a row of that product does not depend on the rows
+        beside it (test_prepared_q_is_the_forward_row pins this)."""
+        table = prepared.table
+        have = len(table) // 2
+        if top >= have:
+            counts = np.repeat(np.arange(have, top + 1, dtype=np.float64), 2)[:, None]
+            bits = np.tile([0.0, 1.0], top + 1 - have)[:, None]
+            new = self._demand(prepared.p, counts / self.config.norm_capacity, bits)[1]
+            table = prepared.table = np.concatenate([table, new])
+        return table
+
+    def q_values(
+        self, params: dict[str, Tensor], state: TrafficState, prepared: Prepared | None = None
+    ) -> np.ndarray:
+        """Q-values of one state, shape [P]: bitwise row 0 of ``forward`` on
+        it. The 8 movement demands come from the demand table of
+        ``prepared`` (built from ``params`` when not given), then the
+        forward's own pair stage runs on them."""
+        prepared = _prepared_for(self, params, prepared)
+        counts, bits = state.counts, state.signal_bits
+        if counts.shape != (self.table.n_movements,):
+            raise ValueError(f"expected {self.table.n_movements} movements, got {counts.shape}")
+        listed = counts.tolist()  # 8 Python ints check faster than numpy reductions
+        if min(listed) < 0 or not {0, 1}.issuperset(bits.tolist()):
+            raise ValueError("counts must be non-negative and signal bits 0 or 1")
+        table = self._demand_table(prepared, max(listed))
+        member = table.take((2 * counts + bits)[self._member_rows], axis=0)
+        n_ph = self.table.n_phases
+        dp = member[:n_ph] + member[n_ph:]  # [P, D]
+        return self._pair_stage(prepared.p, dp, 1, prepared.w_rel)[0][0]
 
 
 class VanillaNetwork:
@@ -309,15 +400,24 @@ class VanillaNetwork:
             params[f"b{i}"] = np.zeros(fan_out)
         return {k: Tensor(v) for k, v in params.items()}
 
-    def forward(self, params: dict[str, Tensor], counts, bits, tape: Tape | None = None) -> Tensor:
-        """Q-values for a batch of states, shape [B, P]; one tape node."""
-        p = {k: t.data for k, t in params.items()}
+    def prepare(self, params: dict[str, Tensor]) -> Prepared:
+        """Single-state constants of ``params``: its arrays by name."""
+        return Prepared(params)
+
+    def _layers(self, p: dict[str, np.ndarray], counts, bits):
+        """(hs, q): the input and hidden activations, and Q [B, P]."""
         counts, bits = _as_batch(counts, bits)
         n_layers = len(self.config.hidden)
         hs = [np.concatenate([counts / self.config.norm_capacity, bits], axis=1)]
         for i in range(n_layers):
             hs.append(_relu_rows(hs[-1], p[f"w{i}"], p[f"b{i}"]))
-        q = _rows_at(hs[-1], p[f"w{n_layers}"]) + p[f"b{n_layers}"]
+        return hs, _rows_at(hs[-1], p[f"w{n_layers}"]) + p[f"b{n_layers}"]
+
+    def forward(self, params: dict[str, Tensor], counts, bits, tape: Tape | None = None) -> Tensor:
+        """Q-values for a batch of states, shape [B, P]; one tape node."""
+        p = {k: t.data for k, t in params.items()}
+        n_layers = len(self.config.hidden)
+        hs, q = self._layers(p, counts, bits)
 
         names = tuple(params)
 
@@ -335,8 +435,12 @@ class VanillaNetwork:
             tape.record(q, tuple(params.values()), grads_of)
         return q
 
-    def q_values(self, params: dict[str, Tensor], state: TrafficState) -> np.ndarray:
-        return self.forward(params, state.counts, state.signal_bits).data[0]
+    def q_values(
+        self, params: dict[str, Tensor], state: TrafficState, prepared: Prepared | None = None
+    ) -> np.ndarray:
+        """Q-values of one state, shape [P]: bitwise row 0 of ``forward`` on it."""
+        p = _prepared_for(self, params, prepared).p
+        return self._layers(p, state.counts, state.signal_bits)[1][0]
 
 
 def build_network(kind: str, table: PhaseTable, config=None):

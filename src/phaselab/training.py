@@ -145,6 +145,16 @@ class TrainConfig:
             raise ValueError("gamma must be in [0, 1)")
         if self.n_actors < 1:
             raise ValueError("need at least one actor")
+        # Zero fails mid-run (a modulo by zero, empty batches); a 0-capacity queue is unbounded.
+        positive = ("batch_size", "target_sync", "eval_period", "snapshot_period", "queue_capacity")
+        for name in positive:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not self.priority_eps > 0.0:  # replay rejects the zero priority of a zero TD error
+            raise ValueError("priority_eps must be positive")
+        if self.buffer_capacity < max(self.warmup_transitions, self.batch_size):
+            # warm-up waits for that many transitions, which the buffer never holds
+            raise ValueError("buffer_capacity must hold max(warmup_transitions, batch_size)")
 
     def beta(self, step: int) -> float:
         frac = min(1.0, step / max(1, self.max_learner_steps))
@@ -280,6 +290,9 @@ class GreedyPolicy:
     spoil transfer evaluations. Ties are broken by member queue content, then
     by keeping the current phase; both keys permute along with the state. The
     raw index only decides between phases the state cannot distinguish.
+
+    Setting ``params`` prepares their single-state constants and clears the
+    action memo, which holds one entry per distinct state seen.
     """
 
     def __init__(self, network, params: dict[str, Tensor]):
@@ -300,6 +313,17 @@ class GreedyPolicy:
                 self._cross_approach.append(True)
                 self._members.append((i, j))
 
+    @property
+    def params(self) -> dict[str, Tensor]:
+        return self._params
+
+    @params.setter
+    def params(self, params: dict[str, Tensor]) -> None:
+        """New parameters: prepare their single-state constants, drop the memo."""
+        self._params = params
+        self._prepared = self.network.prepare(params)
+        self._memo: dict[tuple[bytes, bytes, int], int] = {}
+
     def _tie_key(self, p: int, state: TrafficState):
         i, j = self._members[p]
         fi = (-int(state.counts[i]), -int(state.signal_bits[i]))
@@ -311,11 +335,20 @@ class GreedyPolicy:
         return (-total, self._cross_approach[p], fi, fj, p != state.phase_index, p)
 
     def __call__(self, state: TrafficState) -> int:
-        q = self.network.q_values(self.params, state)
-        best = np.flatnonzero(q == q.max())
-        if len(best) == 1:
-            return int(best[0])
-        return int(min(best, key=lambda p: self._tie_key(int(p), state)))
+        """The action for ``state``. Q and ``_tie_key`` depend only on the
+        counts, signal bits and phase index, so the action is memoized on
+        them; Q is computed once per distinct state."""
+        key = (state.counts.tobytes(), state.signal_bits.tobytes(), state.phase_index)
+        action = self._memo.get(key)
+        if action is None:
+            q = self.network.q_values(self.params, state, self._prepared)
+            best = np.flatnonzero(q == q.max())
+            if len(best) == 1:
+                action = int(best[0])
+            else:
+                action = int(min(best, key=lambda p: self._tie_key(int(p), state)))
+            self._memo[key] = action
+        return action
 
 
 class Actor:
@@ -374,13 +407,21 @@ class Actor:
             self._states = next_states
 
 
+# States per forward in a decision round. Row i of a forward is bitwise the
+# single-state Q of state i only up to some batch size, which depends on the
+# BLAS kernels (FRAP rows diverge at B = 512 on OpenBLAS 0.3.31);
+# test_batched_row_is_the_single_state_q pins B <= 64.
+ROUND_BLOCK = 64
+
+
 def decision_round(actors: Sequence[Actor]) -> None:
     """One decision of every actor, in lockstep.
 
     Actors without an episode start one, and actors due a refresh take new
     parameters, one snapshot per ``snapshot_fn`` however many actors poll
-    it. Then one batched forward per intersection scores every actor's
-    state, explorers included; the actors must hold one parameter set per
+    it. Then batched forwards of up to ``ROUND_BLOCK`` states (one, for up
+    to 64 actors) score every actor's state at each intersection, explorers
+    included; the actors must hold one parameter set per
     intersection, as actors sharing a ``snapshot_fn`` and its period do.
     Last, each actor's policies pick from their Q rows, drawing from the
     actor's rng as a lone actor would, and its simulator steps. Row i of a
@@ -403,13 +444,14 @@ def decision_round(actors: Sequence[Actor]) -> None:
     for k, policy in enumerate(actors[0].policies):
         if any(actor.policies[k].params is not policy.params for actor in actors):
             raise ValueError("actors in one round must hold the same parameters")
-        states = [actor._states[k] for actor in actors]
-        q = policy.network.forward(
-            policy.params,
-            np.stack([s.counts for s in states]),
-            np.stack([s.signal_bits for s in states]),
-        )
-        q_by_intersection.append(q.data)
+        counts = np.stack([actor._states[k].counts for actor in actors])
+        bits = np.stack([actor._states[k].signal_bits for actor in actors])
+        q_by_intersection.append(np.concatenate([
+            policy.network.forward(
+                policy.params, counts[i : i + ROUND_BLOCK], bits[i : i + ROUND_BLOCK]
+            ).data
+            for i in range(0, len(actors), ROUND_BLOCK)
+        ]))
     for i, actor in enumerate(actors):
         actor._act([q[i] for q in q_by_intersection])
 

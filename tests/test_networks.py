@@ -235,7 +235,7 @@ class TestQForward:
         assert np.all(np.isfinite(q))
 
 
-@pytest.mark.parametrize(
+EVERY_KERNEL = pytest.mark.parametrize(
     "kind, config",
     [
         ("frap", FrapConfig()),
@@ -245,6 +245,9 @@ class TestQForward:
     ],
     ids=["frap", "frap-output-relu", "frap-two-conv-layers", "vanilla"],
 )
+
+
+@EVERY_KERNEL
 @pytest.mark.parametrize("batch", [1, 4, 64])
 def test_batched_row_is_the_single_state_q(table4, kind, config, batch):
     # Lockstep acting scores N actors' states in one forward; it matches
@@ -261,6 +264,37 @@ def test_batched_row_is_the_single_state_q(table4, kind, config, batch):
         ).data
         for row, state in zip(q, states):
             assert np.array_equal(row, net.q_values(params, state))
+
+
+@EVERY_KERNEL
+def test_prepared_q_is_the_forward_row(table4, kind, config):
+    # Greedy policies score one state at a time from one prepared object per
+    # parameter set. Rising counts, up to three times the norm capacity,
+    # make FRAP's demand table grow many times under that one object.
+    net = build_network(kind, table4, config)
+    top = 3 * int(config.norm_capacity)
+    rng = np.random.default_rng(11)
+    for seed in range(2):
+        params = net.init_params(seed)
+        prepared = net.prepare(params)
+        states = [random_state(table4, rng, max_count=int(c)) for c in np.linspace(0, top, 150)]
+        states.append(pl.TrafficState(np.full(8, top), np.zeros(8), 0))
+        states += [random_state(table4, rng) for _ in range(50)]
+        for state in states:
+            row = net.forward(params, state.counts, state.signal_bits).data[0]
+            assert np.array_equal(net.q_values(params, state, prepared), row)
+        if kind == "frap":
+            assert len(prepared.table) == 2 * (top + 1)
+
+
+def test_prepared_constants_belong_to_their_parameters(frap4, table4):
+    params = frap4.init_params(0)
+    state = random_state(table4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="another parameter set"):
+        frap4.q_values(frap4.init_params(1), state, frap4.prepare(params))
+    for counts, bits in ((np.full(8, -1), np.zeros(8)), (np.zeros(8), np.full(8, 2))):
+        with pytest.raises(ValueError, match="non-negative"):
+            frap4.q_values(params, pl.TrafficState(counts, bits, 0))
 
 
 class TestVanilla:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from phaselab import gridtrain, training
+from phaselab import gridtrain, harness, networks, simulator, training
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +35,28 @@ def test_every_wrapped_name_exists(tracing):
 def test_eval_span_closer_exists():
     for owner in (training, gridtrain):
         assert "censored_travel_time" in owner.__dict__, owner.__name__
+
+
+def test_greedy_q_calls_are_the_episode_distinct_states(tracing, table4):
+    # networks.q_calls counts the tracer's wrapper on q_values. A greedy policy
+    # memoizes its action per state, so that count must be the episode's
+    # distinct states: each costs one Q evaluation, and a repeat costs none.
+    net = networks.FrapNetwork(table4, networks.FrapConfig())
+    policy = training.GreedyPolicy(net, net.init_params(0))
+    distinct = set()
+
+    def controller(state):
+        distinct.add((state.counts.tobytes(), state.signal_bits.tobytes(), state.phase_index))
+        return policy(state)
+
+    config = harness.ExperimentConfig()
+    flow = harness.build_flow(config, harness.eval_flow_seed(config))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        simulator.run_controller(controller, config.sim, table4, flow, config.seed)
+    finally:
+        tracer.uninstall()
+    names = [s.name for s in tracer.spans]
+    assert names.count("training.greedy") == 360  # 3600 s at one decision per 10 s
+    assert names.count("networks.q") == len(distinct) < 360

@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 
 import phaselab as pl
+from phaselab import harness
 from phaselab.flows import FlowSynthesisSpec, synthesize_flow, synthesize_grid_flow
-from phaselab.networks import FrapConfig, FrapNetwork
+from phaselab.networks import FrapConfig, FrapNetwork, VanillaConfig, VanillaNetwork
 from phaselab.numerics import Tensor
 from phaselab.training import (
     Actor,
@@ -237,6 +238,84 @@ class TestActorPolicy:
         assert all(t.reward <= 0 for t in sink)
 
 
+class _ForwardGreedy:
+    """The greedy rule without memo or demand table: argmax of the state's
+    forward row, ties broken by GreedyPolicy's key."""
+
+    def __init__(self, net, params):
+        self.net, self.params = net, params
+        self.keys = GreedyPolicy(net, params)
+
+    def __call__(self, state):
+        q = self.net.forward(self.params, state.counts, state.signal_bits).data[0]
+        best = np.flatnonzero(q == q.max())
+        return int(min(best, key=lambda p: self.keys._tie_key(int(p), state)))
+
+
+class TestGreedyMemo:
+    @pytest.mark.parametrize(
+        "net_of, zero",
+        [
+            (lambda t: FrapNetwork(t, FrapConfig()), False),
+            (lambda t: FrapNetwork(t, FrapConfig()), True),  # every decision a tie
+            (lambda t: VanillaNetwork(t, VanillaConfig()), False),
+        ],
+        ids=["frap", "frap-all-ties", "vanilla"],
+    )
+    @pytest.mark.parametrize(
+        "flow", ["balanced-8", "unbalanced-WE", "flip-pair-am", "flip-pair-pm"]
+    )
+    def test_memoized_episode_is_the_forward_greedy(self, table4, net_of, zero, flow):
+        net = net_of(table4)
+        params = net.init_params(2)
+        if zero:
+            params = {k: Tensor(np.zeros_like(t.data)) for k, t in params.items()}
+        cfg = harness.ExperimentConfig(flow=harness.FlowConfig(name=flow))
+        schedule = harness.build_flow(cfg, harness.eval_flow_seed(cfg))
+        policy = GreedyPolicy(net, params)
+        memoized = pl.run_controller(policy, cfg.sim, table4, schedule, cfg.seed)
+        reference = pl.run_controller(
+            _ForwardGreedy(net, params), cfg.sim, table4, schedule, cfg.seed
+        )
+        assert memoized == reference
+        assert memoized.intervals == reference.intervals
+        assert len(policy._memo) < sum(len(rows) for rows in memoized.intervals)
+
+    def test_new_parameters_drop_the_memo(self, table4):
+        net = _small_net(table4)
+        state = random_state(table4, np.random.default_rng(1))
+        zero = {k: Tensor(np.zeros_like(t.data)) for k, t in net.init_params(0).items()}
+        for seed in range(20):  # some parameter set prefers another phase
+            params = net.init_params(seed)
+            if GreedyPolicy(net, params)(state) != GreedyPolicy(net, zero)(state):
+                break
+        greedy = GreedyPolicy(net, zero)
+        before = greedy(state)
+        greedy.params = params
+        assert greedy(state) == GreedyPolicy(net, params)(state) != before
+
+
+class TestTrainConfig:
+    def test_buffer_must_hold_the_warmup(self):
+        # A buffer smaller than the warm-up left training spinning forever.
+        with pytest.raises(ValueError, match="buffer_capacity"):
+            TrainConfig(buffer_capacity=100, warmup_transitions=200)
+        with pytest.raises(ValueError, match="buffer_capacity"):
+            TrainConfig(buffer_capacity=32, warmup_transitions=0, batch_size=64)
+        assert TrainConfig(buffer_capacity=200, warmup_transitions=200).buffer_capacity == 200
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "batch_size", "target_sync", "eval_period", "snapshot_period", "queue_capacity",
+            "priority_eps",
+        ],
+    )
+    def test_counts_and_periods_must_be_positive(self, name):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: 0})
+
+
 class TestLockstep:
     @staticmethod
     def _grid_actors(table, net, snapshot_fn, sinks):
@@ -326,6 +405,26 @@ class TestLockstep:
         actors[1].snapshot_fn = lambda: own
         with pytest.raises(ValueError, match="same parameters"):
             decision_round(actors)
+
+    def test_round_of_512_actors_scores_each_state_alone(self, table4):
+        # One forward over 512 FRAP states rounds most rows differently from
+        # the single-state Q (OpenBLAS 0.3.31, init_params(1)), so a round
+        # must score in blocks no taller than the batched-row tests check.
+        net = FrapNetwork(table4, FrapConfig())
+        params = net.init_params(1)
+        rng = np.random.default_rng(3)
+        scored = []
+        actors = []
+        for i in range(512):
+            actor = Actor(i, net, 0.0, None, lambda: [params], None, seed=i)
+            actor._sim = object()  # mid-episode: the round reads only its states
+            actor._states = [random_state(table4, rng)]
+            actor._act = lambda q_rows, a=actor: scored.append((a._states[0], q_rows[0]))
+            actors.append(actor)
+        decision_round(actors)
+        assert len(scored) == 512
+        for state, q in scored:
+            assert np.array_equal(q, net.q_values(params, state))
 
 
 class TestTransitionReplay:
