@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +19,7 @@ from .topology import SymmetryOp
 FLOW_HEADER = ("vehicle_id", "entry_time", "route")
 
 
-@dataclass(frozen=True)
-class FlowEvent:
+class FlowEvent(NamedTuple):
     vehicle_id: int
     entry_time: float
     route: tuple[tuple[int, int], ...]  # (intersection, movement) hops
@@ -113,7 +113,7 @@ def parse_flow_csv(
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r} ({err})") from None
             if not route:
                 raise ValueError(f"{path}:{lineno}: empty route")
-            events.append(FlowEvent(vehicle_id=vid, entry_time=entry, route=route))
+            events.append(FlowEvent(vid, entry, route))
     events.sort(key=lambda e: e.entry_time)  # stable: ties keep file order
     flow = FlowSchedule(events=tuple(events))
     if n_movements is not None:
@@ -131,7 +131,7 @@ def mirror_flow(op: SymmetryOp, flow: FlowSchedule) -> FlowSchedule:
         if len(e.route) != 1 or e.route[0][0] != 0:
             raise ValueError("mirror_flow: only single-intersection flows are supported")
         mov = int(op.movement_perm[e.route[0][1]])
-        events.append(FlowEvent(vehicle_id=e.vehicle_id, entry_time=e.entry_time, route=((0, mov),)))
+        events.append(FlowEvent(e.vehicle_id, e.entry_time, ((0, mov),)))
     return FlowSchedule(events=tuple(events))
 
 
@@ -204,9 +204,7 @@ def synthesize_flow(spec: FlowSynthesisSpec, seed: int) -> FlowSchedule:
     for movement in range(len(spec.rates)):
         raw.extend((t, movement) for t in _movement_times(spec, movement, rng))
     raw.sort()
-    events = tuple(
-        FlowEvent(vehicle_id=i, entry_time=t, route=((0, m),)) for i, (t, m) in enumerate(raw)
-    )
+    events = tuple(FlowEvent(i, t, ((0, m),)) for i, (t, m) in enumerate(raw))
     return FlowSchedule(events=events)
 
 
@@ -243,10 +241,7 @@ def synthesize_grid_flow(
             for t in _movement_times(spec, movement, rng):
                 raw.append((t, movement, ((k, movement),)))
     raw.sort(key=lambda item: (item[0], item[1], item[2]))
-    events = tuple(
-        FlowEvent(vehicle_id=i, entry_time=t, route=route)
-        for i, (t, _, route) in enumerate(raw)
-    )
+    events = tuple(FlowEvent(i, t, route) for i, (t, _, route) in enumerate(raw))
     return FlowSchedule(events=events)
 
 

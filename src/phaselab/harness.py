@@ -410,18 +410,20 @@ def cmd_transfer(
         "transferred": transferred.avg_travel_time,
     }
     if retrain:
-        mirrored_rates = None
+        retrain_out = out / "retrain"
         if config.flow.path is None:
             spec = flow_spec(config)
             mirrored_rates = tuple(
                 float(spec.rates[int(np.argwhere(op.movement_perm == m)[0, 0])])
                 for m in range(table.n_movements)
             )
-        retrain_config = dataclasses.replace(
-            config,
-            flow=dataclasses.replace(config.flow, name=None, rates=mirrored_rates),
-            out_dir=str(out / "retrain"),
-        )
+            retrain_flow = dataclasses.replace(config.flow, name=None, rates=mirrored_rates)
+        else:
+            # A file flow is one fixed schedule: retrain on its mirrored copy.
+            retrain_out.mkdir(parents=True, exist_ok=True)
+            mirrored_path = fl.write_flow_csv(mirrored, retrain_out / "flow.csv")
+            retrain_flow = dataclasses.replace(config.flow, path=str(mirrored_path))
+        retrain_config = dataclasses.replace(config, flow=retrain_flow, out_dir=str(retrain_out))
         paths = cmd_train(retrain_config)
         retrained = evaluate_checkpoint(retrain_config, paths["checkpoint"], mirrored)
         results["retrained"] = retrained.avg_travel_time

@@ -14,9 +14,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,26 +55,14 @@ class SimConfig:
         return self.yellow + self.all_red
 
 
-@dataclass
-class _Vehicle:
-    vid: int
-    entry_time: float
-    route: tuple[tuple[int, int], ...]
-    hop: int = 0
-    queue_join: float | None = None
-    exit_time: float | None = None
-
-
-@dataclass(frozen=True)
-class VehicleRecord:
+class VehicleRecord(NamedTuple):
     vehicle_id: int
     entry: float
     queue_join: float | None
     exit: float | None
 
 
-@dataclass(frozen=True)
-class IntervalRecord:
+class IntervalRecord(NamedTuple):
     t: float  # clock at the end of the interval
     phase: int
     reward: float
@@ -99,7 +87,11 @@ class EpisodeMetrics:
 class GridSim:
     """K synchronized intersections on a shared clock; routes forward vehicles
     between them. ``reset`` and ``step`` take and return one entry per
-    intersection."""
+    intersection.
+
+    A vehicle is its index into the flow's events: queues, waiting lines and
+    the arrival heap hold these ints, and its progress lives in per-episode
+    lists (``_hop``, ``_queue_join``, ``_exit``) indexed the same way."""
 
     def __init__(
         self,
@@ -119,7 +111,9 @@ class GridSim:
         self.on_microstep = on_microstep
         self._phase_members = [ph.members for ph in table.phases]
         self._phase_bits = [np.array(ph.bits, dtype=np.int64) for ph in table.phases]
+        self._ids = [e.vehicle_id for e in flow.events]
         self._entry_times = [e.entry_time for e in flow.events]
+        self._routes = [e.route for e in flow.events]
         self.reset()
 
     def reset(self) -> list[TrafficState]:
@@ -131,15 +125,15 @@ class GridSim:
         self._waiting = [[deque() for _ in range(m)] for _ in range(k)]
         self._acc = [[0.0] * m for _ in range(k)]
         self._last_green = [[-2] * m for _ in range(k)]
-        self._vehicles = [
-            _Vehicle(vid=e.vehicle_id, entry_time=e.entry_time, route=e.route)
-            for e in self.flow.events
-        ]
-        self._seq = 0
-        self._heap: list[tuple[float, int, _Vehicle]] = []
-        for v in self._vehicles:
-            heapq.heappush(self._heap, (v.entry_time + self.config.approach_time, self._seq, v))
-            self._seq += 1
+        n = len(self._routes)
+        self._hop = [0] * n
+        self._queue_join: list[float | None] = [None] * n
+        self._exit: list[float | None] = [None] * n
+        # Entry times are sorted, so this list already is the heap that pushing
+        # its (arrival, seq, vehicle) entries one by one would build.
+        approach_time = self.config.approach_time
+        self._heap = [(t + approach_time, i, i) for i, t in enumerate(self._entry_times)]
+        self._seq = n
         self.exited_count = 0
         self._intervals: list[list[IntervalRecord]] = [[] for _ in range(k)]
         return self.states()
@@ -164,6 +158,7 @@ class GridSim:
         clearance, cap, headway = cfg.clearance, cfg.lane_capacity, cfg.saturation_headway
         approach_time = cfg.approach_time
         heap, queues, waiting = self._heap, self._queues, self._waiting
+        routes, hop, queue_join, exit_time = self._routes, self._hop, self._queue_join, self._exit
         green = [
             (queues[k], waiting[k], self._acc[k], self._last_green[k],
              self._phase_members[self.current[k]], changed[k])
@@ -174,11 +169,11 @@ class GridSim:
             s = self.clock + i
             while heap and heap[0][0] <= s:
                 v = heapq.heappop(heap)[2]
-                k, m = v.route[v.hop]
+                k, m = routes[v][hop[v]]
                 queue = queues[k][m]
                 if len(queue) < cap and not waiting[k][m]:
-                    if v.queue_join is None:
-                        v.queue_join = float(s)
+                    if queue_join[v] is None:
+                        queue_join[v] = float(s)
                     queue.append(v)
                 else:
                     waiting[k][m].append(v)
@@ -196,9 +191,9 @@ class GridSim:
                     while served >= headway and queue:
                         served -= headway
                         v = queue.popleft()
-                        v.hop += 1
-                        if v.hop == len(v.route):
-                            v.exit_time = float(s + 1)
+                        hop[v] += 1
+                        if hop[v] == len(routes[v]):
+                            exit_time[v] = float(s + 1)
                             self.exited_count += 1
                         else:
                             heapq.heappush(heap, (float(s + 1) + approach_time, self._seq, v))
@@ -207,8 +202,8 @@ class GridSim:
                     wait = ws[m]
                     while wait and len(queue) < cap:
                         v = wait.popleft()
-                        if v.queue_join is None:
-                            v.queue_join = float(s)
+                        if queue_join[v] is None:
+                            queue_join[v] = float(s)
                         queue.append(v)
             if on_microstep is not None:
                 on_microstep(self, s + 1)
@@ -220,7 +215,7 @@ class GridSim:
             reward = -(sum(lens) / len(lens))  # integer sums are exact: bitwise the float mean
             rewards.append(reward)
             self._intervals[k].append(
-                IntervalRecord(t=float(self.clock), phase=phase, reward=reward, counts=tuple(lens))
+                IntervalRecord(float(self.clock), phase, reward, tuple(lens))
             )
             states.append(
                 TrafficState(
@@ -250,7 +245,8 @@ class GridSim:
         """Vehicle accounting recomputed from the raw structures."""
         in_queue = sum(len(q) for row in self._queues for q in row)
         waiting = sum(len(w) for row in self._waiting for w in row)
-        on_approach = sum(1 for _, _, v in self._heap if v.entry_time < now)
+        entry_times = self._entry_times
+        on_approach = sum(1 for _, _, v in self._heap if entry_times[v] < now)
         entered = bisect_left(self._entry_times, now)
         return {
             "entered": entered,
@@ -262,12 +258,9 @@ class GridSim:
 
     def metrics(self) -> EpisodeMetrics:
         records = tuple(
-            VehicleRecord(
-                vehicle_id=v.vid, entry=v.entry_time, queue_join=v.queue_join, exit=v.exit_time
-            )
-            for v in self._vehicles
+            map(VehicleRecord, self._ids, self._entry_times, self._queue_join, self._exit)
         )
-        travel = [v.exit_time - v.entry_time for v in self._vehicles if v.exit_time is not None]
+        travel = [x - t for x, t in zip(self._exit, self._entry_times) if x is not None]
         entered = bisect_left(self._entry_times, float(self.clock))
         return EpisodeMetrics(
             avg_travel_time=float(np.mean(travel)) if travel else 0.0,

@@ -7,6 +7,7 @@ import pytest
 import phaselab as pl
 from phaselab import harness
 from phaselab.cli import main as cli_main
+from phaselab.flows import FlowEvent
 from phaselab.harness import (
     ExperimentConfig,
     cmd_compare,
@@ -17,6 +18,7 @@ from phaselab.harness import (
     config_from_dict,
     load_config,
 )
+from phaselab.topology import find_op
 
 
 def tiny_config(tmp_path, **over):
@@ -165,6 +167,22 @@ class TestCommands:
         assert set(ident) == {"original", "transferred"}
         assert (tmp_path / "out" / "transfer.csv").exists()
 
+    def test_transfer_retrains_on_the_mirrored_file_flow(self, tmp_path):
+        # A W-through-only file flow: flip maps movement 6 to movement 2, and
+        # the retrain must see the mirrored schedule, not the original file.
+        flow = pl.FlowSchedule(
+            events=tuple(FlowEvent(i, 8.0 * i, ((0, 6),)) for i in range(25))
+        )
+        flow_path = pl.write_flow_csv(flow, tmp_path / "wt.csv")
+        cfg = tiny_config(tmp_path, flow={"name": None, "rates": None, "path": str(flow_path)})
+        paths = cmd_train(cfg)
+        cmd_transfer(cfg, paths["checkpoint"], "flip", retrain=True)
+        retrain = load_config(tmp_path / "out" / "retrain" / "config.json")
+        trained_on = pl.parse_flow_csv(retrain.flow.path, n_movements=8)
+        flip = find_op(cfg.build_table(), "flip")
+        assert trained_on.events == pl.mirror_flow(flip, flow).events
+        assert {e.route for e in trained_on.events} == {((0, 2),)}
+
     def test_gen_flow_roundtrip(self, tmp_path):
         cfg = tiny_config(tmp_path)
         path = cmd_gen_flow(cfg, tmp_path / "flow.csv")
@@ -290,7 +308,7 @@ class TestCli:
         assert cli_main(["train", "--config", str(bad)]) == 1
         assert cli_main(["eval", "--config", str(bad), "--checkpoint", "x"]) == 1
         good = tmp_path / "good.json"
-        good.write_text(json.dumps({}))
+        good.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))
         assert cli_main(["eval", "--config", str(good), "--checkpoint", "/nonexistent.bin"]) == 1
 
     def test_compare_requires_checkpoint_for_rl(self, tmp_path):

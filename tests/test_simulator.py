@@ -1,10 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
-from phaselab.flows import FlowEvent, FlowSchedule, FlowSynthesisSpec, synthesize_flow
+from phaselab.flows import (
+    FlowEvent,
+    FlowSchedule,
+    FlowSynthesisSpec,
+    synthesize_flow,
+    synthesize_grid_flow,
+    write_flow_csv,
+)
 from phaselab.simulator import write_interval_csv, write_vehicle_csv
 from phaselab.state import states_equal
 from phaselab.topology import find_op, inverse
@@ -364,3 +373,134 @@ class TestMetricsCsv:
         ilines = ipath.read_text().splitlines()
         assert ilines[0] == "t,phase,reward," + ",".join(f"q{i}" for i in range(8))
         assert len(ilines) == 1 + 10
+
+
+# --- golden trajectories ---------------------------------------------------------
+#
+# Reference digests: a change to any number the simulator produces must update
+# them on purpose. Records are hashed as plain value tuples, so the digests
+# depend on those numbers, not on the record types.
+
+GOLDEN_CONFIGS = {
+    "default": pl.SimConfig(),
+    "cap5-h1.5": pl.SimConfig(lane_capacity=5, saturation_headway=1.5),
+}
+GOLDEN_FLOWS = ("balanced-8", "unbalanced-WE", "flip-pair-am")
+GOLDEN_SEEDS = (0, 1)
+GOLDEN_DIGESTS = {
+    ('1x1', 'cap5-h1.5', 'balanced-8', 0): 'ab40d2599b471510ebe32dff647a41b7a3d0467d998495e20deae44dababc1ff',
+    ('1x1', 'cap5-h1.5', 'balanced-8', 1): '9249a317d9a8e0bbd9f8a918db6b3ca113a60010a7a24b9d2857a9a5b633c9ee',
+    ('1x1', 'cap5-h1.5', 'unbalanced-WE', 0): 'dee2e18493194f0ad515da10d28a10505bb26d56980185bbbabb9988a8ac4d5b',
+    ('1x1', 'cap5-h1.5', 'unbalanced-WE', 1): 'd0d698eac2d4e01b048ce589d2eed10e6c91bf038fcf5764cca107d1e7a83305',
+    ('1x1', 'cap5-h1.5', 'flip-pair-am', 0): 'ce506316cfaeaff192b21dc2dbedb76e99884efdf7ef9d1b7a448eb2cbde993c',
+    ('1x1', 'cap5-h1.5', 'flip-pair-am', 1): '9fbe3af0d4d7f02e3e6b79dc5c578986359e552586f4a52074f7e0707f61bc05',
+    ('1x1', 'default', 'balanced-8', 0): 'f97ccdedf2873df714876603ab4de4535c5097f05acbfc5061d88bbb50060ef3',
+    ('1x1', 'default', 'balanced-8', 1): '6966e11dc63bb17862664fb8a1c7c138cc4ae83ef1b560cfe9bf71d399569926',
+    ('1x1', 'default', 'unbalanced-WE', 0): '1aa344297350e9f1b0cdeab7392539ad996ef22b69b4d29070dbeebe30ff551e',
+    ('1x1', 'default', 'unbalanced-WE', 1): '48f0991548766b1311041656a84721e715bd4339ff7c6cde339120291c7d04df',
+    ('1x1', 'default', 'flip-pair-am', 0): '1d2e249832be053e0c292d080bf31b9ec65cf9151d167563a62ab8034dd4c71d',
+    ('1x1', 'default', 'flip-pair-am', 1): '15cd95e4551265fc37ff06c65f23fa0baeeef56c8e3a064d62e1d101b5131302',
+    ('2x2', 'cap5-h1.5', 'balanced-8', 0): 'fa1dd0934b06769c20e7bea8acbe5e026d2ec6082f9905943fcb2737189c829b',
+    ('2x2', 'cap5-h1.5', 'balanced-8', 1): '8b392ad83df63ba136df0d2eb2f5864de5ee379bd929f94dbf75d0f32420b86d',
+    ('2x2', 'cap5-h1.5', 'unbalanced-WE', 0): '147b0dbb3396a70c0efe9201ee41511e1bdacc7af40c71e20f16ae4db33f9cf1',
+    ('2x2', 'cap5-h1.5', 'unbalanced-WE', 1): '88b8a0148c332f6b2da8e976e5604db82bdcbcb2c16c380364e665c3982319b4',
+    ('2x2', 'cap5-h1.5', 'flip-pair-am', 0): 'cc4ced5420f208dff6d22cc5bb76e217dbd9a9c8242a590f76d265d1180c556e',
+    ('2x2', 'cap5-h1.5', 'flip-pair-am', 1): '6e89bc5f419481bfb6b5557d46d6ecc7b7cecab1bac65b72936dddc0ba9db856',
+    ('2x2', 'default', 'balanced-8', 0): 'bcd9896b54dad114d83b097e85e84b0864abc3a9aa717b76a00cfac90b9339da',
+    ('2x2', 'default', 'balanced-8', 1): 'd12cc4e71cfb62c05fb613a49d29e3c20fb334aede01a7660a74d4321dc37855',
+    ('2x2', 'default', 'unbalanced-WE', 0): '43eb56c7b156ce1e7449c4a78275a5a6b4262254dc445be765008372afd2535a',
+    ('2x2', 'default', 'unbalanced-WE', 1): '8ab7388035204fc4f2598e8a4ce835ac9409bfb0ded8467bb873506a6f699e7c',
+    ('2x2', 'default', 'flip-pair-am', 0): '14a902ab3be33c89214bcf00ff1edb48ac4f5719fd7875b8ce7586507aaa0ea7',
+    ('2x2', 'default', 'flip-pair-am', 1): '597ecf88db4aba5966274c0ad29dbd444024cdff6d25a004e092272b71e415fc',
+}
+GOLDEN_CSV_DIGESTS = {
+    'vehicles.csv': 'ed054b5be1098d8000c12df17359ced605c19b8a6cfbe175390d1626bf829701',
+    'intervals.csv': '4cf3ee1246f3d2b0b79a75b8a744cc62127fd9297a425c326781c1d054c9c9cd',
+    'flow.csv': '7a9fcc7b55409558e14d6b373386fdace90deaf94adb46379939feea01fb6da8',
+}
+
+
+def golden_flow(grid, flow_name, seed):
+    spec = pl.benchmark_flow_spec(flow_name)
+    if grid == "2x2":
+        return synthesize_grid_flow(spec, 2, 2, seed)
+    return synthesize_flow(spec, seed)
+
+
+def state_keys(states):
+    return [(s.counts.tobytes(), s.signal_bits.tobytes(), s.phase_index) for s in states]
+
+
+def golden_episode(grid, config, flow, seed, table):
+    """Random-action episode; returns the sim's trajectory, snapshots and metrics."""
+    k = 4 if grid == "2x2" else 1
+    sim = pl.GridSim(config, table, flow, k)
+    rng = np.random.default_rng(seed)
+    trace = [state_keys(sim.reset())]
+    done = False
+    while not done:
+        states, rewards, done = sim.step([int(a) for a in rng.integers(table.n_phases, size=k)])
+        trace.append(state_keys(states))
+        trace.append(rewards)
+        trace.append(sorted(sim.conservation_snapshot(float(sim.clock)).items()))
+    return trace, sim.metrics()
+
+
+def metrics_values(m):
+    return (
+        m.avg_travel_time,
+        m.exited_count,
+        m.in_network_count,
+        [(r.vehicle_id, r.entry, r.queue_join, r.exit) for r in m.vehicles],
+        [[(r.t, r.phase, r.reward, tuple(r.counts)) for r in rows] for rows in m.intervals],
+    )
+
+
+class TestGoldenTrajectories:
+    @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
+    @pytest.mark.parametrize("flow_name", GOLDEN_FLOWS)
+    @pytest.mark.parametrize("config_name", sorted(GOLDEN_CONFIGS))
+    @pytest.mark.parametrize("grid", ("1x1", "2x2"))
+    def test_trajectory_digest(self, table4, grid, config_name, flow_name, seed):
+        flow = golden_flow(grid, flow_name, seed)
+        trace, m = golden_episode(grid, GOLDEN_CONFIGS[config_name], flow, seed, table4)
+        digest = hashlib.sha256(repr((trace, metrics_values(m))).encode()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[grid, config_name, flow_name, seed]
+
+    def test_csv_bytes(self, table4, tmp_path):
+        flow = golden_flow("1x1", "unbalanced-WE", 0)
+        _, m = golden_episode("1x1", GOLDEN_CONFIGS["cap5-h1.5"], flow, 0, table4)
+        digests = {
+            name: hashlib.sha256(write(obj, tmp_path / name).read_bytes()).hexdigest()
+            for name, write, obj in (
+                ("vehicles.csv", write_vehicle_csv, m),
+                ("intervals.csv", write_interval_csv, m),
+                ("flow.csv", write_flow_csv, flow),
+            )
+        }
+        assert digests == GOLDEN_CSV_DIGESTS
+
+
+class TestResetReuse:
+    def test_reset_replays_a_fresh_sim(self, table4):
+        # The per-episode vehicle lists and the initial arrival heap must not
+        # carry anything from one episode into the next.
+        config, k = GOLDEN_CONFIGS["cap5-h1.5"], 4
+        flow = golden_flow("2x2", "unbalanced-WE", 0)
+        rng = np.random.default_rng(7)
+        actions = [[int(a) for a in rng.integers(table4.n_phases, size=k)] for _ in range(360)]
+
+        def replay(sim, initial):
+            trace = [state_keys(initial)]
+            for a in actions:
+                states, rewards, done = sim.step(a)
+                trace.append((state_keys(states), rewards, done))
+            return trace, sim.metrics()
+
+        reused = pl.GridSim(config, table4, flow, k)
+        first = replay(reused, reused.states())
+        again = replay(reused, reused.reset())
+        fresh_sim = pl.GridSim(config, table4, flow, k)
+        fresh = replay(fresh_sim, fresh_sim.states())
+        assert again == fresh
+        assert first == fresh
