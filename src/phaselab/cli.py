@@ -25,7 +25,10 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", default=None, help="override output directory")
-    p.add_argument("--sync", action="store_true", help="deterministic single-threaded training")
+    p.add_argument(
+        "--sync", action="store_true",
+        help="kept for old scripts: training is always synchronous and deterministic",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,7 +2,8 @@
 
 Flow CSV format: header ``vehicle_id,entry_time,route`` where route is a
 semicolon-separated list of ``intersection:movement`` integer pairs
-(single-intersection flows use intersection 0). Times are seconds as floats.
+(single-intersection flows use intersection 0). Times are seconds as floats,
+written with ``repr`` so a written flow parses back to the same times.
 """
 
 from __future__ import annotations
@@ -67,16 +68,12 @@ class FlowSchedule:
         return counts * 3600.0 / duration / n_intersections
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".6g")
-
-
 def write_flow_csv(flow: FlowSchedule, path: str | Path) -> Path:
     path = Path(path)
     lines = [",".join(FLOW_HEADER)]
     for e in flow.events:
         route = ";".join(f"{i}:{m}" for i, m in e.route)
-        lines.append(f"{e.vehicle_id},{_fmt(e.entry_time)},{route}")
+        lines.append(f"{e.vehicle_id},{float(e.entry_time)!r},{route}")
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -275,9 +275,12 @@ def cmd_train(config: ExperimentConfig) -> dict[str, Path]:
     table = config.build_table()
     network = build_network(config.agent, table, network_config(config, config.agent))
     n = config.n_intersections
+    # A file flow is one fixed schedule whatever the seed: parse it once.
+    file_flow = build_flow(config, 0) if config.flow.path is not None else None
 
     def make_sim(seed: int) -> GridSim:
-        return GridSim(config.sim, table, build_flow(config, seed), n, seed)
+        flow = build_flow(config, seed) if file_flow is None else file_flow
+        return GridSim(config.sim, table, flow, n, seed)
 
     result = train(
         network,

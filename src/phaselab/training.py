@@ -1,24 +1,20 @@
 """DQN training: Bellman targets, prioritized learner, and exploration actors.
 
-The acting and learning halves are decoupled: N actors run epsilon-greedy
-episodes on private K-intersection simulators and push transitions into a
-sink; each intersection has one learner that drains its share of the sink into
-a prioritized buffer, samples batches, applies Adam on a masked Huber loss,
-and periodically syncs the target network and publishes parameter snapshots
-the actors pick up. A single intersection is the K = 1 case.
+N actors run epsilon-greedy episodes on private K-intersection simulators and
+push transitions into a sink; each intersection has one learner that stores
+its share in a prioritized buffer, samples batches, applies Adam on a masked
+Huber loss, and periodically syncs the target network and publishes
+parameter snapshots the actors pick up. A single intersection is the K = 1
+case.
 
-Two schedules implement that contract. The threaded mode (K = 1 only) runs
-actors and the learner concurrently with a bounded queue providing
-backpressure. The synchronous mode interleaves everything on one thread on a
-fixed schedule and is bit-reproducible: each round, all actors decide in
-lockstep (one batched forward per intersection), then every learner steps
-once. Replay keeps transitions as rows of arrays, so a learner step gathers
-its batch with one index per array."""
+Training runs on one thread on a fixed schedule and is bit-reproducible:
+each round, all actors decide in lockstep (one batched forward per
+intersection), then every learner steps once. Replay keeps transitions as
+rows of arrays, so a learner step gathers its batch with one index per
+array."""
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -137,16 +133,15 @@ class TrainConfig:
     warmup_transitions: int = 500
     eval_period: int = 500
     snapshot_period: int = 10  # actor decisions between snapshot refreshes
-    queue_capacity: int = 10_000
-    sync: bool = False
+    sync: bool = True  # the only schedule; False is rejected by train()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
         if self.n_actors < 1:
             raise ValueError("need at least one actor")
-        # Zero fails mid-run (a modulo by zero, empty batches); a 0-capacity queue is unbounded.
-        positive = ("batch_size", "target_sync", "eval_period", "snapshot_period", "queue_capacity")
+        # Zero fails mid-run (a modulo by zero, empty batches).
+        positive = ("batch_size", "target_sync", "eval_period", "snapshot_period")
         for name in positive:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -386,10 +381,6 @@ class Actor:
         self._sim: GridSim | None = None
         self._states: list[TrafficState] | None = None
 
-    def take_decision(self) -> None:
-        """One environment decision: act, observe, push the transitions."""
-        decision_round([self])
-
     def _act(self, q_rows: Sequence[np.ndarray]) -> None:
         """Pick from the Q rows of the current states, step, push, advance."""
         actions = [p(s, q) for p, s, q in zip(self.policies, self._states, q_rows)]
@@ -534,12 +525,16 @@ def train(
     so K = 1 is the single-intersection run. Every ``eval_period`` learner
     steps (plus step 0 and the final step) a greedy episode runs on a fresh
     evaluation environment and its travel time is appended to the learning
-    curve. Grids train on the synchronous schedule only.
+    curve. Training runs on the synchronous schedule of :func:`decision_round`
+    rounds, each followed by one step of every learner; ``config.sync`` must
+    be True.
     """
+    if not config.sync:
+        raise ValueError(
+            "threaded training was removed; the synchronous schedule is the only one"
+        )
     first_eval = eval_factory()
     n = first_eval.n_intersections
-    if n > 1 and not config.sync:
-        raise ValueError("grid training runs on the synchronous schedule; set train.sync")
     learners = [
         Learner(
             network,
@@ -580,22 +575,26 @@ def train(
 
     evaluate(0, first_eval)
     if config.max_learner_steps > 0:
-        schedule = _train_sync if config.sync else _train_threaded
-        schedule(network, config, env_factory, learners, evaluate, seed)
+        _train_sync(network, config, env_factory, learners, evaluate, seed)
         if learners[0].step_count % config.eval_period != 0:
             evaluate(learners[0].step_count)
     result.final = [l.snapshot() for l in learners]
     return result
 
 
-def _store(learners: Sequence[Learner], transitions: Sequence[Transition]) -> None:
-    """Fan one decision's transitions out to the per-intersection buffers."""
-    for learner, t in zip(learners, transitions):
-        learner.buffer.add(t)
+def _train_sync(network, config, env_factory, learners, evaluate, seed) -> None:
+    """Lockstep rounds of every actor, each followed by one step of every
+    learner once the buffers hold the warm-up."""
 
+    def snapshot_fn() -> list[dict[str, Tensor]]:
+        return [l.snapshot() for l in learners]
 
-def _make_actors(network, config, env_factory, snapshot_fn, sink, seed) -> list[Actor]:
-    return [
+    def sink(transitions: list[Transition]) -> None:
+        """Fan one decision's transitions out to the per-intersection buffers."""
+        for learner, t in zip(learners, transitions):
+            learner.buffer.add(t)
+
+    actors = [
         Actor(
             actor_id=i,
             network=network,
@@ -608,15 +607,6 @@ def _make_actors(network, config, env_factory, snapshot_fn, sink, seed) -> list[
         )
         for i in range(config.n_actors)
     ]
-
-
-def _train_sync(network, config, env_factory, learners, evaluate, seed) -> None:
-    actors = _make_actors(
-        network, config, env_factory,
-        lambda: [l.snapshot() for l in learners],
-        lambda transitions: _store(learners, transitions),
-        seed,
-    )
     warmup = max(config.warmup_transitions, config.batch_size)
     while len(learners[0].buffer) < warmup:
         decision_round(actors)
@@ -626,76 +616,3 @@ def _train_sync(network, config, env_factory, learners, evaluate, seed) -> None:
             learner.step()
         if learners[0].step_count % config.eval_period == 0:
             evaluate(learners[0].step_count)
-
-
-_POLL_S = 0.1  # bound on every blocking queue call in threaded mode
-
-
-def _train_threaded(network, config, env_factory, learners, evaluate, seed) -> None:
-    """Actors on daemon threads feed the learner through a bounded queue.
-
-    The first exception an actor raises stops every actor and is re-raised
-    here, on the learner's thread, within one poll interval.
-    """
-    sink: queue.Queue = queue.Queue(maxsize=config.queue_capacity)
-    stop = threading.Event()
-    errors: list[Exception] = []
-    lock = threading.Lock()
-    latest = {"params": [l.snapshot() for l in learners]}
-
-    def snapshot_fn() -> list[dict[str, Tensor]]:
-        with lock:
-            return latest["params"]
-
-    def actor_main(actor: Actor) -> None:
-        try:
-            while not stop.is_set():
-                actor.take_decision()
-        except Exception as err:  # re-raised on the learner's thread
-            errors.append(err)
-            stop.set()
-
-    def actor_sink(transitions: list[Transition]) -> None:
-        while not stop.is_set():
-            try:
-                sink.put(transitions, timeout=_POLL_S)
-                return
-            except queue.Full:
-                continue
-
-    def check_actors() -> None:
-        if errors:
-            raise errors[0]
-
-    actors = _make_actors(network, config, env_factory, snapshot_fn, actor_sink, seed)
-    threads = [
-        threading.Thread(target=actor_main, args=(a,), name=f"actor-{a.actor_id}", daemon=True)
-        for a in actors
-    ]
-    for t in threads:
-        t.start()
-    try:
-        warmup = max(config.warmup_transitions, config.batch_size)
-        while len(learners[0].buffer) < warmup:
-            check_actors()
-            try:
-                _store(learners, sink.get(timeout=_POLL_S))
-            except queue.Empty:
-                continue
-        while learners[0].step_count < config.max_learner_steps:
-            check_actors()
-            while True:  # drain whatever the actors produced
-                try:
-                    _store(learners, sink.get_nowait())
-                except queue.Empty:
-                    break
-            for learner in learners:
-                learner.step()
-            with lock:
-                latest["params"] = [l.snapshot() for l in learners]
-            if learners[0].step_count % config.eval_period == 0:
-                evaluate(learners[0].step_count)
-    finally:
-        stop.set()
-        for t in threads:
-            t.join(timeout=5.0)

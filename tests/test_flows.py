@@ -37,6 +37,14 @@ class TestCsv:
         p2 = write_flow_csv(parsed, tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("grid", (False, True))
+    def test_synthesized_flow_roundtrips_exactly(self, tmp_path, grid):
+        # Entry times were written with 6 significant digits, moving each by up to 5 ms.
+        spec = benchmark_flow_spec("unbalanced-WE", duration=600.0)
+        flow = synthesize_grid_flow(spec, 2, 2, 3) if grid else synthesize_flow(spec, 3)
+        parsed = parse_flow_csv(write_flow_csv(flow, tmp_path / "flow.csv"))
+        assert parsed.events == flow.events
+
     def test_out_of_order_rows_sorted_stably(self, tmp_path):
         path = tmp_path / "flow.csv"
         path.write_text(

@@ -183,6 +183,22 @@ class TestCommands:
         assert trained_on.events == pl.mirror_flow(flip, flow).events
         assert {e.route for e in trained_on.events} == {((0, 2),)}
 
+    def test_train_parses_a_file_flow_once(self, tmp_path, monkeypatch):
+        # Every actor episode and every eval used to re-read the same file.
+        flow_path = cmd_gen_flow(tiny_config(tmp_path), tmp_path / "flow.csv")
+        cfg = tiny_config(tmp_path, flow={"name": None, "rates": None, "path": str(flow_path)})
+        calls = []
+        parse = pl.flows.parse_flow_csv
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(pl.flows, "parse_flow_csv", counting)
+        paths = cmd_train(cfg)
+        assert calls == [str(flow_path)]
+        assert len(paths["curve"].read_text().splitlines()) == 4  # steps 0, 4 and 8
+
     def test_gen_flow_roundtrip(self, tmp_path):
         cfg = tiny_config(tmp_path)
         path = cmd_gen_flow(cfg, tmp_path / "flow.csv")
@@ -310,6 +326,21 @@ class TestCli:
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))
         assert cli_main(["eval", "--config", str(good), "--checkpoint", "/nonexistent.bin"]) == 1
+
+    def test_train_without_sync_flag_matches_sync(self, tmp_path):
+        # Training used to default to the threaded schedule, whose output
+        # varied run to run; every run now trains on the synchronous one.
+        config = tiny_config(tmp_path, train={"n_actors": 2})
+        data = harness.config_to_dict(config)
+        del data["train"]["sync"]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        outputs = []
+        for name, flags in (("plain", []), ("sync", ["--sync"])):
+            out = tmp_path / name
+            assert cli_main(["train", "--config", str(config_path), "--out", str(out), *flags]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("ckpt.bin", "curve.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_compare_requires_checkpoint_for_rl(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -416,7 +416,7 @@ GOLDEN_DIGESTS = {
 GOLDEN_CSV_DIGESTS = {
     'vehicles.csv': 'ed054b5be1098d8000c12df17359ced605c19b8a6cfbe175390d1626bf829701',
     'intervals.csv': '4cf3ee1246f3d2b0b79a75b8a744cc62127fd9297a425c326781c1d054c9c9cd',
-    'flow.csv': '7a9fcc7b55409558e14d6b373386fdace90deaf94adb46379939feea01fb6da8',
+    'flow.csv': 'ec2562cc80aeca0489dfd315e0d7dc95bf6638701b0f7706f22f9bf30f76d909',
 }
 
 

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -230,7 +228,7 @@ class TestActorPolicy:
             snapshot_period=3,
         )
         for _ in range(12):  # 50 s episodes at 10 s decisions: 5 per episode
-            actor.take_decision()
+            decision_round([actor])
         assert len(sink) == 12
         assert actor.episode == 2
         dones = [t.done for t in sink]
@@ -307,8 +305,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "name",
         [
-            "batch_size", "target_sync", "eval_period", "snapshot_period", "queue_capacity",
-            "priority_eps",
+            "batch_size", "target_sync", "eval_period", "snapshot_period", "priority_eps",
         ],
     )
     def test_counts_and_periods_must_be_positive(self, name):
@@ -357,7 +354,7 @@ class TestLockstep:
                     decision_round(actors)
                 else:
                     for actor in actors:
-                        actor.take_decision()
+                        decision_round([actor])
             runs.append((actors, sinks))
         (alone, alone_sinks), (together, together_sinks) = runs
         for a, b, sa, sb in zip(alone, together, alone_sinks, together_sinks):
@@ -468,11 +465,11 @@ class TestTrain:
             assert np.array_equal(r1.best_params[k].data, r2.best_params[k].data)
             assert np.array_equal(r1.final_params[k].data, r2.final_params[k].data)
 
-    def test_threaded_mode_runs_and_evaluates(self, table4):
+    def test_sync_mode_runs_and_evaluates(self, table4):
         net = _small_net(table4)
         cfg = TrainConfig(
             max_learner_steps=20, batch_size=8, warmup_transitions=16,
-            n_actors=2, eval_period=10, sync=False, queue_capacity=64,
+            n_actors=2, eval_period=10,
         )
         factory = _env_factory(table4, episode_length=100)
         result = train(net, cfg, factory, lambda: factory(9, 0), seed=4)
@@ -480,27 +477,13 @@ class TestTrain:
         assert steps == [0, 10, 20]
         assert all(np.isfinite(p.eval_travel_time) for p in result.curve)
 
-    def test_threaded_actor_failure_is_raised(self, table4):
+    def test_threaded_schedule_is_rejected(self, table4):
+        # sync=False used to train on actor threads; it now fails before any work.
         net = _small_net(table4)
         cfg = TrainConfig(
-            max_learner_steps=20, batch_size=8, warmup_transitions=16,
-            n_actors=2, eval_period=10, sync=False,
+            max_learner_steps=4, batch_size=8, warmup_transitions=8, n_actors=1,
+            eval_period=4, sync=False,
         )
         factory = _env_factory(table4, episode_length=100)
-
-        def failing(actor_id: int, episode: int):
-            raise RuntimeError("no simulator today")
-
-        raised = []
-
-        def run() -> None:
-            try:
-                train(net, cfg, failing, lambda: factory(9, 0), seed=0)
-            except RuntimeError as err:
-                raised.append(err)
-
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        runner.join(timeout=10.0)
-        assert not runner.is_alive(), "train() blocked after its actors failed"
-        assert [str(e) for e in raised] == ["no simulator today"]
+        with pytest.raises(ValueError, match="synchronous"):
+            train(net, cfg, factory, lambda: factory(9, 0), seed=0)
