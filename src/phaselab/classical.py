@@ -192,7 +192,7 @@ class SOTLController:
         self.theta = theta
         self.t_min = t_min
         self.decision_interval = decision_interval
-        self._members = [set(ph.members) for ph in table.phases]
+        self._members = [ph.members for ph in table.phases]
         self._elapsed = 0.0
         self._current: int | None = None
 
@@ -205,14 +205,12 @@ class SOTLController:
             self._current = state.phase_index if state.phase_index >= 0 else 0
         current = self._current
         if self._elapsed >= self.t_min:
-            red_wait = sum(
-                int(c) for m, c in enumerate(state.counts) if m not in self._members[current]
-            )
+            counts = state.counts.tolist()
+            i, j = self._members[current]  # two distinct movements
+            red_wait = sum(counts) - counts[i] - counts[j]
             if red_wait > self.theta:
-                sums = [
-                    sum(int(state.counts[m]) for m in ph.members) for ph in self.table.phases
-                ]
-                candidate = int(np.argmax(sums))  # ties resolve to the lowest index
+                sums = [counts[a] + counts[b] for a, b in self._members]
+                candidate = sums.index(max(sums))  # ties resolve to the lowest index
                 if candidate != current:
                     self._current = candidate
                     self._elapsed = self.decision_interval

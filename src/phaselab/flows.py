@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,10 +42,23 @@ class FlowSchedule:
     def __len__(self) -> int:
         return len(self.events)
 
+    @cached_property
+    def _id_ranges(self) -> tuple[int, int, int, int]:
+        """Min and max intersection id, then min and max movement id, over
+        every hop; all 0 for an empty flow."""
+        if not self.events:
+            return (0, 0, 0, 0)
+        inters, movs = zip(*(hop for e in self.events for hop in e.route))
+        return (min(inters), max(inters), min(movs), max(movs))
+
     def max_intersection(self) -> int:
-        return max((hop[0] for e in self.events for hop in e.route), default=0)
+        return self._id_ranges[1]
 
     def validate(self, n_movements: int, n_intersections: int = 1) -> None:
+        lo_i, hi_i, lo_m, hi_m = self._id_ranges
+        fits = 0 <= lo_i and hi_i < n_intersections and 0 <= lo_m and hi_m < n_movements
+        if fits or not self.events:
+            return  # every hop is in range: nothing to scan for
         for e in self.events:
             for inter, mov in e.route:
                 if not 0 <= inter < n_intersections:
@@ -174,6 +188,36 @@ class FlowSynthesisSpec:
         return out
 
 
+def _gap_block(expected: float) -> int:
+    """Gaps to draw per block: four standard deviations over the expected
+    count, so one block passes the segment's end for all but about one
+    segment in 10^5."""
+    return int(expected + 4.0 * expected**0.5) + 16
+
+
+def _poisson_times(
+    start: float, end: float, scale: float, rng: np.random.Generator
+) -> list[float]:
+    """Arrivals from ``start`` with exponential gaps of mean ``scale``, up to
+    but excluding ``end``.
+
+    Bitwise the scalar loop ``t = start + gap(); while t < end: keep t;
+    t += gap()``: the gaps are drawn in blocks and summed left to right by
+    ``cumsum``, then the generator is rewound and advanced by exactly the
+    draws that loop makes, the first time >= ``end`` included.
+    """
+    saved = rng.bit_generator.state
+    block = _gap_block((end - start) / scale)
+    sums = np.cumsum(np.concatenate(([start], rng.exponential(scale, block))))[1:]
+    while sums[-1] < end:
+        more = np.cumsum(np.concatenate((sums[-1:], rng.exponential(scale, block))))[1:]
+        sums = np.concatenate((sums, more))
+    kept = int(np.searchsorted(sums, end, side="left"))  # sums[kept] is the first >= end
+    rng.bit_generator.state = saved
+    rng.exponential(scale, kept + 1)
+    return sums[:kept].tolist()
+
+
 def _movement_times(spec: FlowSynthesisSpec, movement: int, rng: np.random.Generator) -> list[float]:
     times: list[float] = []
     for start, end, rates in spec.segment_list():
@@ -187,10 +231,7 @@ def _movement_times(spec: FlowSynthesisSpec, movement: int, rng: np.random.Gener
                 times.append(t)
                 t += spacing
         else:
-            t = start + rng.exponential(3600.0 / rate)
-            while t < end:
-                times.append(t)
-                t += rng.exponential(3600.0 / rate)
+            times.extend(_poisson_times(start, end, 3600.0 / rate, rng))
     return times
 
 

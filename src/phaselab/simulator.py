@@ -11,7 +11,6 @@ bit-identical trajectories; a simulator instance is single-threaded.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -90,8 +89,19 @@ class GridSim:
     intersection.
 
     A vehicle is its index into the flow's events: queues, waiting lines and
-    the arrival heap hold these ints, and its progress lives in per-episode
-    lists (``_hop``, ``_queue_join``, ``_exit``) indexed the same way."""
+    the link from one intersection to the next hold these ints, and its
+    progress lives in per-episode lists (``_hop``, ``_queue_join``, ``_exit``)
+    indexed the same way.
+
+    Vehicles reach a stop line from two streams, both already in time order:
+    flow entries, read with a pointer into ``_arrivals`` (the flow is sorted
+    by entry time), and vehicles forwarded between intersections, kept in the
+    ``_forwarded`` FIFO (every vehicle forwarded in second s arrives at
+    s + 1 + approach time, so they are appended in arrival order). The two
+    are merged by arrival time, a flow entry first on a tie.
+
+    Observations share one read-only signal-bits array per phase: copy a
+    state's ``signal_bits`` before writing to it."""
 
     def __init__(
         self,
@@ -111,9 +121,14 @@ class GridSim:
         self.on_microstep = on_microstep
         self._phase_members = [ph.members for ph in table.phases]
         self._phase_bits = [np.array(ph.bits, dtype=np.int64) for ph in table.phases]
+        for bits in self._phase_bits:
+            bits.flags.writeable = False
         self._ids = [e.vehicle_id for e in flow.events]
         self._entry_times = [e.entry_time for e in flow.events]
         self._routes = [e.route for e in flow.events]
+        self._route_lens = [len(r) for r in self._routes]
+        approach_time = config.approach_time
+        self._arrivals = [float(t) + approach_time for t in self._entry_times]
         self.reset()
 
     def reset(self) -> list[TrafficState]:
@@ -129,11 +144,8 @@ class GridSim:
         self._hop = [0] * n
         self._queue_join: list[float | None] = [None] * n
         self._exit: list[float | None] = [None] * n
-        # Entry times are sorted, so this list already is the heap that pushing
-        # its (arrival, seq, vehicle) entries one by one would build.
-        approach_time = self.config.approach_time
-        self._heap = [(t + approach_time, i, i) for i, t in enumerate(self._entry_times)]
-        self._seq = n
+        self._next_entry = 0  # first flow entry not yet at its stop line
+        self._forwarded: deque[tuple[float, int]] = deque()  # (arrival, vehicle)
         self.exited_count = 0
         self._intervals: list[list[IntervalRecord]] = [[] for _ in range(k)]
         return self.states()
@@ -152,23 +164,36 @@ class GridSim:
         for a in actions:
             if not 0 <= a < self.table.n_phases:
                 raise ValueError(f"invalid phase index {a}")
-        changed = [a != cur for a, cur in zip(actions, self.current)]
-        self.current = list(actions)
         cfg = self.config
         clearance, cap, headway = cfg.clearance, cfg.lane_capacity, cfg.saturation_headway
         approach_time = cfg.approach_time
-        heap, queues, waiting = self._heap, self._queues, self._waiting
-        routes, hop, queue_join, exit_time = self._routes, self._hop, self._queue_join, self._exit
+        queues, waiting = self._queues, self._waiting
+        # per intersection: its first second of green, after any clearance
         green = [
             (queues[k], waiting[k], self._acc[k], self._last_green[k],
-             self._phase_members[self.current[k]], changed[k])
-            for k in range(self.n_intersections)
+             self._phase_members[a], clearance if a != self.current[k] else 0)
+            for k, a in enumerate(actions)
         ]
+        self.current = list(actions)
+        arrivals, forwarded = self._arrivals, self._forwarded
+        n_entries = len(arrivals)
+        routes, route_lens = self._routes, self._route_lens
+        hop, queue_join, exit_time = self._hop, self._queue_join, self._exit
+        next_entry, exited = self._next_entry, self.exited_count
         on_microstep = self.on_microstep
         for i in range(cfg.decision_interval):
             s = self.clock + i
-            while heap and heap[0][0] <= s:
-                v = heapq.heappop(heap)[2]
+            while True:  # the earlier of the two streams' heads; an entry on a tie
+                if next_entry < n_entries and arrivals[next_entry] <= s:
+                    if forwarded and forwarded[0][0] < arrivals[next_entry]:
+                        v = forwarded.popleft()[1]
+                    else:
+                        v = next_entry
+                        next_entry += 1
+                elif forwarded and forwarded[0][0] <= s:
+                    v = forwarded.popleft()[1]
+                else:
+                    break
                 k, m = routes[v][hop[v]]
                 queue = queues[k][m]
                 if len(queue) < cap and not waiting[k][m]:
@@ -177,8 +202,8 @@ class GridSim:
                     queue.append(v)
                 else:
                     waiting[k][m].append(v)
-            for qs, ws, acc, last_green, members, switched in green:
-                if switched and i < clearance:
+            for qs, ws, acc, last_green, members, first_green in green:
+                if i < first_green:
                     continue  # yellow + all-red: no discharge anywhere
                 for m in members:
                     # service restarts when green was interrupted
@@ -188,16 +213,21 @@ class GridSim:
                     if not queue:
                         acc[m] = 0.0
                         continue
+                    if served < headway:
+                        # Nothing departs, so nothing moves up from the waiting
+                        # line either: a movement with a waiting line ends every
+                        # second with a full queue.
+                        acc[m] = served
+                        continue
                     while served >= headway and queue:
                         served -= headway
                         v = queue.popleft()
                         hop[v] += 1
-                        if hop[v] == len(routes[v]):
+                        if hop[v] == route_lens[v]:
                             exit_time[v] = float(s + 1)
-                            self.exited_count += 1
+                            exited += 1
                         else:
-                            heapq.heappush(heap, (float(s + 1) + approach_time, self._seq, v))
-                            self._seq += 1
+                            forwarded.append((float(s + 1) + approach_time, v))
                     acc[m] = served
                     wait = ws[m]
                     while wait and len(queue) < cap:
@@ -206,7 +236,9 @@ class GridSim:
                             queue_join[v] = float(s)
                         queue.append(v)
             if on_microstep is not None:
+                self._next_entry, self.exited_count = next_entry, exited
                 on_microstep(self, s + 1)
+        self._next_entry, self.exited_count = next_entry, exited
         self.clock += cfg.decision_interval
         self.done = self.clock >= cfg.episode_length
         states, rewards = [], []
@@ -217,13 +249,8 @@ class GridSim:
             self._intervals[k].append(
                 IntervalRecord(float(self.clock), phase, reward, tuple(lens))
             )
-            states.append(
-                TrafficState(
-                    counts=np.array(lens, dtype=np.int64),
-                    signal_bits=self._phase_bits[phase].copy(),
-                    phase_index=phase,
-                )
-            )
+            counts = np.array(lens, dtype=np.int64)
+            states.append(TrafficState.trusted(counts, self._phase_bits[phase], phase))
         return states, rewards, self.done
 
     # -- observation and accounting --------------------------------------------
@@ -232,11 +259,8 @@ class GridSim:
         return np.array([len(q) for q in self._queues[k]], dtype=np.int64)
 
     def state(self, k: int) -> TrafficState:
-        return TrafficState(
-            counts=self.counts(k),
-            signal_bits=self._phase_bits[self.current[k]].copy(),
-            phase_index=self.current[k],
-        )
+        phase = self.current[k]
+        return TrafficState.trusted(self.counts(k), self._phase_bits[phase], phase)
 
     def states(self) -> list[TrafficState]:
         return [self.state(k) for k in range(self.n_intersections)]
@@ -245,9 +269,10 @@ class GridSim:
         """Vehicle accounting recomputed from the raw structures."""
         in_queue = sum(len(q) for row in self._queues for q in row)
         waiting = sum(len(w) for row in self._waiting for w in row)
-        entry_times = self._entry_times
-        on_approach = sum(1 for _, _, v in self._heap if entry_times[v] < now)
-        entered = bisect_left(self._entry_times, now)
+        entry_times, next_entry = self._entry_times, self._next_entry
+        on_approach = sum(1 for _, v in self._forwarded if entry_times[v] < now)
+        on_approach += bisect_left(entry_times, now, lo=next_entry) - next_entry
+        entered = bisect_left(entry_times, now)
         return {
             "entered": entered,
             "in_queue": in_queue,

@@ -29,6 +29,20 @@ class TrafficState:
         if self.counts.ndim != 1 or self.counts.shape != self.signal_bits.shape:
             raise ValueError("counts and signal_bits must be 1-d arrays of equal length")
 
+    @classmethod
+    def trusted(
+        cls, counts: np.ndarray, signal_bits: np.ndarray, phase_index: int
+    ) -> "TrafficState":
+        """A state from arrays the caller guarantees are 1-d int64 of equal
+        length, built without ``__post_init__``'s conversions and checks.
+
+        The simulator builds every observation this way; its ``signal_bits``
+        are read-only arrays shared between states.
+        """
+        state = object.__new__(cls)
+        state.__dict__.update(counts=counts, signal_bits=signal_bits, phase_index=phase_index)
+        return state
+
     @property
     def n_movements(self) -> int:
         return int(self.counts.shape[0])

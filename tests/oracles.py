@@ -177,3 +177,62 @@ def always_green_departures(stop_line_times: list[float], headway: float) -> lis
         n_ticks = math.ceil(n_ticks - 1e-12)
         departures.append(busy_start + n_ticks)
     return departures
+
+
+# --- flows and classical control ------------------------------------------------
+
+def movement_times_oracle(spec, movement: int, rng: np.random.Generator) -> list[float]:
+    """Arrival times of one movement, one scalar exponential draw per gap."""
+    times: list[float] = []
+    for start, end, rates in spec.segment_list():
+        rate = rates[movement]
+        if rate <= 0:
+            continue
+        if spec.process == "uniform":
+            t = start
+            while t < end - 1e-9:
+                times.append(t)
+                t += 3600.0 / rate
+        else:
+            t = start + rng.exponential(3600.0 / rate)
+            while t < end:
+                times.append(t)
+                t += rng.exponential(3600.0 / rate)
+    return times
+
+
+class SOTLOracle:
+    """The self-organizing threshold rule, one queue count at a time: after
+    ``t_min`` seconds on the current phase, switch to the phase with the
+    largest queue sum (lowest index on ties) once the queues outside the
+    current phase exceed ``theta``."""
+
+    def __init__(self, table, theta, t_min, decision_interval):
+        self.table = table
+        self.theta = theta
+        self.t_min = t_min
+        self.decision_interval = decision_interval
+        self.elapsed = 0.0
+        self.current = None
+
+    def __call__(self, state) -> int:
+        if self.current is None:
+            self.current = state.phase_index if state.phase_index >= 0 else 0
+        green = set(self.table.phases[self.current].members)
+        if self.elapsed >= self.t_min:
+            red_wait = 0
+            for m in range(len(state.counts)):
+                if m not in green:
+                    red_wait += int(state.counts[m])
+            if red_wait > self.theta:
+                best, best_sum = 0, None
+                for phase in self.table.phases:
+                    total = sum(int(state.counts[m]) for m in phase.members)
+                    if best_sum is None or total > best_sum:
+                        best, best_sum = phase.index, total
+                if best != self.current:
+                    self.current = best
+                    self.elapsed = self.decision_interval
+                    return best
+        self.elapsed += self.decision_interval
+        return self.current

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phaselab as pl
 from phaselab.classical import (
@@ -12,6 +14,8 @@ from phaselab.classical import (
     webster_plan,
 )
 from phaselab.flows import FlowSynthesisSpec, synthesize_flow
+
+from oracles import SOTLOracle
 
 
 class TestFixedTime:
@@ -190,6 +194,29 @@ class TestSOTL:
         counts[4] = 3
         s = self._state(table4, counts, 0)
         assert [ctrl(s) for _ in range(4)] == [0] * 4
+
+    @given(
+        data=st.data(),
+        theta=st.floats(0.5, 30.0),
+        intervals=st.integers(1, 4),
+        start_phase=st.integers(-1, 7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_match_oracle(self, table4, data, theta, intervals, start_phase):
+        # counts from sparse to near capacity, so the threshold is crossed
+        # both ways; the reported phase only seeds the first decision
+        t_min = 10.0 * intervals
+        ctrl = SOTLController(table4, theta=theta, t_min=t_min, decision_interval=10.0)
+        oracle = SOTLOracle(table4, theta=theta, t_min=t_min, decision_interval=10.0)
+        rows = data.draw(st.lists(
+            st.tuples(st.lists(st.integers(0, 12), min_size=8, max_size=8), st.integers(0, 7)),
+            min_size=1, max_size=30,
+        ))
+        for i, (counts, phase) in enumerate(rows):
+            phase = start_phase if i == 0 else phase
+            bits = table4.phases[phase].bits if phase >= 0 else (0,) * 8
+            state = pl.TrafficState(np.array(counts), np.array(bits), phase)
+            assert ctrl(state) == oracle(state)
 
     def test_validation(self, table4):
         with pytest.raises(ValueError):

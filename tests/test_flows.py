@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phaselab as pl
+from phaselab import flows
 from phaselab.flows import (
     BENCHMARK_FLOW_NAMES,
     FlowEvent,
@@ -15,6 +18,19 @@ from phaselab.flows import (
     write_flow_csv,
 )
 from phaselab.topology import find_op
+
+from oracles import movement_times_oracle
+
+
+def assert_draws_match_scalar_loop(spec, seed):
+    """Each movement's times, and the generator left behind, equal the
+    one-draw-per-gap loop's, movement after movement on one generator."""
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for movement in range(len(spec.rates)):
+        assert flows._movement_times(spec, movement, fast) == movement_times_oracle(
+            spec, movement, slow
+        )
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestCsv:
@@ -62,6 +78,19 @@ class TestCsv:
         path.write_text("vehicle_id,entry_time,route\n0,1.0,0:2\n1,zzz,0:1\n")
         with pytest.raises(ValueError, match=":3"):
             parse_flow_csv(path)
+
+    def test_validated_flow_still_rejects_tighter_bounds(self):
+        flow = FlowSchedule(
+            events=(FlowEvent(0, 0.0, ((0, 3),)), FlowEvent(1, 1.0, ((0, 2), (1, 7))))
+        )
+        flow.validate(8, 2)
+        with pytest.raises(ValueError, match="vehicle 1: unknown movement id 7"):
+            flow.validate(4, 2)
+        with pytest.raises(ValueError, match="vehicle 1: unknown intersection 1"):
+            flow.validate(8, 1)
+        with pytest.raises(ValueError, match="vehicle 0: unknown intersection 0"):
+            flow.validate(8, 0)
+        FlowSchedule(events=()).validate(8, 0)
 
     def test_unknown_movement_rejected(self, tmp_path):
         path = tmp_path / "flow.csv"
@@ -135,6 +164,41 @@ class TestSynthesis:
         flip = find_op(table4, "flip")
         for m in range(8):
             assert am.rates[m] == pm.rates[int(flip.movement_perm[m])]
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("name", BENCHMARK_FLOW_NAMES)
+    def test_named_flows_match_scalar_loop(self, name):
+        for seed in range(5):
+            assert_draws_match_scalar_loop(benchmark_flow_spec(name), seed)
+
+    def test_segmented_spec_matches_scalar_loop(self):
+        spec = FlowSynthesisSpec(
+            rates=(360.0,) * 8,
+            duration=900.0,
+            segments=(
+                (300.0, (600.0, 0.0, 120.0, 30.0, 360.0, 5.0, 900.0, 60.0)),
+                (0.0, (360.0,) * 8),
+                (600.0, (60.0, 240.0, 0.0, 1800.0, 360.0, 0.5, 90.0, 360.0)),
+            ),
+        )
+        for seed in range(5):
+            assert_draws_match_scalar_loop(spec, seed)
+
+    def test_blocks_that_fall_short_are_extended(self, monkeypatch):
+        monkeypatch.setattr(flows, "_gap_block", lambda expected: 3)
+        for seed in range(3):
+            assert_draws_match_scalar_loop(benchmark_flow_spec("unbalanced-WE"), seed)
+
+    @given(
+        rates=st.lists(st.floats(0.0, 4000.0), min_size=1, max_size=4),
+        duration=st.floats(0.5, 2000.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_specs_match_scalar_loop(self, rates, duration, seed):
+        spec = FlowSynthesisSpec(rates=tuple(rates), duration=duration)
+        assert_draws_match_scalar_loop(spec, seed)
 
 
 class TestGridSynthesis:
