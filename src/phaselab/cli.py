@@ -25,10 +25,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", default=None, help="override output directory")
-    p.add_argument(
-        "--sync", action="store_true",
-        help="kept for old scripts: training is always synchronous and deterministic",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,10 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    out = {"seed": args.seed, "out_dir": args.out}
-    if args.sync:
-        out["train.sync"] = True
-    return out
+    return {"seed": args.seed, "out_dir": args.out}
 
 
 def main(argv: list[str] | None = None) -> int:

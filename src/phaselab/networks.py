@@ -15,11 +15,12 @@ the intersection by any symmetry op permutes the Q-vector by the induced
 phase permutation. The flat baseline below has no such structure and serves
 as the negative control.
 
-Both networks are fused kernels: ``forward`` computes the Q-values in plain
-numpy and, given a tape, records one node whose inputs are the parameter
-tensors (in ``params`` order) and whose VJP is the network's hand-derived
-backward pass. ``q_values`` scores one state from the constants ``prepare``
-builds once per parameter set; its output is bitwise row 0 of ``forward``.
+Both networks are fused kernels over plain parameter arrays: ``forward``
+computes the Q-values in numpy and, with ``vjp=True``, also returns the
+network's hand-derived backward pass, a map from the gradient of Q to the
+gradient of each named parameter. ``q_values`` scores one state from the
+constants ``prepare`` builds once per parameter set; its output is bitwise
+row 0 of ``forward``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
-
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Tape, Tensor
+from .numerics import Params, Vjp
 from .state import TrafficState
 from .topology import PhaseTable
 
@@ -99,19 +99,18 @@ def _selector(index: np.ndarray, n: int) -> np.ndarray:
 
 class Prepared:
     """Constants of one parameter set for single-state Q (see ``prepare``):
-    ``p``, the parameter arrays by name; for FRAP also ``w_rel``, the
+    ``params``, the parameter arrays by name; for FRAP also ``w_rel``, the
     relation branch's weights, and ``table``, the movement-demand table,
     whose row 2c + b is the demand of a movement with count c and signal
     bit b. The table grows as larger counts arrive."""
 
-    def __init__(self, params: dict[str, Tensor]):
+    def __init__(self, params: Params):
         self.params = params
-        self.p = {k: t.data for k, t in params.items()}
         self.w_rel: np.ndarray | None = None
         self.table: np.ndarray | None = None
 
 
-def _prepared_for(network, params: dict[str, Tensor], prepared: Prepared | None) -> Prepared:
+def _prepared_for(network, params: Params, prepared: Prepared | None) -> Prepared:
     if prepared is None:
         return network.prepare(params)
     if prepared.params is not params:
@@ -164,7 +163,7 @@ class FrapNetwork:
     def n_actions(self) -> int:
         return self.table.n_phases
 
-    def init_params(self, seed: int) -> dict[str, Tensor]:
+    def init_params(self, seed: int) -> Params:
         rng = np.random.default_rng(seed)
         cfg = self.config
 
@@ -189,7 +188,7 @@ class FrapNetwork:
             d_in = r_in = cfg.conv_channels
         params["w_out"] = dense(cfg.conv_channels, 1)
         params["b_out"] = np.zeros(1)
-        return {k: Tensor(v) for k, v in params.items()}
+        return params
 
     def _demand(self, p: dict[str, np.ndarray], xv: np.ndarray, xs: np.ndarray):
         """(h, d) of movement rows with scaled counts xv [N, 1] and signal bits
@@ -217,15 +216,15 @@ class FrapNetwork:
             hr.append(_relu_rows(hr[-1], p[f"w_r{k}"], p[f"b_r{k}"]))
         return hr, hr[-1] * p["w_out"][:, 0]
 
-    def movement_demand(self, params: dict[str, Tensor], counts, bits) -> Tensor:
+    def movement_demand(self, params: Params, counts, bits) -> np.ndarray:
         """Per-movement demand vectors, shape [B, M, demand_dim]."""
-        d = self._movement_rows({k: t.data for k, t in params.items()}, counts, bits)[3]
-        return Tensor._wrap(d.reshape(self.table.n_movements, -1, d.shape[1]).transpose(1, 0, 2))
+        d = self._movement_rows(params, counts, bits)[3]
+        return d.reshape(self.table.n_movements, -1, d.shape[1]).transpose(1, 0, 2)
 
-    def phase_demand(self, movement_demands: Tensor) -> Tensor:
+    def phase_demand(self, movement_demands: np.ndarray) -> np.ndarray:
         """Sum the two member demands of every phase: [B, M, .] -> [B, P, .]."""
-        d = movement_demands.data
-        return Tensor._wrap(d[:, self.members[:, 0]] + d[:, self.members[:, 1]])
+        m = self.members
+        return movement_demands[:, m[:, 0]] + movement_demands[:, m[:, 1]]
 
     def _pair_stage(self, p: dict[str, np.ndarray], dp: np.ndarray, batch: int, w_rel: np.ndarray):
         """(q, hd, scores): Q [B, P] from phase demands dp [P*B, D] (rows
@@ -262,10 +261,13 @@ class FrapNetwork:
         q = np.add.reduce(np.sort(kept.transpose(0, 2, 1), axis=2), axis=2).T  # [B, P]
         return q, hd, scores
 
-    def forward(self, params: dict[str, Tensor], counts, bits, tape: Tape | None = None) -> Tensor:
-        """Q-values for a batch of states, shape [B, P]; one tape node."""
+    def forward(
+        self, params: Params, counts, bits, vjp: bool = False
+    ) -> np.ndarray | tuple[np.ndarray, Vjp]:
+        """Q-values for a batch of states, shape [B, P]; with ``vjp``, the
+        pair (Q, VJP) of Q and its backward pass."""
         cfg = self.config
-        p = {k: t.data for k, t in params.items()}
+        p = params
         n_ph, n_dem, n_ch = self.table.n_phases, cfg.demand_dim, cfg.conv_channels
         opponents, relation = self.opponents, self.pair_relation
         xv, xs, h, d = self._movement_rows(p, counts, bits)
@@ -277,10 +279,8 @@ class FrapNetwork:
         w0 = p["w_d0"]
         n_cells = relation.size
 
-        names = tuple(params)
-
-        def grads_of(gq: np.ndarray) -> tuple[np.ndarray, ...]:
-            g: dict[str, np.ndarray] = {}
+        def grads_of(gq: np.ndarray) -> Params:
+            g: Params = {}
             gs = np.broadcast_to(gq.T[:, None, :], scores.shape)  # [P, P-1, B]
             if cfg.output_relu:
                 gs = gs * (scores > 0.0)
@@ -330,18 +330,15 @@ class FrapNetwork:
             n_hid = cfg.movement_hidden
             for br, x, c in (("v", xv, slice(None, n_hid)), ("s", xs, slice(n_hid, None))):
                 _, g[f"w_{br}"], g[f"b_{br}"] = _relu_grads(g_h[:, c], x, h[:, c], p[f"w_{br}"])
-            return tuple(g[n] for n in names)
+            return g
 
-        q = Tensor._wrap(q)
-        if tape is not None:
-            tape.record(q, tuple(params.values()), grads_of)
-        return q
+        return (q, grads_of) if vjp else q
 
-    def prepare(self, params: dict[str, Tensor]) -> Prepared:
+    def prepare(self, params: Params) -> Prepared:
         """Single-state constants of ``params``: the relation weights and an
         empty movement-demand table."""
         prepared = Prepared(params)
-        prepared.w_rel = self._relation_rows(prepared.p)[1]
+        prepared.w_rel = self._relation_rows(params)[1]
         prepared.table = np.empty((0, self.config.demand_dim))
         return prepared
 
@@ -355,12 +352,12 @@ class FrapNetwork:
         if top >= have:
             counts = np.repeat(np.arange(have, top + 1, dtype=np.float64), 2)[:, None]
             bits = np.tile([0.0, 1.0], top + 1 - have)[:, None]
-            new = self._demand(prepared.p, counts / self.config.norm_capacity, bits)[1]
+            new = self._demand(prepared.params, counts / self.config.norm_capacity, bits)[1]
             table = prepared.table = np.concatenate([table, new])
         return table
 
     def q_values(
-        self, params: dict[str, Tensor], state: TrafficState, prepared: Prepared | None = None
+        self, params: Params, state: TrafficState, prepared: Prepared | None = None
     ) -> np.ndarray:
         """Q-values of one state, shape [P]: bitwise row 0 of ``forward`` on
         it. The 8 movement demands come from the demand table of
@@ -377,7 +374,7 @@ class FrapNetwork:
         member = table.take((2 * counts + bits)[self._member_rows], axis=0)
         n_ph = self.table.n_phases
         dp = member[:n_ph] + member[n_ph:]  # [P, D]
-        return self._pair_stage(prepared.p, dp, 1, prepared.w_rel)[0][0]
+        return self._pair_stage(prepared.params, dp, 1, prepared.w_rel)[0][0]
 
 
 class VanillaNetwork:
@@ -391,16 +388,16 @@ class VanillaNetwork:
     def n_actions(self) -> int:
         return self.table.n_phases
 
-    def init_params(self, seed: int) -> dict[str, Tensor]:
+    def init_params(self, seed: int) -> Params:
         rng = np.random.default_rng(seed)
         sizes = (2 * self.table.n_movements, *self.config.hidden, self.table.n_phases)
         params: dict[str, np.ndarray] = {}
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             params[f"w{i}"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
             params[f"b{i}"] = np.zeros(fan_out)
-        return {k: Tensor(v) for k, v in params.items()}
+        return params
 
-    def prepare(self, params: dict[str, Tensor]) -> Prepared:
+    def prepare(self, params: Params) -> Prepared:
         """Single-state constants of ``params``: its arrays by name."""
         return Prepared(params)
 
@@ -413,33 +410,30 @@ class VanillaNetwork:
             hs.append(_relu_rows(hs[-1], p[f"w{i}"], p[f"b{i}"]))
         return hs, _rows_at(hs[-1], p[f"w{n_layers}"]) + p[f"b{n_layers}"]
 
-    def forward(self, params: dict[str, Tensor], counts, bits, tape: Tape | None = None) -> Tensor:
-        """Q-values for a batch of states, shape [B, P]; one tape node."""
-        p = {k: t.data for k, t in params.items()}
+    def forward(
+        self, params: Params, counts, bits, vjp: bool = False
+    ) -> np.ndarray | tuple[np.ndarray, Vjp]:
+        """Q-values for a batch of states, shape [B, P]; with ``vjp``, the
+        pair (Q, VJP) of Q and its backward pass."""
         n_layers = len(self.config.hidden)
-        hs, q = self._layers(p, counts, bits)
+        hs, q = self._layers(params, counts, bits)
 
-        names = tuple(params)
-
-        def grads_of(g_out: np.ndarray) -> tuple[np.ndarray, ...]:
-            grads: dict[str, np.ndarray] = {}
+        def grads_of(g_out: np.ndarray) -> Params:
+            grads: Params = {}
             for i in reversed(range(n_layers + 1)):
                 grads[f"w{i}"] = hs[i].T @ g_out
                 grads[f"b{i}"] = g_out.sum(axis=0)
                 if i:
-                    g_out = (g_out @ p[f"w{i}"].T) * (hs[i] > 0.0)
-            return tuple(grads[n] for n in names)
+                    g_out = (g_out @ params[f"w{i}"].T) * (hs[i] > 0.0)
+            return grads
 
-        q = Tensor._wrap(q)
-        if tape is not None:
-            tape.record(q, tuple(params.values()), grads_of)
-        return q
+        return (q, grads_of) if vjp else q
 
     def q_values(
-        self, params: dict[str, Tensor], state: TrafficState, prepared: Prepared | None = None
+        self, params: Params, state: TrafficState, prepared: Prepared | None = None
     ) -> np.ndarray:
         """Q-values of one state, shape [P]: bitwise row 0 of ``forward`` on it."""
-        p = _prepared_for(self, params, prepared).p
+        p = _prepared_for(self, params, prepared).params
         return self._layers(p, state.counts, state.signal_bits)[1][0]
 
 
@@ -453,7 +447,7 @@ def build_network(kind: str, table: PhaseTable, config=None):
 
 # --- checkpoints with a self-describing sidecar -------------------------------
 
-def save_checkpoint(path: str | Path, kind: str, network, params: dict[str, Tensor]) -> Path:
+def save_checkpoint(path: str | Path, kind: str, network, params: Params) -> Path:
     """Write arrays (.bin + .json manifest) and a .meta.json model sidecar,
     each to a temporary name first, then renamed over the previous files."""
     path = Path(path)
@@ -465,7 +459,7 @@ def save_checkpoint(path: str | Path, kind: str, network, params: dict[str, Tens
     }
     if isinstance(network.config, VanillaConfig):
         meta["config"]["hidden"] = list(network.config.hidden)
-    files = nm.array_files(path, {k: t.data for k, t in params.items()})
+    files = nm.array_files(path, params)
     files[path.with_suffix(".meta.json")] = json.dumps(meta, indent=2, sort_keys=True).encode()
     nm.write_files(files)
     return path
@@ -492,7 +486,7 @@ def load_checkpoint(path: str | Path, table: PhaseTable):
         raise ValueError(f"unknown checkpoint kind {kind!r}")
     network = build_network(kind, table, config)
     arrays = nm.load_arrays(path)
-    expected = {k: t.shape for k, t in network.init_params(0).items()}
+    expected = {k: a.shape for k, a in network.init_params(0).items()}
     for name in sorted(expected.keys() | arrays.keys()):
         if name not in arrays:
             raise ValueError(f"checkpoint {path} lacks array {name!r}")
@@ -503,5 +497,4 @@ def load_checkpoint(path: str | Path, table: PhaseTable):
                 f"checkpoint {path}: array {name!r} has shape {arrays[name].shape}, "
                 f"its {kind} network expects {expected[name]}"
             )
-    params = {k: Tensor(v) for k, v in arrays.items()}
-    return kind, network, params
+    return kind, network, arrays

@@ -1,16 +1,13 @@
-"""Dense float64 tensors, a node tape, the Huber loss, Adam and checkpoints.
+"""The learner's backward pass, Adam and checkpoints.
 
-The Q-networks are fused kernels (see ``networks``): each forward computes
-its output in plain numpy and, given a :class:`Tape`, records one node whose
-inputs are the parameter tensors and whose VJP is the network's hand-derived
-backward pass. The masked Huber loss records a second node on top.
-``backward`` walks the nodes once in reverse, accumulating gradients by
-tensor identity, and returns them keyed by parameter name. So a learner step
-is two nodes, not one node per primitive op.
+Parameters are plain ``dict[str, np.ndarray]``. The Q-networks are fused
+kernels (see ``networks``): asked for it, a forward returns its hand-derived
+VJP next to Q. ``backward`` puts the learner's weighted Huber loss on top of
+that VJP, so one call is the whole backward pass of a learner step.
 
-Tensors are immutable values: nodes never mutate their inputs and always
-allocate fresh output arrays. A tape is confined to a single forward/backward
-pass on one thread.
+Nothing here mutates its inputs: ``backward`` and ``adam_update`` always
+allocate fresh arrays. Actors and greedy policies share parameter arrays
+with learner snapshots, so that is what keeps them consistent.
 """
 
 from __future__ import annotations
@@ -22,107 +19,37 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-
-class Tensor:
-    """Immutable float64 array value."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        self.data = np.array(data, dtype=np.float64)
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        out = object.__new__(cls)
-        out.data = arr
-        return out
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape})"
+Params = dict[str, np.ndarray]
+Vjp = Callable[[np.ndarray], Params]  # gradient of Q [B, P] -> gradient per parameter
 
 
-@dataclass(frozen=True, eq=False)
-class _Node:
-    out: Tensor
-    inputs: tuple[Tensor, ...]
-    vjp: Callable[[np.ndarray], tuple]
+def backward(
+    vjp: Vjp,
+    q: np.ndarray,
+    actions: np.ndarray,
+    targets: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[float, Params]:
+    """(loss, grads) of the weighted Huber loss (delta 1) of a batch.
 
-
-class Tape:
-    """Ordered record of node applications for one forward pass."""
-
-    def __init__(self) -> None:
-        self._nodes: list[_Node] = []
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-        """Append a node: ``vjp(g_out)`` returns one gradient (or None) per input."""
-        self._nodes.append(_Node(out=out, inputs=inputs, vjp=vjp))
-
-
-def huber_loss(
-    pred: Tensor,
-    target: Tensor,
-    mask: Tensor,
-    delta: float = 1.0,
-    tape: Tape | None = None,
-) -> Tensor:
-    """Masked Huber loss, averaged over the leading (batch) axis.
-
-    ``loss = sum(mask * H_delta(pred - target)) / pred.shape[0]`` where the
-    mask both selects entries and carries any per-item weights. All three
-    tensors have the same shape.
+    ``q`` [B, P] is a forward's output and ``vjp`` the map it returned from
+    d loss / d Q to the gradient of each named parameter. Row i contributes
+    ``weights[i] * H(q[i, actions[i]] - targets[i])``; the loss is the mean
+    over the B rows.
     """
-    if delta <= 0:
-        raise ValueError("huber_loss: delta must be positive")
-    if target.shape != pred.shape or mask.shape != pred.shape:
+    batch = q.shape[0]
+    if actions.shape != (batch,) or targets.shape != (batch,) or weights.shape != (batch,):
         raise ValueError(
-            f"huber_loss: pred{pred.shape}, target{target.shape} and mask{mask.shape} differ"
+            f"backward: q{q.shape} needs actions, targets and weights of shape ({batch},), "
+            f"got {actions.shape}, {targets.shape} and {weights.shape}"
         )
-    r = pred.data - target.data
+    rows = np.arange(batch)
+    r = q[rows, actions] - targets
     absr = np.abs(r)
-    h = np.where(absr <= delta, 0.5 * r * r, delta * (absr - 0.5 * delta))
-    batch = pred.data.shape[0]
-    out = Tensor._wrap(np.asarray((mask.data * h).sum() / batch))
-    if tape is not None:
-        def vjp(g: np.ndarray):
-            scale = float(g) / batch
-            dr = np.clip(r, -delta, delta) * mask.data * scale
-            return dr, -dr, h * scale
-
-        tape.record(out, (pred, target, mask), vjp)
-    return out
-
-
-def backward(tape: Tape, loss: Tensor, wrt: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradients of a scalar ``loss`` recorded on ``tape`` for each named tensor.
-
-    Tensors not reachable from the loss get zero gradients.
-    """
-    if loss.data.size != 1:
-        raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-    if not any(node.out is loss for node in tape._nodes):
-        raise ValueError("loss was not produced on this tape")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape._nodes):
-        g_out = grads.pop(id(node.out), None)
-        if g_out is None:
-            continue
-        for tensor, g_in in zip(node.inputs, node.vjp(g_out)):
-            if g_in is None:
-                continue
-            acc = grads.get(id(tensor))
-            grads[id(tensor)] = g_in if acc is None else acc + g_in
-    return {
-        name: grads.get(id(t), np.zeros_like(t.data)).reshape(t.data.shape)
-        for name, t in wrt.items()
-    }
+    h = np.where(absr <= 1.0, 0.5 * r * r, absr - 0.5)
+    g_q = np.zeros_like(q)
+    g_q[rows, actions] = np.clip(r, -1.0, 1.0) * weights * (1.0 / batch)
+    return float((weights * h).sum() / batch), vjp(g_q)
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -130,7 +57,7 @@ def backward(tape: Tape, loss: Tensor, wrt: Mapping[str, Tensor]) -> dict[str, n
 @dataclass
 class AdamState:
     """Step count and the first/second moments, one flat vector each, laid
-    out like the parameters: in ``params`` order, each tensor raveled."""
+    out like the parameters: in ``params`` order, each array raveled."""
 
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -141,33 +68,32 @@ def _flat(arrays: Iterable[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.ravel(a) for a in arrays])
 
 
-def _views(flat: np.ndarray, like: Mapping[str, Tensor]) -> dict[str, Tensor]:
-    """Named views into ``flat``, laid out and shaped like ``like``'s tensors."""
-    out: dict[str, Tensor] = {}
+def _views(flat: np.ndarray, like: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Named views into ``flat``, laid out and shaped like ``like``'s arrays."""
+    out: dict[str, np.ndarray] = {}
     offset = 0
-    for name, t in like.items():
-        size = t.data.size
-        out[name] = Tensor._wrap(flat[offset : offset + size].reshape(t.data.shape))
-        offset += size
+    for name, a in like.items():
+        out[name] = flat[offset : offset + a.size].reshape(a.shape)
+        offset += a.size
     return out
 
 
-def adam_init(params: Mapping[str, Tensor]) -> AdamState:
-    size = sum(t.data.size for t in params.values())
+def adam_init(params: Mapping[str, np.ndarray]) -> AdamState:
+    size = sum(a.size for a in params.values())
     return AdamState(step=0, m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_update(
-    params: Mapping[str, Tensor],
+    params: Mapping[str, np.ndarray],
     grads: Mapping[str, np.ndarray],
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> dict[str, Tensor]:
+) -> dict[str, np.ndarray]:
     """One Adam step with bias correction on the flat parameter vector;
-    returns fresh parameter tensors, views into one new flat vector.
+    returns fresh parameter arrays, views into one new flat vector.
 
     A non-finite gradient raises before the state changes."""
     if set(params) != set(grads):
@@ -182,7 +108,7 @@ def adam_update(
     state.v = beta2 * state.v + (1.0 - beta2) * g * g
     m_hat = state.m / (1.0 - beta1**t)
     v_hat = state.v / (1.0 - beta2**t)
-    theta = _flat(x.data for x in params.values())
+    theta = _flat(params.values())
     return _views(theta - lr * m_hat / (np.sqrt(v_hat) + eps), params)
 
 

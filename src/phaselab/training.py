@@ -2,8 +2,8 @@
 
 N actors run epsilon-greedy episodes on private K-intersection simulators and
 push transitions into a sink; each intersection has one learner that stores
-its share in a prioritized buffer, samples batches, applies Adam on a masked
-Huber loss, and periodically syncs the target network and publishes
+its share in a prioritized buffer, samples batches, applies Adam on an
+importance-weighted Huber loss, and periodically syncs the target network and publishes
 parameter snapshots the actors pick up. A single intersection is the K = 1
 case.
 
@@ -11,7 +11,9 @@ Training runs on one thread on a fixed schedule and is bit-reproducible:
 each round, all actors decide in lockstep (one batched forward per
 intersection), then every learner steps once. Replay keeps transitions as
 rows of arrays, so a learner step gathers its batch with one index per
-array."""
+array. Parameters are plain arrays by name, and every snapshot is a copy.
+A learner step runs the online forward with its VJP and hands both to
+``numerics.backward``, which returns the loss and the gradients."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .numerics import Tensor
+from .numerics import Params
 from .replay import PrioritizedReplayBuffer
 from .simulator import GridSim
 from .state import TrafficState
@@ -133,7 +135,9 @@ class TrainConfig:
     warmup_transitions: int = 500
     eval_period: int = 500
     snapshot_period: int = 10  # actor decisions between snapshot refreshes
-    sync: bool = True  # the only schedule; False is rejected by train()
+    # The only schedule; False is rejected by train(). Kept because callers
+    # such as the benchmark's workloads still pass sync=True.
+    sync: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma < 1.0:
@@ -171,8 +175,8 @@ class TrainConfig:
 def td_targets(
     batch: Batch,
     network,
-    online_params: dict[str, Tensor],
-    target_params: dict[str, Tensor],
+    online_params: Params,
+    target_params: Params,
     gamma: float,
     double_dqn: bool,
 ) -> np.ndarray:
@@ -181,9 +185,9 @@ def td_targets(
     target = r for terminal transitions, else r + gamma * Q_target(s', a*),
     where a* is the online argmax (double-DQN) or the target argmax.
     """
-    q_target_next = network.forward(target_params, batch.next_counts, batch.next_bits).data
+    q_target_next = network.forward(target_params, batch.next_counts, batch.next_bits)
     if double_dqn:
-        q_online_next = network.forward(online_params, batch.next_counts, batch.next_bits).data
+        q_online_next = network.forward(online_params, batch.next_counts, batch.next_bits)
         best = np.argmax(q_online_next, axis=1)
     else:
         best = np.argmax(q_target_next, axis=1)
@@ -194,15 +198,15 @@ def td_targets(
 def bellman_targets(
     batch: Sequence[Transition],
     network,
-    online_params: dict[str, Tensor],
-    target_params: dict[str, Tensor],
+    online_params: Params,
+    target_params: Params,
     gamma: float,
     double_dqn: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-item TD targets (see :func:`td_targets`) and TD errors."""
     rows = stack_transitions(batch)
     targets = td_targets(rows, network, online_params, target_params, gamma, double_dqn)
-    q_now = network.forward(online_params, rows.counts, rows.bits).data
+    q_now = network.forward(online_params, rows.counts, rows.bits)
     return targets, targets - q_now[np.arange(len(batch)), rows.action]
 
 
@@ -212,7 +216,7 @@ class Learner:
     def __init__(
         self,
         network,
-        params: dict[str, Tensor],
+        params: Params,
         config: TrainConfig,
         buffer: TransitionReplay,
         rng: np.random.Generator,
@@ -222,12 +226,12 @@ class Learner:
         self.buffer = buffer
         self.rng = rng
         self.online = dict(params)
-        self.target = {k: Tensor(t.data) for k, t in params.items()}
+        self.target = self.snapshot()
         self.adam = nm.adam_init(self.online)
         self.step_count = 0
 
-    def snapshot(self) -> dict[str, Tensor]:
-        return {k: Tensor(t.data) for k, t in self.online.items()}
+    def snapshot(self) -> Params:
+        return {k: v.copy() for k, v in self.online.items()}
 
     def step(self) -> float:
         cfg = self.config
@@ -237,30 +241,23 @@ class Learner:
         targets = td_targets(
             batch, self.network, self.online, self.target, cfg.gamma, cfg.double_dqn
         )
-        tape = nm.Tape()
-        q_pred = self.network.forward(self.online, batch.counts, batch.bits, tape)
-        n, n_actions = q_pred.data.shape
-        rows = np.arange(n)
-        td_errors = targets - q_pred.data[rows, batch.action]
-        mask = np.zeros((n, n_actions))
-        mask[rows, batch.action] = weights
-        target_mat = np.broadcast_to(targets[:, None], (n, n_actions))
-        loss = nm.huber_loss(q_pred, Tensor(target_mat), Tensor(mask), delta=1.0, tape=tape)
-        grads = nm.backward(tape, loss, self.online)
+        q, vjp = self.network.forward(self.online, batch.counts, batch.bits, vjp=True)
+        loss, grads = nm.backward(vjp, q, batch.action, targets, weights)
+        td_errors = targets - q[np.arange(len(q)), batch.action]
         self.online = nm.adam_update(
             self.online, grads, self.adam, lr=cfg.learning_rate(self.step_count)
         )
         self.buffer.update_priorities(indices, np.abs(td_errors) + cfg.priority_eps)
         self.step_count += 1
         if self.step_count % cfg.target_sync == 0:
-            self.target = {k: Tensor(t.data) for k, t in self.online.items()}
-        return float(loss.data)
+            self.target = self.snapshot()
+        return loss
 
 
 class EpsilonGreedyPolicy:
     """Epsilon-greedy over the Q-values of a (refreshable) parameter snapshot."""
 
-    def __init__(self, network, params: dict[str, Tensor], epsilon: float, rng: np.random.Generator):
+    def __init__(self, network, params: Params, epsilon: float, rng: np.random.Generator):
         self.network = network
         self.params = params
         self.epsilon = epsilon
@@ -290,7 +287,7 @@ class GreedyPolicy:
     action memo, which holds one entry per distinct state seen.
     """
 
-    def __init__(self, network, params: dict[str, Tensor]):
+    def __init__(self, network, params: Params):
         self.network = network
         self.params = params
         table = network.table
@@ -309,11 +306,11 @@ class GreedyPolicy:
                 self._members.append((i, j))
 
     @property
-    def params(self) -> dict[str, Tensor]:
+    def params(self) -> Params:
         return self._params
 
     @params.setter
-    def params(self, params: dict[str, Tensor]) -> None:
+    def params(self, params: Params) -> None:
         """New parameters: prepare their single-state constants, drop the memo."""
         self._params = params
         self._prepared = self.network.prepare(params)
@@ -363,7 +360,7 @@ class Actor:
         network,
         epsilon: float,
         env_factory: Callable[[int, int], GridSim],
-        snapshot_fn: Callable[[], list[dict[str, Tensor]]],
+        snapshot_fn: Callable[[], list[Params]],
         sink: Callable[[list[Transition]], None],
         seed: int,
         snapshot_period: int = 10,
@@ -420,7 +417,7 @@ def decision_round(actors: Sequence[Actor]) -> None:
     gives the same actions, transitions and rng states as the actors
     deciding one at a time.
     """
-    fresh: dict[Callable, list[dict[str, Tensor]]] = {}
+    fresh: dict[Callable, list[Params]] = {}
     for actor in actors:
         if actor._sim is None:
             actor._sim = actor.env_factory(actor.actor_id, actor.episode)
@@ -440,7 +437,7 @@ def decision_round(actors: Sequence[Actor]) -> None:
         q_by_intersection.append(np.concatenate([
             policy.network.forward(
                 policy.params, counts[i : i + ROUND_BLOCK], bits[i : i + ROUND_BLOCK]
-            ).data
+            )
             for i in range(0, len(actors), ROUND_BLOCK)
         ]))
     for i, actor in enumerate(actors):
@@ -480,19 +477,19 @@ class TrainResult:
     intersection; ``best_params`` and ``final_params`` are the single set of a
     one-intersection run."""
 
-    best: list[dict[str, Tensor]]
+    best: list[Params]
     best_travel_time: float
     best_step: int
     curve: list[CurvePoint] = field(default_factory=list)
-    final: list[dict[str, Tensor]] = field(default_factory=list)
+    final: list[Params] = field(default_factory=list)
 
     @property
-    def best_params(self) -> dict[str, Tensor]:
+    def best_params(self) -> Params:
         (params,) = self.best
         return params
 
     @property
-    def final_params(self) -> dict[str, Tensor]:
+    def final_params(self) -> Params:
         (params,) = self.final
         return params
 
@@ -586,7 +583,7 @@ def _train_sync(network, config, env_factory, learners, evaluate, seed) -> None:
     """Lockstep rounds of every actor, each followed by one step of every
     learner once the buffers hold the warm-up."""
 
-    def snapshot_fn() -> list[dict[str, Tensor]]:
+    def snapshot_fn() -> list[Params]:
         return [l.snapshot() for l in learners]
 
     def sink(transitions: list[Transition]) -> None:

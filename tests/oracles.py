@@ -90,7 +90,7 @@ def vanilla_reference(counts, bits, table, params, config) -> np.ndarray:
 # --- differentiation -------------------------------------------------------------
 
 def finite_difference_grads(f, params, eps: float = 1e-3) -> dict[str, np.ndarray]:
-    """Central finite differences of a scalar function of named tensors.
+    """Central finite differences of a scalar function of named arrays.
 
     ``f`` is called with a dict of plain float64 arrays and must return a float.
     """

@@ -298,7 +298,7 @@ class TestCli:
                 }
             )
         )
-        rc = cli_main(["train", "--config", str(config_path), "--sync"])
+        rc = cli_main(["train", "--config", str(config_path)])
         assert rc == 0
         ckpt = str(tmp_path / "out" / "ckpt.bin")
         assert cli_main(["eval", "--config", str(config_path), "--checkpoint", ckpt]) == 0
@@ -326,21 +326,6 @@ class TestCli:
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))
         assert cli_main(["eval", "--config", str(good), "--checkpoint", "/nonexistent.bin"]) == 1
-
-    def test_train_without_sync_flag_matches_sync(self, tmp_path):
-        # Training used to default to the threaded schedule, whose output
-        # varied run to run; every run now trains on the synchronous one.
-        config = tiny_config(tmp_path, train={"n_actors": 2})
-        data = harness.config_to_dict(config)
-        del data["train"]["sync"]
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(data))
-        outputs = []
-        for name, flags in (("plain", []), ("sync", ["--sync"])):
-            out = tmp_path / name
-            assert cli_main(["train", "--config", str(config_path), "--out", str(out), *flags]) == 0
-            outputs.append([(out / f).read_bytes() for f in ("ckpt.bin", "curve.csv")])
-        assert outputs[0] == outputs[1]
 
     def test_compare_requires_checkpoint_for_rl(self, tmp_path):
         cfg = tiny_config(tmp_path)

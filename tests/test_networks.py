@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import phaselab as pl
-import phaselab.numerics as nm
 from phaselab.networks import (
     FrapConfig,
     FrapNetwork,
@@ -15,8 +14,6 @@ from phaselab.networks import (
     load_checkpoint,
     save_checkpoint,
 )
-from phaselab.numerics import Tape, Tensor
-
 from conftest import random_state
 from oracles import (
     finite_difference_grads_filtered,
@@ -40,60 +37,56 @@ def _random_batch(table, rng, batch):
 
 
 def _check_full_graph_gradient(net, table, seed, trials=3):
-    """Backward of ``net`` against central differences, for every parameter.
+    """The VJP of ``net`` against central differences, for every parameter.
 
-    The scalar is a Huber loss in its linear region (targets sit 50 away from
-    Q, far beyond delta = 1), so it weights each Q-value by a fixed random
-    factor. Zero-initialised biases leave ReLU inputs exactly at the kink,
-    where central differences are invalid; perturb all parameters first.
+    The scalar is sum(G * Q) for a fixed random G [B, P], whose gradient is
+    the VJP of G: every Q-value enters with its own weight, as the learner's
+    Huber gradient enters at the taken actions. Zero-initialised biases leave
+    ReLU inputs exactly at the kink, where central differences are invalid;
+    perturb all parameters first.
     """
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         params = {
-            k: Tensor(t.data + rng.normal(0.0, 0.3, size=t.data.shape))
-            for k, t in net.init_params(300 + trial).items()
+            k: v + rng.normal(0.0, 0.3, size=v.shape)
+            for k, v in net.init_params(300 + trial).items()
         }
         counts, bits = _random_batch(table, rng, 2)
-        q0 = net.forward(params, counts, bits).data
-        target = Tensor(q0 + 50.0 * rng.choice([-1.0, 1.0], size=q0.shape))
-        mask = Tensor(rng.uniform(0.1, 1.0, size=q0.shape))
+        q, vjp = net.forward(params, counts, bits, vjp=True)
+        g_q = rng.choice([-1.0, 1.0], size=q.shape) * rng.uniform(0.1, 1.0, size=q.shape)
+        grads = vjp(g_q)
 
         def scalar(arrays):
-            q = net.forward({k: Tensor(v) for k, v in arrays.items()}, counts, bits)
-            return float(nm.huber_loss(q, target, mask).data)
+            return float((g_q * net.forward(arrays, counts, bits)).sum())
 
-        tape = Tape()
-        tensors = {k: Tensor(t.data) for k, t in params.items()}
-        loss = nm.huber_loss(net.forward(tensors, counts, bits, tape), target, mask, tape=tape)
-        grads = nm.backward(tape, loss, tensors)
         # Step 1e-4: at 1e-3 the probes of a composed ReLU graph bracket
         # kinks often enough to corrupt the quotient.
-        fd, masks = finite_difference_grads_filtered(
-            scalar, {k: t.data for k, t in params.items()}, eps=1e-4
-        )
+        fd, masks = finite_difference_grads_filtered(scalar, params, eps=1e-4)
         total = sum(m.size for m in masks.values())
         reliable = sum(int(m.sum()) for m in masks.values())
         assert reliable > 0.95 * total  # kink-straddling coordinates are rare
-        for name in tensors:
+        assert grads.keys() == params.keys()
+        for name in params:
+            assert grads[name].shape == params[name].shape, name
             assert masked_relative_error(grads[name], fd[name], masks[name]) < 1e-4, name
 
 
 class TestMovementDemand:
     def test_zero_weights_give_relu_bias(self, table4, frap4):
         params = frap4.init_params(0)
-        zeroed = {k: Tensor(np.zeros_like(t.data)) for k, t in params.items()}
+        zeroed = {k: np.zeros_like(v) for k, v in params.items()}
         bias = np.array([0.5, -1.0, 2.0, 0.0] * 4)
-        zeroed["b_h"] = Tensor(bias)
+        zeroed["b_h"] = bias
         d = frap4.movement_demand(zeroed, np.full(8, 13.0), np.zeros(8))
         expected = np.maximum(bias, 0.0)
         for i in range(8):
-            assert np.array_equal(d.data[0, i], expected)
+            assert np.array_equal(d[0, i], expected)
 
     def test_identical_features_share_demand(self, table4, frap4):
         params = frap4.init_params(1)
         counts = np.array([7.0, 3.0, 7.0, 1.0, 7.0, 0.0, 2.0, 7.0])
         bits = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-        d = frap4.movement_demand(params, counts, bits).data[0]
+        d = frap4.movement_demand(params, counts, bits)[0]
         # movements 0, 2, 4 and 7 carry identical (count, bit) pairs
         assert np.array_equal(d[0], d[2])
         assert np.array_equal(d[0], d[4])
@@ -103,25 +96,24 @@ class TestMovementDemand:
         rng = np.random.default_rng(2)
         params = frap4.init_params(3)
         counts, bits = _random_batch(table4, rng, 1)
-        d = frap4.movement_demand(params, counts, bits).data[0]
-        p_np = {k: t.data for k, t in params.items()}
+        d = frap4.movement_demand(params, counts, bits)[0]
+        p = params
         for i in range(8):
-            hv = np.maximum(p_np["w_v"][0] * counts[0, i] / 40.0 + p_np["b_v"], 0)
-            hs = np.maximum(p_np["w_s"][0] * bits[0, i] + p_np["b_s"], 0)
-            expected = np.maximum(np.concatenate([hv, hs]) @ p_np["w_h"] + p_np["b_h"], 0)
+            hv = np.maximum(p["w_v"][0] * counts[0, i] / 40.0 + p["b_v"], 0)
+            hs = np.maximum(p["w_s"][0] * bits[0, i] + p["b_s"], 0)
+            expected = np.maximum(np.concatenate([hv, hs]) @ p["w_h"] + p["b_h"], 0)
             assert np.allclose(d[i], expected, atol=1e-12)
 
 
 class TestPhaseDemand:
     def test_zero_demands_stay_zero(self, table4, frap4):
-        zeros = Tensor(np.zeros((1, 8, 16)))
-        dp = frap4.phase_demand(zeros)
-        assert np.array_equal(dp.data, np.zeros((1, 8, 16)))
+        dp = frap4.phase_demand(np.zeros((1, 8, 16)))
+        assert np.array_equal(dp, np.zeros((1, 8, 16)))
 
     def test_equals_member_sum(self, table4, frap4):
         rng = np.random.default_rng(4)
         d = rng.normal(size=(2, 8, 16))
-        dp = frap4.phase_demand(Tensor(d)).data
+        dp = frap4.phase_demand(d)
         for b in range(2):
             for ph in table4.phases:
                 i, j = ph.members
@@ -159,7 +151,7 @@ class TestVolumes:
 class TestQForward:
     def test_uniform_state_gives_equal_q(self, table4, frap4):
         params = frap4.init_params(11)
-        q = frap4.forward(params, np.full(8, 9.0), np.zeros(8)).data[0]
+        q = frap4.forward(params, np.full(8, 9.0), np.zeros(8))[0]
         assert np.allclose(q, q[0], atol=1e-9)
 
     @pytest.mark.parametrize("output_relu", [False, True])
@@ -170,8 +162,8 @@ class TestQForward:
         for trial in range(10):
             params = net.init_params(100 + trial)
             counts, bits = _random_batch(table4, rng, 1)
-            q = net.forward(params, counts, bits).data[0]
-            ref = frap_reference(counts[0], bits[0], table4, {k: t.data for k, t in params.items()}, cfg)
+            q = net.forward(params, counts, bits)[0]
+            ref = frap_reference(counts[0], bits[0], table4, params, cfg)
             assert np.abs(q - ref).max() < 1e-10
 
     def test_equivariance_random(self, table4, group4):
@@ -180,10 +172,10 @@ class TestQForward:
         for trial in range(5):
             params = net.init_params(200 + trial)
             counts, bits = _random_batch(table4, rng, 20)
-            q_base = net.forward(params, counts, bits).data
+            q_base = net.forward(params, counts, bits)
             for op in group4:
                 inv = np.argsort(op.movement_perm)
-                q_sym = net.forward(params, counts[:, inv], bits[:, inv]).data
+                q_sym = net.forward(params, counts[:, inv], bits[:, inv])
                 assert np.abs(q_sym[:, op.phase_perm] - q_base).max() < 1e-5
 
     def test_opponent_order_irrelevant(self, table4):
@@ -193,19 +185,19 @@ class TestQForward:
         params = net.init_params(3)
         rng = np.random.default_rng(23)
         counts, bits = _random_batch(table4, rng, 4)
-        q_base = net.forward(params, counts, bits).data
+        q_base = net.forward(params, counts, bits)
         scrambled = FrapNetwork(table4, FrapConfig())
         for p in range(8):
             perm = rng.permutation(7)
             scrambled.opponents[p] = scrambled.opponents[p, perm]
             scrambled.pair_relation[p] = scrambled.pair_relation[p, perm]
-        q_scrambled = scrambled.forward(params, counts, bits).data
+        q_scrambled = scrambled.forward(params, counts, bits)
         assert np.abs(q_scrambled - q_base).max() < 1e-10
 
     def test_finite_q_on_extreme_counts(self, table4, frap4):
         params = frap4.init_params(5)
         for counts in (np.zeros(8), np.full(8, 40.0)):
-            q = frap4.forward(params, counts, np.zeros(8)).data
+            q = frap4.forward(params, counts, np.zeros(8))
             assert np.all(np.isfinite(q))
 
     def test_full_graph_gradient_finite_differences(self, table4):
@@ -219,18 +211,11 @@ class TestQForward:
         net = FrapNetwork(table4, FrapConfig(conv_layers=2))
         _check_full_graph_gradient(net, table4, seed=31, trials=2)
 
-    @pytest.mark.parametrize("kind", ["frap", "vanilla"])
-    def test_forward_records_one_node(self, table4, kind):
-        net = build_network(kind, table4)
-        tape = Tape()
-        net.forward(net.init_params(0), *_random_batch(table4, np.random.default_rng(0), 3), tape)
-        assert len(tape) == 1
-
     def test_three_approach_table_works_unpadded(self):
         table3 = pl.build_phase_table(3)
         net = FrapNetwork(table3, FrapConfig())
         params = net.init_params(0)
-        q = net.forward(params, np.arange(6, dtype=float), np.zeros(6)).data
+        q = net.forward(params, np.arange(6, dtype=float), np.zeros(6))
         assert q.shape == (1, 3)
         assert np.all(np.isfinite(q))
 
@@ -261,7 +246,7 @@ def test_batched_row_is_the_single_state_q(table4, kind, config, batch):
             params,
             np.stack([s.counts for s in states]),
             np.stack([s.signal_bits for s in states]),
-        ).data
+        )
         for row, state in zip(q, states):
             assert np.array_equal(row, net.q_values(params, state))
 
@@ -281,7 +266,7 @@ def test_prepared_q_is_the_forward_row(table4, kind, config):
         states.append(pl.TrafficState(np.full(8, top), np.zeros(8), 0))
         states += [random_state(table4, rng) for _ in range(50)]
         for state in states:
-            row = net.forward(params, state.counts, state.signal_bits).data[0]
+            row = net.forward(params, state.counts, state.signal_bits)[0]
             assert np.array_equal(net.q_values(params, state, prepared), row)
         if kind == "frap":
             assert len(prepared.table) == 2 * (top + 1)
@@ -300,9 +285,9 @@ def test_prepared_constants_belong_to_their_parameters(frap4, table4):
 class TestVanilla:
     def test_zero_weights_give_output_bias(self, table4):
         net = VanillaNetwork(table4, VanillaConfig())
-        params = {k: Tensor(np.zeros_like(t.data)) for k, t in net.init_params(0).items()}
-        params["b2"] = Tensor(np.arange(8.0))
-        q = net.forward(params, np.full(8, 10.0), np.zeros(8)).data[0]
+        params = {k: np.zeros_like(v) for k, v in net.init_params(0).items()}
+        params["b2"] = np.arange(8.0)
+        q = net.forward(params, np.full(8, 10.0), np.zeros(8))[0]
         assert np.array_equal(q, np.arange(8.0))
 
     def test_matches_duplicate_implementation(self, table4):
@@ -312,8 +297,8 @@ class TestVanilla:
         for trial in range(10):
             params = net.init_params(400 + trial)
             counts, bits = _random_batch(table4, rng, 1)
-            q = net.forward(params, counts, bits).data[0]
-            ref = vanilla_reference(counts[0], bits[0], table4, {k: t.data for k, t in params.items()}, cfg)
+            q = net.forward(params, counts, bits)[0]
+            ref = vanilla_reference(counts[0], bits[0], table4, params, cfg)
             assert np.abs(q - ref).max() < 1e-10
 
     def test_full_graph_gradient_finite_differences(self, table4):
@@ -327,11 +312,11 @@ class TestVanilla:
         for trial in range(20):
             params = net.init_params(500 + trial)
             counts, bits = _random_batch(table4, rng, 10)
-            q_base = net.forward(params, counts, bits).data
+            q_base = net.forward(params, counts, bits)
             worst = 0.0
             for op in group4[1:]:
                 inv = np.argsort(op.movement_perm)
-                q_sym = net.forward(params, counts[:, inv], bits[:, inv]).data
+                q_sym = net.forward(params, counts[:, inv], bits[:, inv])
                 worst = max(worst, float(np.abs(q_sym[:, op.phase_perm] - q_base).max()))
             if worst > 1e-3:
                 violated += 1
@@ -347,7 +332,7 @@ class TestCheckpointSidecar:
         assert kind == "frap"
         assert loaded_net.config == net.config
         for k in params:
-            assert np.array_equal(loaded[k].data, params[k].data)
+            assert np.array_equal(loaded[k], params[k])
         rng = np.random.default_rng(0)
         s = random_state(table4, rng)
         assert np.allclose(net.q_values(params, s), loaded_net.q_values(loaded, s))
@@ -362,7 +347,7 @@ class TestCheckpointSidecar:
         path = save_checkpoint(tmp_path / "model.bin", "frap", large, small.init_params(0))
         with pytest.raises(ValueError, match="'b_d0' has shape"):
             load_checkpoint(path, table4)
-        extra = {**large.init_params(0), "stray": Tensor(np.zeros(3))}
+        extra = {**large.init_params(0), "stray": np.zeros(3)}
         path = save_checkpoint(tmp_path / "extra.bin", "frap", large, extra)
         with pytest.raises(ValueError, match="stray"):
             load_checkpoint(path, table4)
@@ -396,4 +381,4 @@ class TestCheckpointSidecar:
         assert sorted(p.name for p in tmp_path.iterdir()) == before  # no temp file left
         _, _, loaded = load_checkpoint(path, table4)
         for k in old:
-            assert np.array_equal(loaded[k].data, old[k].data)
+            assert np.array_equal(loaded[k], old[k])

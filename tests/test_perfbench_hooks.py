@@ -6,9 +6,12 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phaselab import gridtrain, harness, networks, simulator, training
+
+from conftest import random_state
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,3 +63,34 @@ def test_greedy_q_calls_are_the_episode_distinct_states(tracing, table4):
     names = [s.name for s in tracer.spans]
     assert names.count("training.greedy") == 360  # 3600 s at one decision per 10 s
     assert names.count("networks.q") == len(distinct) < 360
+
+
+def test_learner_step_spans(tracing, table4):
+    # The per-layer metrics read a learner step as three batched forwards
+    # (target and online Q of the next states, online Q of the batch) and
+    # one numerics.backward, the whole backward pass, all inside its span.
+    net = networks.FrapNetwork(table4, networks.FrapConfig())
+    config = training.TrainConfig(batch_size=16)
+    buffer = training.TransitionReplay(64, config.alpha)
+    rng = np.random.default_rng(0)
+    for i in range(32):
+        buffer.add(training.Transition(
+            state=random_state(table4, rng),
+            action=int(rng.integers(table4.n_phases)),
+            reward=-float(rng.uniform(0.0, 10.0)),
+            next_state=random_state(table4, rng),
+            done=i % 8 == 7,
+        ))
+    learner = training.Learner(net, net.init_params(0), config, buffer, np.random.default_rng(1))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        learner.step()
+    finally:
+        tracer.uninstall()
+    (step,) = [s for s in tracer.spans if s.name == "training.learner_step"]
+    (backward,) = [s for s in tracer.spans if s.name == "numerics.backward"]
+    assert backward.parent == step.id
+    forwards = [s for s in tracer.spans if s.name == "networks.forward"]
+    assert len(forwards) == 3
+    assert all(s.parent == step.id for s in forwards)

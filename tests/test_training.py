@@ -6,7 +6,6 @@ import phaselab as pl
 from phaselab import harness
 from phaselab.flows import FlowSynthesisSpec, synthesize_flow, synthesize_grid_flow
 from phaselab.networks import FrapConfig, FrapNetwork, VanillaConfig, VanillaNetwork
-from phaselab.numerics import Tensor
 from phaselab.training import (
     Actor,
     EpsilonGreedyPolicy,
@@ -127,10 +126,10 @@ class TestLearner:
             r = float(net.q_values(params, s)[a])  # done target equals prediction
             buf.add(Transition(state=s, action=a, reward=r, next_state=s, done=True))
         learner = Learner(net, params, cfg, buf, np.random.default_rng(8))
-        before = {k: t.data.copy() for k, t in learner.online.items()}
+        before = {k: v.copy() for k, v in learner.online.items()}
         learner.step()
         for k in before:
-            assert np.array_equal(learner.online[k].data, before[k])
+            assert np.array_equal(learner.online[k], before[k])
         assert learner.adam.step == 1
 
     def test_step_updates_priorities(self, table4):
@@ -142,17 +141,17 @@ class TestLearner:
     def test_target_changes_only_at_sync_steps(self, table4):
         learner = self._loaded_learner(table4)
         sync = learner.config.target_sync
-        initial = {k: t.data.copy() for k, t in learner.target.items()}
+        initial = {k: v.copy() for k, v in learner.target.items()}
         for step in range(1, 2 * sync + 1):
             learner.step()
             same = all(
-                np.array_equal(learner.target[k].data, initial[k]) for k in initial
+                np.array_equal(learner.target[k], initial[k]) for k in initial
             )
             if step < sync:
                 assert same
             elif step == sync:
                 assert not same
-                initial = {k: t.data.copy() for k, t in learner.target.items()}
+                initial = {k: v.copy() for k, v in learner.target.items()}
 
     def test_loss_decreases_on_fixed_buffer(self, table4):
         learner = self._loaded_learner(table4)
@@ -174,7 +173,7 @@ class TestActorPolicy:
 
     def test_epsilon_zero_greedy_lowest_index_ties(self, table4):
         net = _small_net(table4)
-        params = {k: Tensor(np.zeros_like(t.data)) for k, t in net.init_params(0).items()}
+        params = {k: np.zeros_like(v) for k, v in net.init_params(0).items()}
         policy = EpsilonGreedyPolicy(net, params, 0.0, np.random.default_rng(6))
         s = random_state(table4, np.random.default_rng(1))
         # all-zero parameters give identical Q values: ties break to index 0
@@ -184,7 +183,7 @@ class TestActorPolicy:
         # All-equal Q with an asymmetric state: the evaluation greedy must
         # choose conjugately under every symmetry op.
         net = _small_net(table4)
-        params = {k: Tensor(np.zeros_like(t.data)) for k, t in net.init_params(0).items()}
+        params = {k: np.zeros_like(v) for k, v in net.init_params(0).items()}
         greedy = GreedyPolicy(net, params)
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -196,7 +195,7 @@ class TestActorPolicy:
 
     def test_greedy_prefers_loaded_then_current_phase(self, table4):
         net = _small_net(table4)
-        params = {k: Tensor(np.zeros_like(t.data)) for k, t in net.init_params(0).items()}
+        params = {k: np.zeros_like(v) for k, v in net.init_params(0).items()}
         greedy = GreedyPolicy(net, params)
         counts = np.zeros(8, dtype=int)
         counts[4] = counts[5] = 3  # S approach queues: phase {S-T, S-L} max load
@@ -245,7 +244,7 @@ class _ForwardGreedy:
         self.keys = GreedyPolicy(net, params)
 
     def __call__(self, state):
-        q = self.net.forward(self.params, state.counts, state.signal_bits).data[0]
+        q = self.net.forward(self.params, state.counts, state.signal_bits)[0]
         best = np.flatnonzero(q == q.max())
         return int(min(best, key=lambda p: self.keys._tie_key(int(p), state)))
 
@@ -267,7 +266,7 @@ class TestGreedyMemo:
         net = net_of(table4)
         params = net.init_params(2)
         if zero:
-            params = {k: Tensor(np.zeros_like(t.data)) for k, t in params.items()}
+            params = {k: np.zeros_like(v) for k, v in params.items()}
         cfg = harness.ExperimentConfig(flow=harness.FlowConfig(name=flow))
         schedule = harness.build_flow(cfg, harness.eval_flow_seed(cfg))
         policy = GreedyPolicy(net, params)
@@ -282,7 +281,7 @@ class TestGreedyMemo:
     def test_new_parameters_drop_the_memo(self, table4):
         net = _small_net(table4)
         state = random_state(table4, np.random.default_rng(1))
-        zero = {k: Tensor(np.zeros_like(t.data)) for k, t in net.init_params(0).items()}
+        zero = {k: np.zeros_like(v) for k, v in net.init_params(0).items()}
         for seed in range(20):  # some parameter set prefers another phase
             params = net.init_params(seed)
             if GreedyPolicy(net, params)(state) != GreedyPolicy(net, zero)(state):
@@ -462,8 +461,8 @@ class TestTrain:
         r2 = train(net, cfg, factory, lambda: factory(9, 0), seed=3)
         assert r1.curve == r2.curve
         for k in r1.best_params:
-            assert np.array_equal(r1.best_params[k].data, r2.best_params[k].data)
-            assert np.array_equal(r1.final_params[k].data, r2.final_params[k].data)
+            assert np.array_equal(r1.best_params[k], r2.best_params[k])
+            assert np.array_equal(r1.final_params[k], r2.final_params[k])
 
     def test_sync_mode_runs_and_evaluates(self, table4):
         net = _small_net(table4)
