@@ -34,7 +34,7 @@ from .topology import (
     build_phase_table,
     symmetry_group,
 )
-from .training import TrainConfig, Transition, bellman_targets, train
+from .training import TrainConfig, Transition, train
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "VanillaConfig",
     "VanillaNetwork",
     "apply_symmetry",
-    "bellman_targets",
     "benchmark_flow_spec",
     "build_phase_table",
     "mirror_flow",

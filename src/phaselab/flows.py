@@ -9,6 +9,7 @@ written with ``repr`` so a written flow parses back to the same times.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -122,6 +123,10 @@ def parse_flow_csv(
                 )
             except (ValueError, IndexError) as err:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r} ({err})") from None
+            if not 0.0 <= entry < math.inf:  # a nan passes the sort check and stalls entry
+                raise ValueError(
+                    f"{path}:{lineno}: entry time {row[1]!r} must be finite and non-negative"
+                )
             if not route:
                 raise ValueError(f"{path}:{lineno}: empty route")
             events.append(FlowEvent(vid, entry, route))

@@ -1,11 +1,11 @@
 """DQN training: Bellman targets, prioritized learner, and exploration actors.
 
-N actors run epsilon-greedy episodes on private K-intersection simulators and
-push transitions into a sink; each intersection has one learner that stores
-its share in a prioritized buffer, samples batches, applies Adam on an
-importance-weighted Huber loss, and periodically syncs the target network and publishes
-parameter snapshots the actors pick up. A single intersection is the K = 1
-case.
+N actors run epsilon-greedy episodes on private K-intersection simulators;
+each intersection has one learner whose prioritized buffer takes that
+intersection's transition of every actor decision. A learner samples batches,
+applies Adam on an importance-weighted Huber loss, and periodically syncs the
+target network; the actors take a parameter snapshot from every learner every
+``snapshot_period`` rounds. A single intersection is the K = 1 case.
 
 Training runs on one thread on a fixed schedule and is bit-reproducible:
 each round, all actors decide in lockstep (one batched forward per
@@ -151,6 +151,12 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 1")
         if not self.priority_eps > 0.0:  # replay rejects the zero priority of a zero TD error
             raise ValueError("priority_eps must be positive")
+        # lr <= 0 ascends or stands still; learning_rate() divides by lr and
+        # takes a power of lr_end / lr, complex for a negative ratio.
+        if not self.lr > 0.0:
+            raise ValueError("lr must be positive")
+        if self.lr_end is not None and not self.lr_end > 0.0:
+            raise ValueError("lr_end must be positive")
         if self.buffer_capacity < max(self.warmup_transitions, self.batch_size):
             # warm-up waits for that many transitions, which the buffer never holds
             raise ValueError("buffer_capacity must hold max(warmup_transitions, batch_size)")
@@ -193,21 +199,6 @@ def td_targets(
         best = np.argmax(q_target_next, axis=1)
     boot = q_target_next[np.arange(len(best)), best]
     return batch.reward + gamma * batch.not_done * boot
-
-
-def bellman_targets(
-    batch: Sequence[Transition],
-    network,
-    online_params: Params,
-    target_params: Params,
-    gamma: float,
-    double_dqn: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-item TD targets (see :func:`td_targets`) and TD errors."""
-    rows = stack_transitions(batch)
-    targets = td_targets(rows, network, online_params, target_params, gamma, double_dqn)
-    q_now = network.forward(online_params, rows.counts, rows.bits)
-    return targets, targets - q_now[np.arange(len(batch)), rows.action]
 
 
 class Learner:
@@ -255,21 +246,16 @@ class Learner:
 
 
 class EpsilonGreedyPolicy:
-    """Epsilon-greedy over the Q-values of a (refreshable) parameter snapshot."""
+    """Epsilon-greedy over a Q row: with probability ``epsilon`` a uniform
+    action, else the argmax (ties to the lowest index)."""
 
-    def __init__(self, network, params: Params, epsilon: float, rng: np.random.Generator):
-        self.network = network
-        self.params = params
+    def __init__(self, epsilon: float, rng: np.random.Generator):
         self.epsilon = epsilon
         self.rng = rng
 
-    def __call__(self, state: TrafficState, q: np.ndarray | None = None) -> int:
-        """Act on ``state``; ``q``, if given, is its precomputed Q row under
-        ``params``. The rng draws are the same either way."""
+    def __call__(self, q: np.ndarray) -> int:
         if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
-            return int(self.rng.integers(self.network.n_actions))
-        if q is None:
-            q = self.network.q_values(self.params, state)
+            return int(self.rng.integers(len(q)))
         return int(np.argmax(q))
 
 
@@ -343,58 +329,6 @@ class GreedyPolicy:
         return action
 
 
-class Actor:
-    """Runs epsilon-greedy episodes on private simulators, emitting transitions.
-
-    ``env_factory(actor_id, episode)`` must build a fresh K-intersection
-    simulator (a GridSim; an IntersectionSim is K = 1). ``snapshot_fn()``
-    returns one parameter set per intersection and is polled every
-    ``snapshot_period`` decisions. Each decision acts at every intersection
-    and hands ``sink`` the list of its K transitions. A decision is the
-    one-actor case of :func:`decision_round`.
-    """
-
-    def __init__(
-        self,
-        actor_id: int,
-        network,
-        epsilon: float,
-        env_factory: Callable[[int, int], GridSim],
-        snapshot_fn: Callable[[], list[Params]],
-        sink: Callable[[list[Transition]], None],
-        seed: int,
-        snapshot_period: int = 10,
-    ):
-        self.actor_id = actor_id
-        self.network = network
-        self.env_factory = env_factory
-        self.snapshot_fn = snapshot_fn
-        self.sink = sink
-        self.snapshot_period = snapshot_period
-        rng = np.random.default_rng(seed)  # shared by the K policies, in order
-        self.policies = [EpsilonGreedyPolicy(network, p, epsilon, rng) for p in snapshot_fn()]
-        self.episode = 0
-        self.decisions = 0
-        self._sim: GridSim | None = None
-        self._states: list[TrafficState] | None = None
-
-    def _act(self, q_rows: Sequence[np.ndarray]) -> None:
-        """Pick from the Q rows of the current states, step, push, advance."""
-        actions = [p(s, q) for p, s, q in zip(self.policies, self._states, q_rows)]
-        next_states, rewards, done = self._sim.step(actions)
-        self.sink([
-            Transition(state=s, action=a, reward=r, next_state=s2, done=done)
-            for s, a, r, s2 in zip(self._states, actions, rewards, next_states)
-        ])
-        self.decisions += 1
-        if done:
-            self.episode += 1
-            self._sim = None
-            self._states = None
-        else:
-            self._states = next_states
-
-
 # States per forward in a decision round. Row i of a forward is bitwise the
 # single-state Q of state i only up to some batch size, which depends on the
 # BLAS kernels (FRAP rows diverge at B = 512 on OpenBLAS 0.3.31);
@@ -402,46 +336,80 @@ class Actor:
 ROUND_BLOCK = 64
 
 
-def decision_round(actors: Sequence[Actor]) -> None:
-    """One decision of every actor, in lockstep.
+class Actors:
+    """``config.n_actors`` epsilon-greedy actors deciding in lockstep.
 
-    Actors without an episode start one, and actors due a refresh take new
-    parameters, one snapshot per ``snapshot_fn`` however many actors poll
-    it. Then batched forwards of up to ``ROUND_BLOCK`` states (one, for up
-    to 64 actors) score every actor's state at each intersection, explorers
-    included; the actors must hold one parameter set per
-    intersection, as actors sharing a ``snapshot_fn`` and its period do.
-    Last, each actor's policies pick from their Q rows, drawing from the
-    actor's rng as a lone actor would, and its simulator steps. Row i of a
-    batched forward is bitwise the Q-values of state i alone, so a round
-    gives the same actions, transitions and rng states as the actors
-    deciding one at a time.
+    Each actor runs episodes on a private simulator built by
+    ``env_factory(actor_id, episode)`` (a K-intersection GridSim; an
+    IntersectionSim is K = 1). Actor i explores at ``config.actor_epsilon(i)``
+    and draws from one rng, seeded ``seed * 7919 + 31 i + 1``, at its K
+    intersections in order. All actors act on the same parameters: one set
+    per intersection, refreshed every ``config.snapshot_period`` rounds.
     """
-    fresh: dict[Callable, list[Params]] = {}
-    for actor in actors:
-        if actor._sim is None:
-            actor._sim = actor.env_factory(actor.actor_id, actor.episode)
-            actor._states = actor._sim.states()
-        if actor.decisions % actor.snapshot_period == 0:
-            fn = actor.snapshot_fn
-            if fn not in fresh:
-                fresh[fn] = fn()
-            for policy, params in zip(actor.policies, fresh[fn]):
-                policy.params = params
-    q_by_intersection = []
-    for k, policy in enumerate(actors[0].policies):
-        if any(actor.policies[k].params is not policy.params for actor in actors):
-            raise ValueError("actors in one round must hold the same parameters")
-        counts = np.stack([actor._states[k].counts for actor in actors])
-        bits = np.stack([actor._states[k].signal_bits for actor in actors])
-        q_by_intersection.append(np.concatenate([
-            policy.network.forward(
-                policy.params, counts[i : i + ROUND_BLOCK], bits[i : i + ROUND_BLOCK]
+
+    def __init__(
+        self,
+        network,
+        config: TrainConfig,
+        env_factory: Callable[[int, int], GridSim],
+        seed: int,
+    ):
+        self.network = network
+        self.env_factory = env_factory
+        self.snapshot_period = config.snapshot_period
+        self.policies = [
+            EpsilonGreedyPolicy(
+                config.actor_epsilon(i), np.random.default_rng(seed * 7919 + 31 * i + 1)
             )
-            for i in range(0, len(actors), ROUND_BLOCK)
-        ]))
-    for i, actor in enumerate(actors):
-        actor._act([q[i] for q in q_by_intersection])
+            for i in range(config.n_actors)
+        ]
+        self.sims: list[GridSim | None] = [None] * config.n_actors
+        self.states: list[list[TrafficState]] = [[] for _ in range(config.n_actors)]
+        self.episodes = [0] * config.n_actors
+        self.rounds = 0
+        self.params: list[Params] = []  # one set per intersection
+
+    def decide(self, learners: Sequence[Learner]) -> None:
+        """One decision of every actor; transition k goes to ``learners[k]``.
+
+        Every ``snapshot_period`` rounds, from round 0, the actors take one
+        snapshot per learner. Actors without an episode start one. At each
+        intersection, batched forwards of up to ``ROUND_BLOCK`` states (one,
+        for up to 64 actors) score every actor's state, explorers included.
+        Row i of a batched forward is bitwise the Q-values of state i alone,
+        so the actions, transitions and rng states do not depend on how many
+        actors decide together.
+        """
+        if self.rounds % self.snapshot_period == 0:
+            self.params = [learner.snapshot() for learner in learners]
+        for i, sim in enumerate(self.sims):
+            if sim is None:
+                self.sims[i] = sim = self.env_factory(i, self.episodes[i])
+                self.states[i] = sim.states()
+        q_by_intersection = []
+        for k, params in enumerate(self.params):
+            counts = np.stack([states[k].counts for states in self.states])
+            bits = np.stack([states[k].signal_bits for states in self.states])
+            q_by_intersection.append(np.concatenate([
+                self.network.forward(
+                    params, counts[b : b + ROUND_BLOCK], bits[b : b + ROUND_BLOCK]
+                )
+                for b in range(0, len(counts), ROUND_BLOCK)
+            ]))
+        for i, policy in enumerate(self.policies):
+            states = self.states[i]
+            actions = [policy(q[i]) for q in q_by_intersection]
+            next_states, rewards, done = self.sims[i].step(actions)
+            for learner, s, a, r, s2 in zip(learners, states, actions, rewards, next_states):
+                learner.buffer.add(
+                    Transition(state=s, action=a, reward=r, next_state=s2, done=done)
+                )
+            if done:
+                self.episodes[i] += 1
+                self.sims[i] = None
+            else:
+                self.states[i] = next_states
+        self.rounds += 1
 
 
 @dataclass(frozen=True)
@@ -512,7 +480,6 @@ def train(
     env_factory: Callable[[int, int], GridSim],
     eval_factory: Callable[[], GridSim],
     seed: int = 0,
-    progress: Callable[[int, float], None] | None = None,
 ) -> TrainResult:
     """Full actor/learner training run; returns the best-by-eval parameters.
 
@@ -522,9 +489,9 @@ def train(
     so K = 1 is the single-intersection run. Every ``eval_period`` learner
     steps (plus step 0 and the final step) a greedy episode runs on a fresh
     evaluation environment and its travel time is appended to the learning
-    curve. Training runs on the synchronous schedule of :func:`decision_round`
-    rounds, each followed by one step of every learner; ``config.sync`` must
-    be True.
+    curve. Training runs in rounds: every actor of :class:`Actors` decides
+    once, then, after the buffers hold the warm-up, every learner steps once.
+    ``config.sync`` must be True.
     """
     if not config.sync:
         raise ValueError(
@@ -567,49 +534,19 @@ def train(
             result.best_travel_time = censored
             result.best_step = step
             result.best = [p.params for p in policies]
-        if progress is not None:
-            progress(step, censored)
 
     evaluate(0, first_eval)
     if config.max_learner_steps > 0:
-        _train_sync(network, config, env_factory, learners, evaluate, seed)
+        actors = Actors(network, config, env_factory, seed)
+        while len(learners[0].buffer) < max(config.warmup_transitions, config.batch_size):
+            actors.decide(learners)
+        while learners[0].step_count < config.max_learner_steps:
+            actors.decide(learners)
+            for learner in learners:
+                learner.step()
+            if learners[0].step_count % config.eval_period == 0:
+                evaluate(learners[0].step_count)
         if learners[0].step_count % config.eval_period != 0:
             evaluate(learners[0].step_count)
     result.final = [l.snapshot() for l in learners]
     return result
-
-
-def _train_sync(network, config, env_factory, learners, evaluate, seed) -> None:
-    """Lockstep rounds of every actor, each followed by one step of every
-    learner once the buffers hold the warm-up."""
-
-    def snapshot_fn() -> list[Params]:
-        return [l.snapshot() for l in learners]
-
-    def sink(transitions: list[Transition]) -> None:
-        """Fan one decision's transitions out to the per-intersection buffers."""
-        for learner, t in zip(learners, transitions):
-            learner.buffer.add(t)
-
-    actors = [
-        Actor(
-            actor_id=i,
-            network=network,
-            epsilon=config.actor_epsilon(i),
-            env_factory=env_factory,
-            snapshot_fn=snapshot_fn,
-            sink=sink,
-            seed=seed * 7919 + 31 * i + 1,
-            snapshot_period=config.snapshot_period,
-        )
-        for i in range(config.n_actors)
-    ]
-    warmup = max(config.warmup_transitions, config.batch_size)
-    while len(learners[0].buffer) < warmup:
-        decision_round(actors)
-    while learners[0].step_count < config.max_learner_steps:
-        decision_round(actors)
-        for learner in learners:
-            learner.step()
-        if learners[0].step_count % config.eval_period == 0:
-            evaluate(learners[0].step_count)

@@ -79,6 +79,21 @@ class TestCsv:
         with pytest.raises(ValueError, match=":3"):
             parse_flow_csv(path)
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "-1.0"])
+    def test_entry_time_must_be_finite_and_non_negative(self, tmp_path, entry):
+        # A nan row passed the sort check; the simulator's entry pointer then
+        # stalled on it, and the vehicles behind it never entered.
+        path = tmp_path / "flow.csv"
+        path.write_text(
+            "vehicle_id,entry_time,route\n"
+            "0,1.0,0:2\n"
+            f"1,{entry},0:1\n"
+            "2,3.0,0:1\n"
+            "3,4.0,0:1\n"
+        )
+        with pytest.raises(ValueError, match=f":3: entry time '{entry}'"):
+            parse_flow_csv(path)
+
     def test_validated_flow_still_rejects_tighter_bounds(self):
         flow = FlowSchedule(
             events=(FlowEvent(0, 0.0, ((0, 3),)), FlowEvent(1, 1.0, ((0, 2), (1, 7))))

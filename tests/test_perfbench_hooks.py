@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaselab import gridtrain, harness, networks, simulator, training
+from phaselab import flows, gridtrain, harness, networks, simulator, training
 
 from conftest import random_state
 
@@ -94,3 +94,37 @@ def test_learner_step_spans(tracing, table4):
     forwards = [s for s in tracer.spans if s.name == "networks.forward"]
     assert len(forwards) == 3
     assert all(s.parent == step.id for s in forwards)
+
+
+def test_actor_round_spans(tracing, table4):
+    # training.actor_decision_us times one actor's pick at one intersection,
+    # and networks.forward_calls counts the round's batched forwards: one per
+    # intersection for up to 64 actors, and no single-state q_values.
+    net = networks.FrapNetwork(table4, networks.FrapConfig())
+    config = training.TrainConfig(n_actors=3)
+    sim_config = simulator.SimConfig(episode_length=50)
+
+    def factory(actor_id, episode):
+        spec = flows.FlowSynthesisSpec(rates=(900.0,) * 8, duration=50.0)
+        flow = flows.synthesize_grid_flow(spec, 2, 2, actor_id)
+        return simulator.GridSim(sim_config, table4, flow, 4, actor_id)
+
+    learners = [
+        training.Learner(
+            net, net.init_params(k), config, training.TransitionReplay(64, config.alpha),
+            np.random.default_rng(k),
+        )
+        for k in range(4)
+    ]
+    actors = training.Actors(net, config, factory, seed=0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        actors.decide(learners)
+    finally:
+        tracer.uninstall()
+    names = [s.name for s in tracer.spans]
+    assert names.count("training.actor_decision") == 12
+    assert names.count("networks.forward") == 4
+    assert names.count("networks.q") == 0
+    assert [len(l.buffer) for l in learners] == [3, 3, 3, 3]

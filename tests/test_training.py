@@ -3,20 +3,19 @@ import pytest
 from scipy import stats
 
 import phaselab as pl
-from phaselab import harness
+from phaselab import harness, training
 from phaselab.flows import FlowSynthesisSpec, synthesize_flow, synthesize_grid_flow
 from phaselab.networks import FrapConfig, FrapNetwork, VanillaConfig, VanillaNetwork
 from phaselab.training import (
-    Actor,
+    Actors,
     EpsilonGreedyPolicy,
     GreedyPolicy,
     Learner,
     TrainConfig,
     Transition,
     TransitionReplay,
-    bellman_targets,
-    decision_round,
     stack_transitions,
+    td_targets,
     train,
 )
 
@@ -58,13 +57,30 @@ def _env_factory(table, episode_length=200, rate=600.0):
     return factory
 
 
+class _Buffer(list):
+    add = list.append
+
+
+class _StubLearner:
+    """A learner's face to the actors: ``snapshot()`` and ``buffer.add``."""
+
+    def __init__(self, params_fn):
+        self.params_fn = params_fn
+        self.snapshots = 0
+        self.buffer = _Buffer()
+
+    def snapshot(self):
+        self.snapshots += 1
+        return self.params_fn()
+
+
 class TestBellmanTargets:
     def test_done_transition_target_is_reward(self, table4):
         net = _small_net(table4)
         params = net.init_params(0)
         rng = np.random.default_rng(0)
         batch = _random_transitions(table4, rng, 8, done_every=1)
-        targets, td = bellman_targets(batch, net, params, params, gamma=0.9)
+        targets = td_targets(stack_transitions(batch), net, params, params, 0.9, True)
         assert np.allclose(targets, [t.reward for t in batch])
 
     def test_gamma_zero_target_is_reward(self, table4):
@@ -72,7 +88,7 @@ class TestBellmanTargets:
         params = net.init_params(1)
         rng = np.random.default_rng(1)
         batch = _random_transitions(table4, rng, 8)
-        targets, _ = bellman_targets(batch, net, params, params, gamma=0.0)
+        targets = td_targets(stack_transitions(batch), net, params, params, 0.0, True)
         assert np.allclose(targets, [t.reward for t in batch])
 
     def test_matches_hand_bellman_evaluation(self, table4):
@@ -81,7 +97,9 @@ class TestBellmanTargets:
         target = net.init_params(3)
         rng = np.random.default_rng(2)
         batch = _random_transitions(table4, rng, 6, done_every=3)
-        targets, td = bellman_targets(batch, net, online, target, gamma=0.9, double_dqn=False)
+        rows = stack_transitions(batch)
+        targets = td_targets(rows, net, online, target, 0.9, False)
+        td = targets - net.forward(online, rows.counts, rows.bits)[np.arange(6), rows.action]
         for t, got_target, got_td in zip(batch, targets, td):
             if t.done:
                 expected = t.reward
@@ -97,7 +115,7 @@ class TestBellmanTargets:
         target = net.init_params(5)
         rng = np.random.default_rng(3)
         batch = _random_transitions(table4, rng, 6)
-        targets, _ = bellman_targets(batch, net, online, target, gamma=0.9, double_dqn=True)
+        targets = td_targets(stack_transitions(batch), net, online, target, 0.9, True)
         for t, got in zip(batch, targets):
             best = int(np.argmax(net.q_values(online, t.next_state)))
             expected = t.reward + 0.9 * net.q_values(target, t.next_state)[best]
@@ -163,21 +181,19 @@ class TestLearner:
 
 
 class TestActorPolicy:
-    def test_epsilon_one_uniform_actions(self, table4):
-        net = _small_net(table4)
-        policy = EpsilonGreedyPolicy(net, net.init_params(0), 1.0, np.random.default_rng(5))
-        s = random_state(table4, np.random.default_rng(0))
-        picks = np.array([policy(s) for _ in range(10_000)])
+    def test_epsilon_one_uniform_actions(self):
+        policy = EpsilonGreedyPolicy(1.0, np.random.default_rng(5))
+        q = np.arange(8.0)
+        picks = np.array([policy(q) for _ in range(10_000)])
         _, p = stats.chisquare(np.bincount(picks, minlength=8))
         assert p > 0.01
 
-    def test_epsilon_zero_greedy_lowest_index_ties(self, table4):
-        net = _small_net(table4)
-        params = {k: np.zeros_like(v) for k, v in net.init_params(0).items()}
-        policy = EpsilonGreedyPolicy(net, params, 0.0, np.random.default_rng(6))
-        s = random_state(table4, np.random.default_rng(1))
-        # all-zero parameters give identical Q values: ties break to index 0
-        assert policy(s) == 0
+    def test_epsilon_zero_greedy_lowest_index_ties(self):
+        policy = EpsilonGreedyPolicy(0.0, np.random.default_rng(6))
+        state = policy.rng.bit_generator.state
+        assert policy(np.array([0.5, 2.0, -1.0, 2.0, 2.0])) == 1
+        assert policy(np.zeros(8)) == 0
+        assert policy.rng.bit_generator.state == state  # epsilon 0 draws nothing
 
     def test_greedy_tie_breaks_commute_with_symmetry(self, table4, group4):
         # All-equal Q with an asymmetric state: the evaluation greedy must
@@ -214,25 +230,17 @@ class TestActorPolicy:
 
     def test_actor_emits_transitions_across_episodes(self, table4):
         net = _small_net(table4)
-        params = net.init_params(0)
-        sink = []
-        actor = Actor(
-            actor_id=0,
-            network=net,
-            epsilon=0.5,
-            env_factory=_env_factory(table4, episode_length=50),
-            snapshot_fn=lambda: [params],
-            sink=sink.extend,
-            seed=1,
-            snapshot_period=3,
-        )
+        learner = _StubLearner(lambda: net.init_params(0))
+        cfg = TrainConfig(n_actors=1, epsilon=0.5, snapshot_period=3)
+        actors = Actors(net, cfg, _env_factory(table4, episode_length=50), seed=0)
         for _ in range(12):  # 50 s episodes at 10 s decisions: 5 per episode
-            decision_round([actor])
-        assert len(sink) == 12
-        assert actor.episode == 2
-        dones = [t.done for t in sink]
+            actors.decide([learner])
+        assert len(learner.buffer) == 12
+        assert actors.episodes == [2]
+        assert learner.snapshots == 4  # rounds 0, 3, 6 and 9
+        dones = [t.done for t in learner.buffer]
         assert dones[4] and dones[9]
-        assert all(t.reward <= 0 for t in sink)
+        assert all(t.reward <= 0 for t in learner.buffer)
 
 
 class _ForwardGreedy:
@@ -311,10 +319,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: 0})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("lr", 0.0), ("lr", -1e-3), ("lr_end", 0.0), ("lr_end", -1e-4), ("lr", float("nan"))],
+    )
+    def test_learning_rates_must_be_positive(self, name, value):
+        # lr_end < 0 failed at the second learner step (a complex power), lr = 0
+        # with lr_end divided by zero, and lr < 0 ran gradient ascent.
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            TrainConfig(**{"lr_end": 1e-4, name: value})
+
 
 class TestLockstep:
     @staticmethod
-    def _grid_actors(table, net, snapshot_fn, sinks):
+    def _grid_actors(table, net):
         config = pl.SimConfig(episode_length=50)  # 5 decisions per episode
 
         def factory(actor_id: int, episode: int) -> pl.GridSim:
@@ -322,85 +340,55 @@ class TestLockstep:
             spec = FlowSynthesisSpec(rates=(900.0,) * 8, duration=50.0)
             return pl.GridSim(config, table, synthesize_grid_flow(spec, 2, 2, seed), 4, seed)
 
-        return [
-            Actor(
-                actor_id=i,
-                network=net,
-                epsilon=eps,
-                env_factory=factory,
-                snapshot_fn=snapshot_fn,
-                sink=sinks[i].append,
-                seed=11 + i,
-                snapshot_period=3,
-            )
-            for i, eps in enumerate((0.6, 0.2, 0.0))
-        ]
+        cfg = TrainConfig(n_actors=3, epsilon=0.6, alpha_eps=3.0, snapshot_period=3)
+        return Actors(net, cfg, factory, seed=2)
 
-    def test_round_equals_actors_deciding_alone(self, table4):
+    def test_round_equals_actors_deciding_alone(self, table4, monkeypatch):
+        # ROUND_BLOCK = 1 scores every state in a forward of its own.
         net = _small_net(table4)
         clock = [0]
-
-        def snapshot_fn():  # a fresh copy per call, whose values follow the clock
-            return [net.init_params(10 * clock[0] + k) for k in range(4)]
-
         runs = []
-        for lockstep in (False, True):
-            sinks = [[], [], []]
-            actors = self._grid_actors(table4, net, snapshot_fn, sinks)
+        for block in (1, training.ROUND_BLOCK):
+            monkeypatch.setattr(training, "ROUND_BLOCK", block)
+            learners = [  # a fresh copy per snapshot, whose values follow the clock
+                _StubLearner(lambda k=k: net.init_params(10 * clock[0] + k)) for k in range(4)
+            ]
+            actors = self._grid_actors(table4, net)
             for step in range(8):  # refreshes at 0, 3 and 6; episodes end at 5
                 clock[0] = step
-                if lockstep:
-                    decision_round(actors)
-                else:
-                    for actor in actors:
-                        decision_round([actor])
-            runs.append((actors, sinks))
-        (alone, alone_sinks), (together, together_sinks) = runs
-        for a, b, sa, sb in zip(alone, together, alone_sinks, together_sinks):
-            assert a.episode == b.episode == 1
-            assert a.policies[0].rng.bit_generator.state == b.policies[0].rng.bit_generator.state
-            assert len(sa) == len(sb) == 8
-            for ta, tb in zip(sa, sb):
-                assert [t.action for t in ta] == [t.action for t in tb]
-                rows_a, rows_b = stack_transitions(ta), stack_transitions(tb)
-                for col_a, col_b in zip(rows_a, rows_b):
-                    assert np.array_equal(col_a, col_b)
-        actions = {t.action for sink in together_sinks for ts in sink for t in ts}
+                actors.decide(learners)
+            runs.append((actors, learners))
+        (alone, alone_learners), (together, together_learners) = runs
+        assert alone.episodes == together.episodes == [1, 1, 1]
+        for a, b in zip(alone.policies, together.policies):
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        for la, lb in zip(alone_learners, together_learners):
+            assert la.snapshots == lb.snapshots == 3
+            assert len(la.buffer) == len(lb.buffer) == 3 * 8
+            assert [t.action for t in la.buffer] == [t.action for t in lb.buffer]
+            for col_a, col_b in zip(stack_transitions(la.buffer), stack_transitions(lb.buffer)):
+                assert np.array_equal(col_a, col_b)
+        actions = {t.action for l in together_learners for t in l.buffer}
         assert len(actions) > 1
 
     def test_one_snapshot_and_one_forward_per_intersection(self, table4, monkeypatch):
         net = _small_net(table4)
-        params = [net.init_params(k) for k in range(4)]
-        calls = {"snapshot": 0, "forward": 0}
-
-        def snapshot_fn():
-            calls["snapshot"] += 1
-            return [dict(p) for p in params]
-
+        learners = [_StubLearner(lambda k=k: net.init_params(k)) for k in range(4)]
+        forwards = [0]
         forward = net.forward
 
         def counting_forward(*args, **kwargs):
-            calls["forward"] += 1
+            forwards[0] += 1
             return forward(*args, **kwargs)
 
-        actors = self._grid_actors(table4, net, snapshot_fn, [[], [], []])
+        actors = self._grid_actors(table4, net)
         monkeypatch.setattr(net, "forward", counting_forward)
-        calls["snapshot"] = 0  # each actor polled once when built
-        decision_round(actors)  # every actor refreshes at decision 0
-        assert calls == {"snapshot": 1, "forward": 4}
-        decision_round(actors)
-        assert calls == {"snapshot": 1, "forward": 8}
-
-
-    def test_actors_with_their_own_parameters_are_rejected(self, table4):
-        net = _small_net(table4)
-        actors = self._grid_actors(
-            table4, net, lambda: [net.init_params(k) for k in range(4)], [[], [], []]
-        )
-        own = [net.init_params(k) for k in range(4)]
-        actors[1].snapshot_fn = lambda: own
-        with pytest.raises(ValueError, match="same parameters"):
-            decision_round(actors)
+        actors.decide(learners)  # every actor refreshes at round 0
+        assert [l.snapshots for l in learners] == [1, 1, 1, 1]
+        assert forwards == [4]
+        actors.decide(learners)
+        assert [l.snapshots for l in learners] == [1, 1, 1, 1]
+        assert forwards == [8]
 
     def test_round_of_512_actors_scores_each_state_alone(self, table4):
         # One forward over 512 FRAP states rounds most rows differently from
@@ -409,17 +397,25 @@ class TestLockstep:
         net = FrapNetwork(table4, FrapConfig())
         params = net.init_params(1)
         rng = np.random.default_rng(3)
+        states = [random_state(table4, rng) for _ in range(512)]
+
+        class _Parked:  # mid-episode forever: the round reads only its state
+            def __init__(self, state):
+                self.state = state
+
+            def states(self):
+                return [self.state]
+
+            def step(self, actions):
+                return [self.state], [0.0], False
+
+        cfg = TrainConfig(n_actors=512, epsilon=0.0)
+        actors = Actors(net, cfg, lambda i, episode: _Parked(states[i]), seed=0)
         scored = []
-        actors = []
-        for i in range(512):
-            actor = Actor(i, net, 0.0, None, lambda: [params], None, seed=i)
-            actor._sim = object()  # mid-episode: the round reads only its states
-            actor._states = [random_state(table4, rng)]
-            actor._act = lambda q_rows, a=actor: scored.append((a._states[0], q_rows[0]))
-            actors.append(actor)
-        decision_round(actors)
+        actors.policies = [lambda q: scored.append(q) or 0] * 512
+        actors.decide([_StubLearner(lambda: params)])
         assert len(scored) == 512
-        for state, q in scored:
+        for state, q in zip(states, scored):
             assert np.array_equal(q, net.q_values(params, state))
 
 
