@@ -33,15 +33,42 @@ class FlowSchedule:
     events: tuple[FlowEvent, ...]  # non-decreasing entry times
 
     def __post_init__(self) -> None:
-        times = [e.entry_time for e in self.events]
-        if any(b < a for a, b in zip(times, times[1:])):
+        times = self.entry_times
+        # One pass: each time is at least the one before it (0.0 before the
+        # first) and finite. A nan fails every comparison, so it is caught too.
+        if not all(a <= b < math.inf for a, b in zip((0.0, *times), times)):
+            for e in self.events:
+                if not 0.0 <= e.entry_time < math.inf:
+                    raise ValueError(
+                        f"vehicle {e.vehicle_id}: entry time {e.entry_time!r} "
+                        "must be finite and non-negative"
+                    )
             raise ValueError("flow events must be sorted by entry time")
-        for e in self.events:
-            if not e.route:
-                raise ValueError(f"vehicle {e.vehicle_id} has an empty route")
+        if not all(self.route_lengths):
+            bad = next(e for e in self.events if not e.route)
+            raise ValueError(f"vehicle {bad.vehicle_id} has an empty route")
 
     def __len__(self) -> int:
         return len(self.events)
+
+    # Per-vehicle columns, in event order, built once per schedule: every
+    # simulator on this flow shares them.
+
+    @cached_property
+    def vehicle_ids(self) -> tuple[int, ...]:
+        return tuple([e.vehicle_id for e in self.events])
+
+    @cached_property
+    def entry_times(self) -> tuple[float, ...]:
+        return tuple([e.entry_time for e in self.events])
+
+    @cached_property
+    def routes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple([e.route for e in self.events])
+
+    @cached_property
+    def route_lengths(self) -> tuple[int, ...]:
+        return tuple(map(len, self.routes))
 
     @cached_property
     def _id_ranges(self) -> tuple[int, int, int, int]:
@@ -123,7 +150,7 @@ def parse_flow_csv(
                 )
             except (ValueError, IndexError) as err:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r} ({err})") from None
-            if not 0.0 <= entry < math.inf:  # a nan passes the sort check and stalls entry
+            if not 0.0 <= entry < math.inf:  # FlowSchedule rejects it too, without a line number
                 raise ValueError(
                     f"{path}:{lineno}: entry time {row[1]!r} must be finite and non-negative"
                 )

@@ -181,9 +181,9 @@ def flow_spec(config: ExperimentConfig) -> fl.FlowSynthesisSpec:
 
 
 def build_flow(config: ExperimentConfig, seed: int) -> fl.FlowSchedule:
-    table = config.build_table()
     if config.flow.path is not None:
-        return fl.parse_flow_csv(config.flow.path, table.n_movements, config.n_intersections)
+        n_movements = config.build_table().n_movements
+        return fl.parse_flow_csv(config.flow.path, n_movements, config.n_intersections)
     spec = flow_spec(config)
     if config.n_intersections > 1:
         return fl.synthesize_grid_flow(spec, config.grid_rows, config.grid_cols, seed)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -74,13 +75,31 @@ class EpisodeMetrics:
 
     ``avg_travel_time`` averages exit minus approach-entry over vehicles that
     exited; vehicles still in the network at episode end are only counted.
+
+    The series are kept as columns, in flow-event order, and as one
+    ``(t, phase, reward, counts)`` tuple per interval and intersection;
+    ``vehicles`` and ``intervals`` build the records from them on first
+    access, so a caller that reads only the summary never pays for them.
+    Equality compares the summary and every column.
     """
 
     avg_travel_time: float
     exited_count: int
     in_network_count: int
-    vehicles: tuple[VehicleRecord, ...]
-    intervals: tuple[tuple[IntervalRecord, ...], ...]  # per intersection
+    vehicle_ids: tuple[int, ...]
+    entry_times: tuple[float, ...]
+    queue_join_times: tuple[float | None, ...]
+    exit_times: tuple[float | None, ...]
+    interval_rows: tuple[tuple[tuple[float, int, float, tuple[int, ...]], ...], ...]
+
+    @cached_property
+    def vehicles(self) -> tuple[VehicleRecord, ...]:
+        columns = (self.vehicle_ids, self.entry_times, self.queue_join_times, self.exit_times)
+        return tuple(map(VehicleRecord, *columns))
+
+    @cached_property
+    def intervals(self) -> tuple[tuple[IntervalRecord, ...], ...]:  # per intersection
+        return tuple(tuple(map(IntervalRecord._make, rows)) for rows in self.interval_rows)
 
 
 class GridSim:
@@ -123,12 +142,8 @@ class GridSim:
         self._phase_bits = [np.array(ph.bits, dtype=np.int64) for ph in table.phases]
         for bits in self._phase_bits:
             bits.flags.writeable = False
-        self._ids = [e.vehicle_id for e in flow.events]
-        self._entry_times = [e.entry_time for e in flow.events]
-        self._routes = [e.route for e in flow.events]
-        self._route_lens = [len(r) for r in self._routes]
         approach_time = config.approach_time
-        self._arrivals = [float(t) + approach_time for t in self._entry_times]
+        self._arrivals = [float(t) + approach_time for t in flow.entry_times]
         self.reset()
 
     def reset(self) -> list[TrafficState]:
@@ -140,14 +155,14 @@ class GridSim:
         self._waiting = [[deque() for _ in range(m)] for _ in range(k)]
         self._acc = [[0.0] * m for _ in range(k)]
         self._last_green = [[-2] * m for _ in range(k)]
-        n = len(self._routes)
+        n = len(self.flow)
         self._hop = [0] * n
         self._queue_join: list[float | None] = [None] * n
         self._exit: list[float | None] = [None] * n
         self._next_entry = 0  # first flow entry not yet at its stop line
         self._forwarded: deque[tuple[float, int]] = deque()  # (arrival, vehicle)
         self.exited_count = 0
-        self._intervals: list[list[IntervalRecord]] = [[] for _ in range(k)]
+        self._intervals: list[list[tuple]] = [[] for _ in range(k)]  # IntervalRecord fields
         return self.states()
 
     # -- micro dynamics --------------------------------------------------------
@@ -177,7 +192,7 @@ class GridSim:
         self.current = list(actions)
         arrivals, forwarded = self._arrivals, self._forwarded
         n_entries = len(arrivals)
-        routes, route_lens = self._routes, self._route_lens
+        routes, route_lens = self.flow.routes, self.flow.route_lengths
         hop, queue_join, exit_time = self._hop, self._queue_join, self._exit
         next_entry, exited = self._next_entry, self.exited_count
         on_microstep = self.on_microstep
@@ -246,9 +261,7 @@ class GridSim:
             lens = [len(q) for q in queues[k]]
             reward = -(sum(lens) / len(lens))  # integer sums are exact: bitwise the float mean
             rewards.append(reward)
-            self._intervals[k].append(
-                IntervalRecord(float(self.clock), phase, reward, tuple(lens))
-            )
+            self._intervals[k].append((float(self.clock), phase, reward, tuple(lens)))
             counts = np.array(lens, dtype=np.int64)
             states.append(TrafficState.trusted(counts, self._phase_bits[phase], phase))
         return states, rewards, self.done
@@ -269,7 +282,7 @@ class GridSim:
         """Vehicle accounting recomputed from the raw structures."""
         in_queue = sum(len(q) for row in self._queues for q in row)
         waiting = sum(len(w) for row in self._waiting for w in row)
-        entry_times, next_entry = self._entry_times, self._next_entry
+        entry_times, next_entry = self.flow.entry_times, self._next_entry
         on_approach = sum(1 for _, v in self._forwarded if entry_times[v] < now)
         on_approach += bisect_left(entry_times, now, lo=next_entry) - next_entry
         entered = bisect_left(entry_times, now)
@@ -282,17 +295,20 @@ class GridSim:
         }
 
     def metrics(self) -> EpisodeMetrics:
-        records = tuple(
-            map(VehicleRecord, self._ids, self._entry_times, self._queue_join, self._exit)
-        )
-        travel = [x - t for x, t in zip(self._exit, self._entry_times) if x is not None]
-        entered = bisect_left(self._entry_times, float(self.clock))
+        """The summary, and a snapshot of the per-vehicle and per-interval
+        columns: later steps do not change it."""
+        entry_times = self.flow.entry_times
+        travel = [x - t for x, t in zip(self._exit, entry_times) if x is not None]
+        entered = bisect_left(entry_times, float(self.clock))
         return EpisodeMetrics(
             avg_travel_time=float(np.mean(travel)) if travel else 0.0,
             exited_count=self.exited_count,
             in_network_count=entered - self.exited_count,
-            vehicles=records,
-            intervals=tuple(tuple(rows) for rows in self._intervals),
+            vehicle_ids=self.flow.vehicle_ids,
+            entry_times=entry_times,
+            queue_join_times=tuple(self._queue_join),
+            exit_times=tuple(self._exit),
+            interval_rows=tuple(tuple(rows) for rows in self._intervals),
         )
 
 

@@ -429,12 +429,12 @@ def censored_travel_time(metrics, episode_length: float) -> float:
     """
     total = 0.0
     count = 0
-    for r in metrics.vehicles:
-        if r.exit is not None:
-            total += r.exit - r.entry
+    for exit_time, entry in zip(metrics.exit_times, metrics.entry_times):
+        if exit_time is not None:
+            total += exit_time - entry
             count += 1
-        elif r.entry < episode_length:
-            total += episode_length - r.entry
+        elif entry < episode_length:
+            total += episode_length - entry
             count += 1
     return total / count if count else 0.0
 

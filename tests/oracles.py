@@ -179,6 +179,33 @@ def always_green_departures(stop_line_times: list[float], headway: float) -> lis
     return departures
 
 
+def episode_summary_oracle(vehicles, clock: float, episode_length: float):
+    """(avg_travel_time, exited_count, in_network_count, censored travel time)
+    recomputed from per-vehicle records, one record at a time.
+
+    The exited mean is numpy's mean over exited vehicles in record order, and
+    the censored mean sums left to right: the same float operations in the
+    same order as the simulator and the trainer, so agreement is bitwise.
+    """
+    travel = []
+    entered = 0
+    censored_total = 0.0
+    censored_count = 0
+    for r in vehicles:
+        if r.entry < clock:
+            entered += 1
+        if r.exit is not None:
+            travel.append(r.exit - r.entry)
+            censored_total += r.exit - r.entry
+            censored_count += 1
+        elif r.entry < episode_length:
+            censored_total += episode_length - r.entry
+            censored_count += 1
+    avg = float(np.mean(travel)) if travel else 0.0
+    censored = censored_total / censored_count if censored_count else 0.0
+    return avg, len(travel), entered - len(travel), censored
+
+
 # --- flows and classical control ------------------------------------------------
 
 def movement_times_oracle(spec, movement: int, rng: np.random.Generator) -> list[float]:

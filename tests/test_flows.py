@@ -120,6 +120,37 @@ class TestCsv:
             parse_flow_csv(path)
 
 
+class TestSchedule:
+    @pytest.mark.parametrize(
+        "times,bad",
+        [
+            ((1.0, float("nan"), 0.5), 1),  # b < a is False for a nan: unsorted, yet it passed
+            ((float("nan"), 1.0, 2.0), 0),
+            ((-3.0, 1.0, 2.0), 0),
+            ((0.0, 1.0, float("inf")), 2),
+            ((float("-inf"), 1.0, 2.0), 0),
+        ],
+    )
+    def test_entry_time_must_be_finite_and_non_negative(self, times, bad):
+        events = tuple(FlowEvent(i, t, ((0, 1),)) for i, t in enumerate(times))
+        with pytest.raises(ValueError, match=f"vehicle {bad}: entry time .* finite and non-negative"):
+            FlowSchedule(events=events)
+
+    def test_unsorted_and_empty_route_rejected(self):
+        with pytest.raises(ValueError, match="sorted by entry time"):
+            FlowSchedule(events=(FlowEvent(0, 2.0, ((0, 1),)), FlowEvent(1, 1.0, ((0, 1),))))
+        with pytest.raises(ValueError, match="vehicle 1 has an empty route"):
+            FlowSchedule(events=(FlowEvent(0, 0.0, ((0, 1),)), FlowEvent(1, 1.0, ())))
+
+    def test_columns_follow_the_events(self):
+        flow = synthesize_grid_flow(benchmark_flow_spec("unbalanced-WE", duration=600.0), 2, 2, 3)
+        assert flow.vehicle_ids == tuple(e.vehicle_id for e in flow.events)
+        assert flow.entry_times == tuple(e.entry_time for e in flow.events)
+        assert flow.routes == tuple(e.route for e in flow.events)
+        assert flow.route_lengths == tuple(len(e.route) for e in flow.events)
+        assert flow.entry_times is flow.entry_times  # built once
+
+
 class TestSynthesis:
     def test_zero_rates_empty(self):
         spec = FlowSynthesisSpec(rates=(0.0,) * 8)

@@ -128,3 +128,34 @@ def test_actor_round_spans(tracing, table4):
     assert names.count("networks.forward") == 4
     assert names.count("networks.q") == 0
     assert [len(l.buffer) for l in learners] == [3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("grid", (1, 2))
+def test_every_training_eval_span_closes(tracing, tmp_path, grid):
+    # training.eval opens when training builds the held-out flow and closes
+    # when censored_travel_time returns. Each eval of a run must therefore
+    # give one closed span, and none may be left open on the span stack.
+    config = harness.ExperimentConfig(
+        seed=3,
+        grid_rows=grid,
+        grid_cols=grid,
+        sim=simulator.SimConfig(episode_length=300),
+        flow=harness.FlowConfig(name="unbalanced-WE", duration=300.0),
+        train=training.TrainConfig(
+            n_actors=2, batch_size=8, warmup_transitions=8, max_learner_steps=25, eval_period=10
+        ),
+        out_dir=str(tmp_path),
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        paths = harness.cmd_train(config)
+        stack = list(tracer._stack())
+    finally:
+        tracer.uninstall()
+    rows = len(paths["curve"].read_text().splitlines()) - 1
+    assert rows == 4  # steps 0, 10, 20 and the final 25
+    evals = [s for s in tracer.spans if s.name == "training.eval"]
+    assert len(evals) == rows
+    assert all(s.end is not None and s.end >= s.start for s in evals)
+    assert stack == []

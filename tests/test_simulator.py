@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
+from phaselab import training
 from phaselab.flows import (
     FlowEvent,
     FlowSchedule,
@@ -18,7 +19,7 @@ from phaselab.simulator import write_interval_csv, write_vehicle_csv
 from phaselab.state import states_equal
 from phaselab.topology import find_op, inverse
 
-from oracles import always_green_departures
+from oracles import always_green_departures, episode_summary_oracle
 
 
 def single_hop(entries, movement):
@@ -507,18 +508,24 @@ def state_keys(states):
     return [(s.counts.tobytes(), s.signal_bits.tobytes(), s.phase_index) for s in states]
 
 
-def golden_episode(grid, config, flow, seed, table):
-    """Random-action episode; returns the sim's trajectory, snapshots and metrics."""
+def golden_episode(grid, config, flow, seed, table, steps=None, on_step=None):
+    """Random-action episode of ``steps`` decisions (default: to the end);
+    returns the sim's trajectory, snapshots and metrics. ``on_step(sim)``
+    runs after every step."""
     k = 4 if grid == "2x2" else 1
     sim = pl.GridSim(config, table, flow, k)
     rng = np.random.default_rng(seed)
     trace = [state_keys(sim.reset())]
     done = False
-    while not done:
+    while not done and steps != 0:
         states, rewards, done = sim.step([int(a) for a in rng.integers(table.n_phases, size=k)])
         trace.append(state_keys(states))
         trace.append(rewards)
         trace.append(sorted(sim.conservation_snapshot(float(sim.clock)).items()))
+        if on_step is not None:
+            on_step(sim)
+        if steps is not None:
+            steps -= 1
     return trace, sim.metrics()
 
 
@@ -552,6 +559,46 @@ class TestGoldenTrajectories:
             )
         }
         assert digests == GOLDEN_CSV_DIGESTS
+
+
+class TestSummaryPath:
+    """The summary is computed from the simulator's own lists and the records
+    are built later, from a snapshot: both must agree with the records."""
+
+    @pytest.mark.parametrize(
+        "grid,config_name,flow_name,seed", sorted(k for k in GOLDEN_DIGESTS if k[3] == 0)
+    )
+    def test_summary_equals_record_oracle(self, table4, grid, config_name, flow_name, seed):
+        config = GOLDEN_CONFIGS[config_name]
+        flow = golden_flow(grid, flow_name, seed)
+        _, m = golden_episode(grid, config, flow, seed, table4)
+        di = config.decision_interval
+        clock = -(-config.episode_length // di) * di  # the last interval may overrun
+        avg, exited, in_network, censored = episode_summary_oracle(
+            m.vehicles, clock, config.episode_length
+        )
+        assert m.avg_travel_time == avg
+        assert m.exited_count == exited
+        assert m.in_network_count == in_network
+        assert training.censored_travel_time(m, config.episode_length) == censored
+
+    @pytest.mark.parametrize("grid", ("1x1", "2x2"))
+    def test_mid_episode_metrics_are_a_snapshot(self, table4, grid):
+        config = GOLDEN_CONFIGS["cap5-h1.5"]
+        flow = golden_flow(grid, "unbalanced-WE", 0)
+        taken = []
+
+        def take_at_step_100(sim):
+            if sim.clock == 100 * config.decision_interval:
+                taken.append(sim.metrics())
+
+        _, end = golden_episode(grid, config, flow, 0, table4, on_step=take_at_step_100)
+        _, stopped = golden_episode(grid, config, flow, 0, table4, steps=100)
+        (mid,) = taken
+        assert metrics_values(mid) == metrics_values(stopped)
+        assert mid == stopped
+        assert mid != end
+        assert all(len(rows) == 100 for rows in mid.intervals)
 
 
 class TestResetReuse:
