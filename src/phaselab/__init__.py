@@ -34,7 +34,7 @@ from .topology import (
     build_phase_table,
     symmetry_group,
 )
-from .training import TrainConfig, Transition, train
+from .training import TrainConfig, train
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "SymmetryOp",
     "TrafficState",
     "TrainConfig",
-    "Transition",
     "Turn",
     "VanillaConfig",
     "VanillaNetwork",

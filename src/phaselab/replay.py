@@ -1,15 +1,16 @@
 """Prioritized experience replay: FIFO ring plus sum/max segment trees.
 
-Sampling probability of slot i is priority_i**alpha / sum_j priority_j**alpha;
-importance-sampling weights are (N * P(i))**-beta, normalized by the batch
-maximum so they never exceed 1.
+The buffer keeps one transition per row of the :class:`Batch` arrays and
+takes them in blocks: an actor round adds each learner's rows in one call,
+at the current max priority. Sampling probability of slot i is
+priority_i**alpha / sum_j priority_j**alpha; importance-sampling weights are
+(N * P(i))**-beta, normalized by the batch maximum so they never exceed 1.
 """
 
 from __future__ import annotations
 
-import math
 import operator
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,18 +122,31 @@ class MaxTree(SegmentTree):
 _FIRST_SLOTS = 1024  # slots a buffer allocates up front; doubled as the fill reaches them
 
 
+class Batch(NamedTuple):
+    """One transition per row: counts and signal bits [B, M], action [B],
+    reward and not-done (1.0 unless terminal) [B]. A buffer stores them as
+    float64, actions as int64."""
+
+    counts: np.ndarray
+    bits: np.ndarray
+    action: np.ndarray
+    reward: np.ndarray
+    next_counts: np.ndarray
+    next_bits: np.ndarray
+    not_done: np.ndarray
+
+
 class PrioritizedReplayBuffer:
-    """Ring buffer with proportional prioritized sampling.
+    """Ring buffer of :class:`Batch` rows with proportional prioritized sampling.
 
     Evicts FIFO at capacity. Slots never written have zero mass and are
-    therefore never sampled; overwritten (evicted) items are unreachable.
-    Items live in a list that grows with the fill; a subclass may keep them
-    elsewhere by overriding ``_store``, ``_gather`` and ``_grow``. The max
-    tree holds every item's raw priority (see :meth:`priorities`).
+    therefore never sampled; overwritten (evicted) rows are unreachable. The
+    max tree holds every row's raw priority (see :meth:`priorities`).
 
-    The trees grow with the fill too, doubling up to ``capacity``: a tree
-    over the occupied slots samples exactly as one over all ``capacity``
-    slots would (the rest have zero mass), with fewer levels to walk.
+    The trees and the row arrays grow with the fill, doubling up to
+    ``capacity``: a tree over the occupied slots samples exactly as one over
+    all ``capacity`` slots would (the rest have zero mass), with fewer levels
+    to walk. ``sample`` gathers its batch with one fancy index per array.
     """
 
     def __init__(self, capacity: int, alpha: float = 0.6):
@@ -140,7 +154,7 @@ class PrioritizedReplayBuffer:
             raise ValueError("alpha must be in [0, 1]")
         self.capacity = capacity
         self.alpha = alpha
-        self._items: list = []
+        self._rows: Batch | None = None  # allocated by the first add
         self._slots = min(capacity, _FIRST_SLOTS)
         self._sum = SumTree(self._slots)
         self._max = MaxTree(self._slots)
@@ -155,42 +169,65 @@ class PrioritizedReplayBuffer:
         return self._max.root
 
     def priorities(self) -> np.ndarray:
-        """Raw priority of every stored item, by slot."""
+        """Raw priority of every stored row, by slot."""
         return self._max.leaves(np.arange(self._size))
 
-    def add(self, item, priority: float | None = None) -> None:
-        """Insert with the given priority; default is the current max (1 if empty)."""
-        if priority is None:
-            priority = self.max_priority() or 1.0
-        if not (math.isfinite(priority) and priority > 0):
-            raise ValueError(f"priority must be positive and finite, got {priority}")
-        slot = self._next
-        if slot == self._slots:
+    def add(self, rows: Batch) -> None:
+        """Append a block of rows at the current max priority (1 if empty).
+
+        Row j goes to slot ``(next + j) % capacity``, as if the rows came one
+        at a time: each of them would find the same max. That max is a
+        priority :meth:`update_priorities` already checked.
+        """
+        n = len(rows.action)
+        if any(len(column) != n for column in rows):
+            raise ValueError("every column of a block needs one entry per row")
+        if n > self.capacity:
+            raise ValueError(f"a block of {n} rows overflows a buffer of {self.capacity}")
+        priority = self.max_priority() or 1.0
+        mass = priority**self.alpha
+        start = self._next
+        end = min(start + n, self.capacity)
+        while self._slots < end:
             self._grow(min(self.capacity, 2 * self._slots))
-        self._store(slot, item)
-        self._sum[slot] = priority**self.alpha
-        self._max[slot] = priority
-        self._next = (self._next + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        if self._rows is None:
+            self._rows = self._allocate(self._slots, rows.counts.shape[1])
+        head = end - start  # the rows before the ring's end; the rest wrap to slot 0
+        for column, new in zip(self._rows, rows):
+            column[start:end] = new[:head]
+            column[: n - head] = new[head:]
+        for slot in (*range(start, end), *range(n - head)):
+            self._sum[slot] = mass
+            self._max[slot] = priority
+        self._next = (start + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
 
-    def _store(self, slot: int, item) -> None:
-        if slot == len(self._items):
-            self._items.append(item)
-        else:
-            self._items[slot] = item
-
-    def _gather(self, indices: np.ndarray):
-        return [self._items[i] for i in indices.tolist()]
+    @staticmethod
+    def _allocate(size: int, n_movements: int) -> Batch:
+        return Batch(
+            counts=np.empty((size, n_movements)),
+            bits=np.empty((size, n_movements)),
+            action=np.empty(size, dtype=np.int64),
+            reward=np.empty(size),
+            next_counts=np.empty((size, n_movements)),
+            next_bits=np.empty((size, n_movements)),
+            not_done=np.empty(size),
+        )
 
     def _grow(self, slots: int) -> None:
         self._sum = self._sum.grown(slots)
         self._max = self._max.grown(slots)
         self._slots = slots
+        if self._rows is not None:
+            old = self._rows
+            self._rows = self._allocate(slots, old.counts.shape[1])
+            for new, column in zip(self._rows, old):
+                new[: len(column)] = column
 
     def sample(self, batch_size: int, beta: float, rng: np.random.Generator):
-        """Draw iid proportional samples; returns (indices, items, is_weights)."""
+        """Draw iid proportional samples; returns (indices, rows, is_weights)."""
         if self._size < batch_size:
-            raise ValueError(f"buffer holds {self._size} items, need {batch_size}")
+            raise ValueError(f"buffer holds {self._size} rows, need {batch_size}")
         total = self._sum.root
         # Descent can fall on a zero-mass slot when a draw hits a prefix-sum
         # boundary exactly; occupied slots are always 0.._size-1, so clamp.
@@ -199,7 +236,7 @@ class PrioritizedReplayBuffer:
         probs = self._sum.leaves(indices) / total
         weights = (self._size * probs) ** (-beta)
         weights = weights / weights.max()
-        return indices, self._gather(indices), weights
+        return indices, Batch(*(column[indices] for column in self._rows)), weights
 
     def update_priorities(self, indices: Sequence[int], priorities: Sequence[float]) -> None:
         idx = np.asarray(indices, dtype=np.int64)

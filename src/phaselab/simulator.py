@@ -301,7 +301,9 @@ class GridSim:
         travel = [x - t for x, t in zip(self._exit, entry_times) if x is not None]
         entered = bisect_left(entry_times, float(self.clock))
         return EpisodeMetrics(
-            avg_travel_time=float(np.mean(travel)) if travel else 0.0,
+            avg_travel_time=(
+                float(np.fromiter(travel, float, len(travel)).mean()) if travel else 0.0
+            ),
             exited_count=self.exited_count,
             in_network_count=entered - self.exited_count,
             vehicle_ids=self.flow.vehicle_ids,

@@ -9,110 +9,26 @@ target network; the actors take a parameter snapshot from every learner every
 
 Training runs on one thread on a fixed schedule and is bit-reproducible:
 each round, all actors decide in lockstep (one batched forward per
-intersection), then every learner steps once. Replay keeps transitions as
-rows of arrays, so a learner step gathers its batch with one index per
-array. Parameters are plain arrays by name, and every snapshot is a copy.
-A learner step runs the online forward with its VJP and hands both to
-``numerics.backward``, which returns the loss and the gradients."""
+intersection), hand each learner the round's rows in one ``replay.Batch``,
+then every learner steps once. Replay keeps transitions as rows of arrays,
+so a learner step gathers its batch with one index per array. Parameters
+are plain arrays by name, and every snapshot is a copy. A learner step runs
+the online forward with its VJP and hands both to ``numerics.backward``,
+which returns the loss and the gradients."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import numerics as nm
 from .numerics import Params
-from .replay import PrioritizedReplayBuffer
+from .replay import Batch, PrioritizedReplayBuffer
 from .simulator import GridSim
 from .state import TrafficState
-
-
-@dataclass
-class Transition:
-    state: TrafficState
-    action: int
-    reward: float
-    next_state: TrafficState
-    done: bool
-
-
-class Batch(NamedTuple):
-    """Transitions as rows: counts and signal bits [B, M] (float64), action
-    [B] (int64), reward and not-done (1.0 unless terminal) [B] (float64)."""
-
-    counts: np.ndarray
-    bits: np.ndarray
-    action: np.ndarray
-    reward: np.ndarray
-    next_counts: np.ndarray
-    next_bits: np.ndarray
-    not_done: np.ndarray
-
-
-def stack_transitions(transitions: Sequence[Transition]) -> Batch:
-    """The rows of a list of transitions, as a replay buffer holds them."""
-
-    def rows(arrays) -> np.ndarray:
-        return np.stack(list(arrays)).astype(np.float64)
-
-    return Batch(
-        counts=rows(t.state.counts for t in transitions),
-        bits=rows(t.state.signal_bits for t in transitions),
-        action=np.array([t.action for t in transitions], dtype=np.int64),
-        reward=np.array([t.reward for t in transitions], dtype=np.float64),
-        next_counts=rows(t.next_state.counts for t in transitions),
-        next_bits=rows(t.next_state.signal_bits for t in transitions),
-        not_done=np.array([0.0 if t.done else 1.0 for t in transitions]),
-    )
-
-
-class TransitionReplay(PrioritizedReplayBuffer):
-    """Prioritized replay keeping each transition as one row of the
-    :class:`Batch` arrays, so ``sample`` returns a Batch gathered with one
-    fancy index per array. The arrays grow with the buffer's slots, doubling
-    up to ``capacity``, never to it up front."""
-
-    def __init__(self, capacity: int, alpha: float = 0.6):
-        super().__init__(capacity, alpha)
-        self._rows: Batch | None = None
-
-    def _store(self, slot: int, t: Transition) -> None:
-        if self._rows is None:
-            self._rows = self._allocate(self._slots, t.state.n_movements)
-        rows = self._rows
-        rows.counts[slot] = t.state.counts
-        rows.bits[slot] = t.state.signal_bits
-        rows.action[slot] = t.action
-        rows.reward[slot] = t.reward
-        rows.next_counts[slot] = t.next_state.counts
-        rows.next_bits[slot] = t.next_state.signal_bits
-        rows.not_done[slot] = 0.0 if t.done else 1.0
-
-    def _grow(self, slots: int) -> None:
-        super()._grow(slots)
-        if self._rows is not None:
-            old = self._rows
-            self._rows = self._allocate(slots, old.counts.shape[1])
-            for new, column in zip(self._rows, old):
-                new[: len(column)] = column
-
-    @staticmethod
-    def _allocate(size: int, n_movements: int) -> Batch:
-        return Batch(
-            counts=np.empty((size, n_movements)),
-            bits=np.empty((size, n_movements)),
-            action=np.empty(size, dtype=np.int64),
-            reward=np.empty(size),
-            next_counts=np.empty((size, n_movements)),
-            next_bits=np.empty((size, n_movements)),
-            not_done=np.empty(size),
-        )
-
-    def _gather(self, indices: np.ndarray) -> Batch:
-        return Batch(*(column[indices] for column in self._rows))
 
 
 @dataclass(frozen=True)
@@ -209,7 +125,7 @@ class Learner:
         network,
         params: Params,
         config: TrainConfig,
-        buffer: TransitionReplay,
+        buffer: PrioritizedReplayBuffer,
         rng: np.random.Generator,
     ):
         self.network = network
@@ -370,15 +286,16 @@ class Actors:
         self.params: list[Params] = []  # one set per intersection
 
     def decide(self, learners: Sequence[Learner]) -> None:
-        """One decision of every actor; transition k goes to ``learners[k]``.
+        """One decision of every actor; ``learners[k]`` gets one Batch of the
+        actors' transitions at intersection k, in actor order.
 
         Every ``snapshot_period`` rounds, from round 0, the actors take one
         snapshot per learner. Actors without an episode start one. At each
         intersection, batched forwards of up to ``ROUND_BLOCK`` states (one,
         for up to 64 actors) score every actor's state, explorers included.
         Row i of a batched forward is bitwise the Q-values of state i alone,
-        so the actions, transitions and rng states do not depend on how many
-        actors decide together.
+        so the actions, rows and rng states do not depend on how many actors
+        decide together. The rows reuse the stacked states of the forward.
         """
         if self.rounds % self.snapshot_period == 0:
             self.params = [learner.snapshot() for learner in learners]
@@ -386,29 +303,42 @@ class Actors:
             if sim is None:
                 self.sims[i] = sim = self.env_factory(i, self.episodes[i])
                 self.states[i] = sim.states()
-        q_by_intersection = []
+        stacked, q_by_intersection = [], []
         for k, params in enumerate(self.params):
             counts = np.stack([states[k].counts for states in self.states])
             bits = np.stack([states[k].signal_bits for states in self.states])
+            stacked.append((counts, bits))
             q_by_intersection.append(np.concatenate([
                 self.network.forward(
                     params, counts[b : b + ROUND_BLOCK], bits[b : b + ROUND_BLOCK]
                 )
                 for b in range(0, len(counts), ROUND_BLOCK)
             ]))
+        actions, rewards, next_states, not_done = [], [], [], []
         for i, policy in enumerate(self.policies):
-            states = self.states[i]
-            actions = [policy(q[i]) for q in q_by_intersection]
-            next_states, rewards, done = self.sims[i].step(actions)
-            for learner, s, a, r, s2 in zip(learners, states, actions, rewards, next_states):
-                learner.buffer.add(
-                    Transition(state=s, action=a, reward=r, next_state=s2, done=done)
-                )
+            actions.append([policy(q[i]) for q in q_by_intersection])
+            after, step_rewards, done = self.sims[i].step(actions[i])
+            rewards.append(step_rewards)
+            next_states.append(after)
+            not_done.append(0.0 if done else 1.0)
             if done:
                 self.episodes[i] += 1
                 self.sims[i] = None
             else:
-                self.states[i] = next_states
+                self.states[i] = after
+        actions = np.array(actions, dtype=np.int64)  # [actor, intersection]
+        rewards = np.array(rewards, dtype=np.float64)
+        not_done = np.array(not_done)
+        for k, (learner, (counts, bits)) in enumerate(zip(learners, stacked)):
+            learner.buffer.add(Batch(
+                counts=counts,
+                bits=bits,
+                action=actions[:, k],
+                reward=rewards[:, k],
+                next_counts=np.stack([states[k].counts for states in next_states]),
+                next_bits=np.stack([states[k].signal_bits for states in next_states]),
+                not_done=not_done,
+            ))
         self.rounds += 1
 
 
@@ -504,7 +434,7 @@ def train(
             network,
             network.init_params(seed + 101 * k),
             config,
-            TransitionReplay(config.buffer_capacity, config.alpha),
+            PrioritizedReplayBuffer(config.buffer_capacity, config.alpha),
             np.random.default_rng(seed + 17 * k + 1),
         )
         for k in range(n)

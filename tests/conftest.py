@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import phaselab as pl
+from phaselab.replay import Batch
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +28,24 @@ def random_state(table, rng, max_count: int = 40) -> pl.TrafficState:
     phase = int(rng.integers(table.n_phases))
     bits = np.array(table.phases[phase].bits, dtype=np.int64)
     return pl.TrafficState(counts=counts, signal_bits=bits, phase_index=phase)
+
+
+def random_rows(table, rng, n: int, done_every: int = 0) -> Batch:
+    """n random transitions as replay rows, stacked from random states as the
+    actors stack theirs; row i is terminal when ``done_every`` divides i + 1."""
+    states, next_states, actions, rewards = [], [], [], []
+    for _ in range(n):
+        states.append(random_state(table, rng))
+        next_states.append(random_state(table, rng))
+        actions.append(int(rng.integers(table.n_phases)))
+        rewards.append(-float(rng.uniform(0.0, 10.0)))
+    done = [done_every > 0 and i % done_every == done_every - 1 for i in range(n)]
+    return Batch(
+        counts=np.stack([s.counts for s in states]),
+        bits=np.stack([s.signal_bits for s in states]),
+        action=np.array(actions, dtype=np.int64),
+        reward=np.array(rewards),
+        next_counts=np.stack([s.counts for s in next_states]),
+        next_bits=np.stack([s.signal_bits for s in next_states]),
+        not_done=np.array([0.0 if d else 1.0 for d in done]),
+    )

@@ -206,6 +206,71 @@ def episode_summary_oracle(vehicles, clock: float, episode_length: float):
     return avg, len(travel), entered - len(travel), censored
 
 
+# --- replay --------------------------------------------------------------------
+
+class SequentialReplayOracle:
+    """A prioritized ring buffer that takes a block's rows one at a time.
+
+    Each row goes to the next ring slot at the largest raw priority stored
+    then (1 when empty), with mass ``priority ** alpha`` as a Python float.
+    The occupied slots double from ``first_slots`` up to ``capacity`` as the
+    next row reaches them. ``trees`` rebuilds the sum and max trees bottom up
+    from the leaves, at the size those slots need; a tree whose every node is
+    the reduction of its two children holds exactly those values, however its
+    leaves were written.
+    """
+
+    def __init__(self, capacity: int, alpha: float, first_slots: int):
+        self.capacity = capacity
+        self.alpha = alpha
+        self.slots = min(capacity, first_slots)
+        self.priority = np.zeros(capacity)  # raw priority by slot
+        self.mass = np.zeros(capacity)  # sum-tree leaf by slot
+        self.columns = None  # one float64 array of ``capacity`` rows per field
+        self.size = 0
+        self.next = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def add(self, block) -> None:
+        if self.columns is None:
+            self.columns = [np.zeros((self.capacity,) + np.shape(c)[1:]) for c in block]
+        for j in range(len(block.action)):
+            priority = float(self.priority[: self.size].max()) if self.size else 1.0
+            slot = self.next
+            if slot == self.slots:
+                self.slots = min(self.capacity, 2 * self.slots)
+            for column, values in zip(self.columns, block):
+                column[slot] = values[j]
+            self.priority[slot] = priority
+            self.mass[slot] = priority**self.alpha
+            self.next = (slot + 1) % self.capacity
+            self.size = min(self.size + 1, self.capacity)
+
+    def update_priorities(self, indices, priorities) -> None:
+        """The buffer's own update: numpy's power gives the new masses."""
+        priorities = np.asarray(priorities, dtype=np.float64)
+        self.priority[indices] = priorities
+        self.mass[indices] = priorities**self.alpha
+
+    def trees(self) -> tuple[np.ndarray, np.ndarray]:
+        size = 1
+        while size < self.slots:
+            size *= 2
+        sums = np.zeros(2 * size)
+        maxes = np.zeros(2 * size)
+        sums[size : size + self.slots] = self.mass[: self.slots]
+        maxes[size : size + self.slots] = self.priority[: self.slots]
+        level = size
+        while level > 1:
+            level //= 2
+            for tree, reduce in ((sums, np.add), (maxes, np.maximum)):
+                children = tree[2 * level : 4 * level]
+                tree[level : 2 * level] = reduce(children[0::2], children[1::2])
+        return sums, maxes
+
+
 # --- flows and classical control ------------------------------------------------
 
 def movement_times_oracle(spec, movement: int, rng: np.random.Generator) -> list[float]:

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaselab import flows, gridtrain, harness, networks, simulator, training
+from phaselab import flows, gridtrain, harness, networks, replay, simulator, training
 
-from conftest import random_state
+from conftest import random_rows
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,16 +71,8 @@ def test_learner_step_spans(tracing, table4):
     # one numerics.backward, the whole backward pass, all inside its span.
     net = networks.FrapNetwork(table4, networks.FrapConfig())
     config = training.TrainConfig(batch_size=16)
-    buffer = training.TransitionReplay(64, config.alpha)
-    rng = np.random.default_rng(0)
-    for i in range(32):
-        buffer.add(training.Transition(
-            state=random_state(table4, rng),
-            action=int(rng.integers(table4.n_phases)),
-            reward=-float(rng.uniform(0.0, 10.0)),
-            next_state=random_state(table4, rng),
-            done=i % 8 == 7,
-        ))
+    buffer = replay.PrioritizedReplayBuffer(64, config.alpha)
+    buffer.add(random_rows(table4, np.random.default_rng(0), 32, done_every=8))
     learner = training.Learner(net, net.init_params(0), config, buffer, np.random.default_rng(1))
     tracer = tracing.Tracer()
     tracer.install()
@@ -99,7 +91,8 @@ def test_learner_step_spans(tracing, table4):
 def test_actor_round_spans(tracing, table4):
     # training.actor_decision_us times one actor's pick at one intersection,
     # and networks.forward_calls counts the round's batched forwards: one per
-    # intersection for up to 64 actors, and no single-state q_values.
+    # intersection for up to 64 actors, and no single-state q_values. Each
+    # learner's buffer takes the round's rows in one replay.add.
     net = networks.FrapNetwork(table4, networks.FrapConfig())
     config = training.TrainConfig(n_actors=3)
     sim_config = simulator.SimConfig(episode_length=50)
@@ -111,7 +104,7 @@ def test_actor_round_spans(tracing, table4):
 
     learners = [
         training.Learner(
-            net, net.init_params(k), config, training.TransitionReplay(64, config.alpha),
+            net, net.init_params(k), config, replay.PrioritizedReplayBuffer(64, config.alpha),
             np.random.default_rng(k),
         )
         for k in range(4)
@@ -127,6 +120,7 @@ def test_actor_round_spans(tracing, table4):
     assert names.count("training.actor_decision") == 12
     assert names.count("networks.forward") == 4
     assert names.count("networks.q") == 0
+    assert names.count("replay.add") == 4
     assert [len(l.buffer) for l in learners] == [3, 3, 3, 3]
 
 

@@ -3,7 +3,10 @@ import pytest
 from scipy import stats
 
 from phaselab import replay
-from phaselab.replay import MaxTree, PrioritizedReplayBuffer, SumTree
+from phaselab.replay import Batch, MaxTree, PrioritizedReplayBuffer, SumTree
+
+from conftest import random_rows
+from oracles import SequentialReplayOracle
 
 
 class TestSegmentTrees:
@@ -48,35 +51,48 @@ class TestSegmentTrees:
             assert m1.root == vals.max()
 
 
+def _rows(*ids: int) -> Batch:
+    """One row per id, the id in the action column; every other column zero."""
+    n = len(ids)
+    zeros = np.zeros((n, 1))
+    return Batch(zeros, zeros, np.array(ids, dtype=np.int64), zeros[:, 0], zeros, zeros, zeros[:, 0])
+
+
+def _held(buf) -> list[int]:
+    return buf._rows.action[: len(buf)].tolist()
+
+
 class TestBuffer:
     def test_fifo_eviction_and_size_bound(self):
         buf = PrioritizedReplayBuffer(capacity=4, alpha=1.0)
         for i in range(10):
-            buf.add(i, priority=1.0)
+            buf.add(_rows(i))
             assert len(buf) <= 4
-        assert sorted(buf._items) == [6, 7, 8, 9]
+        assert sorted(_held(buf)) == [6, 7, 8, 9]
 
     def test_never_returns_evicted_items(self):
         buf = PrioritizedReplayBuffer(capacity=8, alpha=1.0)
         rng = np.random.default_rng(0)
         for i in range(40):
-            buf.add(i, priority=rng.uniform(0.5, 2.0))
-        _, items, _ = buf.sample(8, beta=1.0, rng=rng)
-        assert all(item >= 32 for item in items)
+            buf.add(_rows(i))
+            buf.update_priorities([i % 8], [rng.uniform(0.5, 2.0)])
+        _, rows, _ = buf.sample(8, beta=1.0, rng=rng)
+        assert all(item >= 32 for item in rows.action)
 
     def test_default_priority_is_current_max(self):
         buf = PrioritizedReplayBuffer(capacity=8, alpha=1.0)
-        buf.add("a")  # empty buffer -> priority 1
+        buf.add(_rows(0))  # empty buffer -> priority 1
         assert buf.max_priority() == 1.0
-        buf.add("b", priority=5.0)
-        buf.add("c")
+        buf.add(_rows(1))
+        buf.update_priorities([1], [5.0])
+        buf.add(_rows(2))
         assert buf._max[2] == 5.0
         buf.update_priorities([1], [0.5])
-        assert buf.max_priority() == 5.0  # max over the current items
+        assert buf.max_priority() == 5.0  # max over the current rows
 
     def test_sample_requires_enough_items(self):
         buf = PrioritizedReplayBuffer(capacity=8)
-        buf.add("a", priority=1.0)
+        buf.add(_rows(0))
         with pytest.raises(ValueError):
             buf.sample(2, beta=0.4, rng=np.random.default_rng(0))
 
@@ -89,11 +105,16 @@ class TestBuffer:
             out.extend(idx)
         return np.array(out)
 
+    @staticmethod
+    def _filled(priorities, alpha):
+        buf = PrioritizedReplayBuffer(capacity=len(priorities), alpha=alpha)
+        buf.add(_rows(*range(len(priorities))))
+        buf.update_priorities(np.arange(len(priorities)), priorities)
+        return buf
+
     def test_priorities_three_to_one(self):
-        # alpha=1, priorities {3, 1}: the first item should be drawn 75% +- 2%.
-        buf = PrioritizedReplayBuffer(capacity=2, alpha=1.0)
-        buf.add("hot", priority=3.0)
-        buf.add("cold", priority=1.0)
+        # alpha=1, priorities {3, 1}: the first row should be drawn 75% +- 2%.
+        buf = self._filled([3.0, 1.0], alpha=1.0)
         rng = np.random.default_rng(11)
         draws = 100_000
         idx = self._draw_many(buf, draws, rng)
@@ -102,9 +123,7 @@ class TestBuffer:
 
     def test_uniform_priorities_chi_square(self):
         n = 16
-        buf = PrioritizedReplayBuffer(capacity=n, alpha=0.6)
-        for i in range(n):
-            buf.add(i, priority=2.0)
+        buf = self._filled(np.full(n, 2.0), alpha=0.6)
         rng = np.random.default_rng(13)
         idx = self._draw_many(buf, 100_000, rng)
         observed = np.bincount(idx, minlength=n)
@@ -115,9 +134,7 @@ class TestBuffer:
         n = 8
         priorities = np.arange(1.0, 9.0)
         alpha = 0.6
-        buf = PrioritizedReplayBuffer(capacity=n, alpha=alpha)
-        for i in range(n):
-            buf.add(i, priority=priorities[i])
+        buf = self._filled(priorities, alpha=alpha)
         rng = np.random.default_rng(17)
         idx = self._draw_many(buf, 100_000, rng)
         observed = np.bincount(idx, minlength=n)
@@ -126,10 +143,8 @@ class TestBuffer:
         assert p > 0.01
 
     def test_is_weights_bounded_by_one(self):
-        buf = PrioritizedReplayBuffer(capacity=32, alpha=0.6)
         rng = np.random.default_rng(19)
-        for i in range(32):
-            buf.add(i, priority=rng.uniform(0.1, 10.0))
+        buf = self._filled(rng.uniform(0.1, 10.0, 32), alpha=0.6)
         for beta in (0.4, 0.7, 1.0):
             _, _, weights = buf.sample(16, beta=beta, rng=rng)
             assert np.all(weights <= 1.0 + 1e-12)
@@ -137,7 +152,7 @@ class TestBuffer:
 
     def test_update_priorities_validations(self):
         buf = PrioritizedReplayBuffer(capacity=4, alpha=1.0)
-        buf.add("a", priority=1.0)
+        buf.add(_rows(0))
         with pytest.raises(ValueError):
             buf.update_priorities([0], [0.0])
         with pytest.raises(IndexError):
@@ -145,13 +160,10 @@ class TestBuffer:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_priorities_leave_the_trees_alone(self, bad):
-        buf = PrioritizedReplayBuffer(capacity=8, alpha=0.6)
-        for i, p in enumerate((1.0, 2.0, 0.5)):
-            buf.add(i, priority=p)
+        # add takes no priority: it reuses the max, one update_priorities checked
+        buf = self._filled([1.0, 2.0, 0.5], alpha=0.6)
         trees = buf._sum._tree.copy(), buf._max._tree.copy()
         root = buf._sum.root
-        with pytest.raises(ValueError):
-            buf.add("x", priority=bad)
         with pytest.raises(ValueError):
             buf.update_priorities([0, 1], [3.0, bad])
         assert len(buf) == 3
@@ -160,11 +172,60 @@ class TestBuffer:
         assert np.array_equal(buf._max._tree, trees[1])
 
     def test_priorities_are_the_raw_leaves(self):
-        buf = PrioritizedReplayBuffer(capacity=8, alpha=0.5)
-        for i, p in enumerate((1.0, 4.0, 9.0)):
-            buf.add(i, priority=p)
+        buf = self._filled([1.0, 4.0, 9.0], alpha=0.5)
         buf.update_priorities([1], [2.5])
         assert buf.priorities().tolist() == [1.0, 2.5, 9.0]
+
+
+class TestBlockAdd:
+    @staticmethod
+    def _assert_same(buf, oracle):
+        sums, maxes = oracle.trees()
+        assert np.array_equal(buf._sum._tree, sums)
+        assert np.array_equal(buf._max._tree, maxes)
+        assert len(buf) == len(oracle) and buf._next == oracle.next
+        for column, expected in zip(buf._rows, oracle.columns):
+            assert np.array_equal(column[: len(buf)], expected[: len(oracle)])
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_blocks_match_rows_added_one_at_a_time(self, table4, block):
+        # 2500 slots: the buffer grows 1024 -> 2048 -> 2500, then wraps.
+        rng = np.random.default_rng(block)
+        pool = random_rows(table4, rng, 2700, done_every=5)
+        buf = PrioritizedReplayBuffer(2500, alpha=0.6)
+        oracle = SequentialReplayOracle(2500, 0.6, replay._FIRST_SLOTS)
+        slots, wrapped = set(), False
+        for start in range(0, 2700 - block + 1, block):
+            rows = Batch(*(column[start : start + block] for column in pool))
+            before = buf._next
+            buf.add(rows)
+            oracle.add(rows)
+            slots.add(buf._slots)
+            wrapped |= buf._next < before
+            if rng.random() < 0.3:  # a learner step moves some priorities
+                idx = rng.integers(0, len(buf), 4)
+                priorities = rng.uniform(0.1, 5.0, 4)
+                buf.update_priorities(idx, priorities)
+                oracle.update_priorities(idx, priorities)
+            self._assert_same(buf, oracle)
+        assert slots == {1024, 2048, 2500} and wrapped
+        assert [c.dtype for c in buf._rows] == [np.float64] * 2 + [np.int64] + [np.float64] * 4
+        indices, batch, _ = buf.sample(64, 0.4, np.random.default_rng(5))
+        for got, held in zip(batch, oracle.columns):
+            assert np.array_equal(got, held[indices])
+
+    def test_block_longer_than_the_ring_is_rejected(self, table4):
+        buf = PrioritizedReplayBuffer(4, alpha=0.6)
+        with pytest.raises(ValueError, match="overflows"):
+            buf.add(random_rows(table4, np.random.default_rng(0), 5))
+        assert len(buf) == 0 and buf._next == 0 and buf._sum.root == 0.0
+
+    def test_columns_of_unequal_length_are_rejected(self, table4):
+        buf = PrioritizedReplayBuffer(8, alpha=0.6)
+        rows = random_rows(table4, np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="one entry per row"):
+            buf.add(rows._replace(reward=rows.reward[:2]))
+        assert len(buf) == 0 and buf._next == 0 and buf._sum.root == 0.0
 
 
 class TestGrowth:
@@ -177,8 +238,7 @@ class TestGrowth:
         for step in range(4000):
             x = rng.random()
             if x < 0.6 or len(buf) < 8:
-                priority = None if rng.random() < 0.5 else float(rng.uniform(0.01, 5.0))
-                buf.add(step, priority)
+                buf.add(_rows(step))
             elif x < 0.8:
                 seen.append(buf.sample(8, 0.5, draw))
             else:
@@ -195,7 +255,8 @@ class TestGrowth:
         full = PrioritizedReplayBuffer(capacity, alpha=0.6)
         assert full._slots == capacity and grown._slots < capacity
         for a, b in zip(self._run(grown, 5), self._run(full, 5)):
-            assert np.array_equal(a[0], b[0]) and a[1] == b[1] and np.array_equal(a[2], b[2])
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[2], b[2])
+            assert all(np.array_equal(x, y) for x, y in zip(a[1], b[1]))
         assert grown._slots == capacity
         assert grown._sum.root == full._sum.root
         assert np.array_equal(grown.priorities(), full.priorities())

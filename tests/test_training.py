@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import phaselab as pl
-from phaselab import harness, training
+from phaselab import harness, replay, training
 from phaselab.flows import FlowSynthesisSpec, synthesize_flow, synthesize_grid_flow
 from phaselab.networks import FrapConfig, FrapNetwork, VanillaConfig, VanillaNetwork
 from phaselab.training import (
@@ -12,36 +14,16 @@ from phaselab.training import (
     GreedyPolicy,
     Learner,
     TrainConfig,
-    Transition,
-    TransitionReplay,
-    stack_transitions,
     td_targets,
     train,
 )
+from phaselab.replay import Batch, PrioritizedReplayBuffer
 
-from conftest import random_state
+from conftest import random_rows, random_state
 
 
 def _small_net(table):
     return FrapNetwork(table, FrapConfig(demand_dim=8, conv_channels=8))
-
-
-def _random_transitions(table, rng, n, done_every=0):
-    out = []
-    for i in range(n):
-        s = random_state(table, rng)
-        s2 = random_state(table, rng)
-        done = done_every > 0 and (i % done_every == done_every - 1)
-        out.append(
-            Transition(
-                state=s,
-                action=int(rng.integers(table.n_phases)),
-                reward=-float(rng.uniform(0, 10)),
-                next_state=s2,
-                done=done,
-            )
-        )
-    return out
 
 
 def _env_factory(table, episode_length=200, rate=600.0):
@@ -58,7 +40,12 @@ def _env_factory(table, episode_length=200, rate=600.0):
 
 
 class _Buffer(list):
+    """Keeps every block the actors add; ``rows`` concatenates them."""
+
     add = list.append
+
+    def rows(self) -> Batch:
+        return Batch(*(np.concatenate(columns) for columns in zip(*self)))
 
 
 class _StubLearner:
@@ -78,47 +65,45 @@ class TestBellmanTargets:
     def test_done_transition_target_is_reward(self, table4):
         net = _small_net(table4)
         params = net.init_params(0)
-        rng = np.random.default_rng(0)
-        batch = _random_transitions(table4, rng, 8, done_every=1)
-        targets = td_targets(stack_transitions(batch), net, params, params, 0.9, True)
-        assert np.allclose(targets, [t.reward for t in batch])
+        rows = random_rows(table4, np.random.default_rng(0), 8, done_every=1)
+        targets = td_targets(rows, net, params, params, 0.9, True)
+        assert np.allclose(targets, rows.reward)
 
     def test_gamma_zero_target_is_reward(self, table4):
         net = _small_net(table4)
         params = net.init_params(1)
-        rng = np.random.default_rng(1)
-        batch = _random_transitions(table4, rng, 8)
-        targets = td_targets(stack_transitions(batch), net, params, params, 0.0, True)
-        assert np.allclose(targets, [t.reward for t in batch])
+        rows = random_rows(table4, np.random.default_rng(1), 8)
+        targets = td_targets(rows, net, params, params, 0.0, True)
+        assert np.allclose(targets, rows.reward)
 
     def test_matches_hand_bellman_evaluation(self, table4):
         net = _small_net(table4)
         online = net.init_params(2)
         target = net.init_params(3)
-        rng = np.random.default_rng(2)
-        batch = _random_transitions(table4, rng, 6, done_every=3)
-        rows = stack_transitions(batch)
+        rows = random_rows(table4, np.random.default_rng(2), 6, done_every=3)
         targets = td_targets(rows, net, online, target, 0.9, False)
         td = targets - net.forward(online, rows.counts, rows.bits)[np.arange(6), rows.action]
-        for t, got_target, got_td in zip(batch, targets, td):
-            if t.done:
-                expected = t.reward
+        for i, (got_target, got_td) in enumerate(zip(targets, td)):
+            if rows.not_done[i] == 0.0:
+                expected = rows.reward[i]
             else:
-                expected = t.reward + 0.9 * net.q_values(target, t.next_state).max()
+                next_state = pl.TrafficState(rows.next_counts[i], rows.next_bits[i], 0)
+                expected = rows.reward[i] + 0.9 * net.q_values(target, next_state).max()
             assert got_target == pytest.approx(expected, abs=1e-12)
-            q_sa = net.q_values(online, t.state)[t.action]
+            state = pl.TrafficState(rows.counts[i], rows.bits[i], 0)
+            q_sa = net.q_values(online, state)[rows.action[i]]
             assert got_td == pytest.approx(expected - q_sa, abs=1e-12)
 
     def test_double_dqn_uses_online_argmax(self, table4):
         net = _small_net(table4)
         online = net.init_params(4)
         target = net.init_params(5)
-        rng = np.random.default_rng(3)
-        batch = _random_transitions(table4, rng, 6)
-        targets = td_targets(stack_transitions(batch), net, online, target, 0.9, True)
-        for t, got in zip(batch, targets):
-            best = int(np.argmax(net.q_values(online, t.next_state)))
-            expected = t.reward + 0.9 * net.q_values(target, t.next_state)[best]
+        rows = random_rows(table4, np.random.default_rng(3), 6)
+        targets = td_targets(rows, net, online, target, 0.9, True)
+        for i, got in enumerate(targets):
+            next_state = pl.TrafficState(rows.next_counts[i], rows.next_bits[i], 0)
+            best = int(np.argmax(net.q_values(online, next_state)))
+            expected = rows.reward[i] + 0.9 * net.q_values(target, next_state)[best]
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -126,23 +111,19 @@ class TestLearner:
     def _loaded_learner(self, table, config=None, seed=0):
         net = _small_net(table)
         cfg = config or TrainConfig(batch_size=8, max_learner_steps=100, target_sync=5)
-        buf = TransitionReplay(256, cfg.alpha)
-        rng = np.random.default_rng(seed)
-        for t in _random_transitions(table, rng, 64, done_every=8):
-            buf.add(t)
+        buf = PrioritizedReplayBuffer(256, cfg.alpha)
+        buf.add(random_rows(table, np.random.default_rng(seed), 64, done_every=8))
         return Learner(net, net.init_params(seed), cfg, buf, np.random.default_rng(seed + 1))
 
     def test_zero_td_batch_keeps_params(self, table4):
         net = _small_net(table4)
         cfg = TrainConfig(batch_size=8, max_learner_steps=10)
-        buf = TransitionReplay(64, cfg.alpha)
+        buf = PrioritizedReplayBuffer(64, cfg.alpha)
         params = net.init_params(7)
-        rng = np.random.default_rng(7)
-        for _ in range(16):
-            s = random_state(table4, rng)
-            a = int(rng.integers(table4.n_phases))
-            r = float(net.q_values(params, s)[a])  # done target equals prediction
-            buf.add(Transition(state=s, action=a, reward=r, next_state=s, done=True))
+        rows = random_rows(table4, np.random.default_rng(7), 16, done_every=1)
+        q = net.forward(params, rows.counts, rows.bits)
+        # terminal rows whose reward is the prediction: every TD error is zero
+        buf.add(rows._replace(reward=q[np.arange(16), rows.action]))
         learner = Learner(net, params, cfg, buf, np.random.default_rng(8))
         before = {k: v.copy() for k, v in learner.online.items()}
         learner.step()
@@ -235,12 +216,12 @@ class TestActorPolicy:
         actors = Actors(net, cfg, _env_factory(table4, episode_length=50), seed=0)
         for _ in range(12):  # 50 s episodes at 10 s decisions: 5 per episode
             actors.decide([learner])
-        assert len(learner.buffer) == 12
+        assert len(learner.buffer) == 12  # one block per round
         assert actors.episodes == [2]
         assert learner.snapshots == 4  # rounds 0, 3, 6 and 9
-        dones = [t.done for t in learner.buffer]
-        assert dones[4] and dones[9]
-        assert all(t.reward <= 0 for t in learner.buffer)
+        rows = learner.buffer.rows()
+        assert np.flatnonzero(rows.not_done == 0.0).tolist() == [4, 9]
+        assert np.all(rows.reward <= 0)
 
 
 class _ForwardGreedy:
@@ -364,11 +345,12 @@ class TestLockstep:
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
         for la, lb in zip(alone_learners, together_learners):
             assert la.snapshots == lb.snapshots == 3
-            assert len(la.buffer) == len(lb.buffer) == 3 * 8
-            assert [t.action for t in la.buffer] == [t.action for t in lb.buffer]
-            for col_a, col_b in zip(stack_transitions(la.buffer), stack_transitions(lb.buffer)):
+            assert len(la.buffer) == len(lb.buffer) == 8  # one block of 3 rows per round
+            rows_a, rows_b = la.buffer.rows(), lb.buffer.rows()
+            assert len(rows_a.action) == 3 * 8
+            for col_a, col_b in zip(rows_a, rows_b):
                 assert np.array_equal(col_a, col_b)
-        actions = {t.action for l in together_learners for t in l.buffer}
+        actions = {int(a) for l in together_learners for a in l.buffer.rows().action}
         assert len(actions) > 1
 
     def test_one_snapshot_and_one_forward_per_intersection(self, table4, monkeypatch):
@@ -419,22 +401,6 @@ class TestLockstep:
             assert np.array_equal(q, net.q_values(params, state))
 
 
-class TestTransitionReplay:
-    def test_sampled_rows_are_the_stacked_transitions(self, table4):
-        rng = np.random.default_rng(4)
-        transitions = _random_transitions(table4, rng, 2600, done_every=7)
-        buf = TransitionReplay(2500, alpha=0.6)  # grows past 1024 and 2048, then wraps
-        for t in transitions:
-            buf.add(t, priority=float(rng.uniform(0.1, 2.0)))
-        assert len(buf) == 2500
-        indices, batch, _ = buf.sample(64, 0.4, np.random.default_rng(5))
-        # slot i holds transition i, or i + 2500 once the ring wrapped past it
-        held = [transitions[i + 2500] if i < 100 else transitions[i] for i in indices]
-        for got, want in zip(batch, stack_transitions(held)):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-
-
 class TestTrain:
     def test_zero_steps_emits_initial_eval(self, table4):
         net = _small_net(table4)
@@ -482,3 +448,41 @@ class TestTrain:
         factory = _env_factory(table4, episode_length=100)
         with pytest.raises(ValueError, match="synchronous"):
             train(net, cfg, factory, lambda: factory(9, 0), seed=0)
+
+
+# sha256 over the name and bytes of every ckpt*.bin and curve.csv that a small
+# sync cmd_train writes, recorded on numpy 2.4.6 with OpenBLAS 0.3.31. Batched
+# forwards go through BLAS, so another BLAS build may round differently; the
+# digests must change only on purpose.
+GOLDEN_TRAIN_DIGESTS = {
+    1: "021cca941f8d5e1436701feacc4b8b394f9aba99e7114905284fda2fb44e8242",
+    2: "7290801c77419c7580dada136b6790a70fabc240a02f57c58dc2132d5d14f7fb",
+}
+
+
+class TestGoldenTraining:
+    @pytest.mark.parametrize("grid", sorted(GOLDEN_TRAIN_DIGESTS))
+    def test_sync_training_digest(self, grid, tmp_path, monkeypatch):
+        # 16 first slots and a capacity of 50: three actors add rows in blocks
+        # of three that cross both growths (16 -> 32 -> 50) and the ring's end.
+        # Seed 1 takes the best checkpoint at the last step, so it depends on
+        # every learner step.
+        monkeypatch.setattr(replay, "_FIRST_SLOTS", 16)
+        config = harness.ExperimentConfig(
+            seed=1,
+            grid_rows=grid,
+            grid_cols=grid,
+            sim=pl.SimConfig(episode_length=300),
+            flow=harness.FlowConfig(name="unbalanced-WE", duration=300.0),
+            train=TrainConfig(
+                n_actors=3, buffer_capacity=50, warmup_transitions=8, batch_size=8,
+                max_learner_steps=40, eval_period=20, target_sync=10,
+            ),
+            out_dir=str(tmp_path),
+        )
+        harness.cmd_train(config)
+        digest = hashlib.sha256()
+        for path in sorted([*tmp_path.glob("ckpt*.bin"), tmp_path / "curve.csv"]):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == GOLDEN_TRAIN_DIGESTS[grid]
