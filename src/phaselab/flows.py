@@ -79,9 +79,6 @@ class FlowSchedule:
         inters, movs = zip(*(hop for e in self.events for hop in e.route))
         return (min(inters), max(inters), min(movs), max(movs))
 
-    def max_intersection(self) -> int:
-        return self._id_ranges[1]
-
     def validate(self, n_movements: int, n_intersections: int = 1) -> None:
         lo_i, hi_i, lo_m, hi_m = self._id_ranges
         fits = 0 <= lo_i and hi_i < n_intersections and 0 <= lo_m and hi_m < n_movements

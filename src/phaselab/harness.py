@@ -248,12 +248,8 @@ def make_classical_controller(
 
 
 def network_config(config: ExperimentConfig, kind: str):
-    if kind == "frap":
-        cfg = config.frap
-        if cfg.norm_capacity != config.sim.lane_capacity:
-            cfg = dataclasses.replace(cfg, norm_capacity=float(config.sim.lane_capacity))
-        return cfg
-    cfg = config.vanilla
+    """The ``frap`` or ``vanilla`` config, normalized by the simulator's lane capacity."""
+    cfg = getattr(config, kind)
     if cfg.norm_capacity != config.sim.lane_capacity:
         cfg = dataclasses.replace(cfg, norm_capacity=float(config.sim.lane_capacity))
     return cfg

@@ -1,45 +1,40 @@
-"""Prioritized experience replay: FIFO ring plus sum/max segment trees.
+"""Prioritized experience replay: FIFO ring plus a sum tree.
 
-The buffer keeps one transition per row of the :class:`Batch` arrays and
-takes them in blocks: an actor round adds each learner's rows in one call,
-at the current max priority. Sampling probability of slot i is
+The buffer keeps one transition per row of the :class:`Batch` arrays, with
+each row's raw priority in a column beside them, and takes them in blocks:
+an actor round adds each learner's rows in one call, at the largest stored
+priority. Sampling probability of slot i is
 priority_i**alpha / sum_j priority_j**alpha; importance-sampling weights are
 (N * P(i))**-beta, normalized by the batch maximum so they never exceed 1.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 
-class SegmentTree:
-    """Array-backed binary tree reducing leaf values with a numpy ufunc.
+class SumTree:
+    """Array-backed binary tree whose every node is the sum of its two
+    children; the leaves hold the sampling masses."""
 
-    ``combine`` is the same reduction on two Python floats; single-leaf
-    updates use it to skip ufunc dispatch, with the identical IEEE result.
-    """
-
-    def __init__(self, capacity: int, ufunc, neutral: float, combine):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         size = 1
         while size < capacity:
             size *= 2
         self._size = size
-        self._ufunc = ufunc
-        self._combine = combine
-        self._tree = np.full(2 * size, neutral, dtype=np.float64)
+        self._tree = np.zeros(2 * size)
 
     def __setitem__(self, idx: int, value: float) -> None:
-        tree, combine = self._tree, self._combine
+        tree = self._tree
         i = idx + self._size
         tree[i] = value
         i //= 2
         while i >= 1:
-            tree[i] = combine(tree.item(2 * i), tree.item(2 * i + 1))
+            tree[i] = tree.item(2 * i) + tree.item(2 * i + 1)
             i //= 2
 
     def set_many(self, idxs: np.ndarray, values: np.ndarray) -> None:
@@ -56,24 +51,20 @@ class SegmentTree:
         i >>= 1
         while i.size and i[0] >= 1:
             pairs = children[i]
-            tree[i] = self._ufunc(pairs[:, 0], pairs[:, 1])
+            tree[i] = pairs[:, 0] + pairs[:, 1]
             i >>= 1
 
-    def __getitem__(self, idx: int) -> float:
-        return float(self._tree[idx + self._size])
-
-    def grown(self, capacity: int) -> "SegmentTree":
-        """A tree of the same kind with room for ``capacity`` leaves, holding
-        this tree's leaves. Every node is the reduction of its children, so
-        each node of this tree keeps its value, and the nodes above it only
-        combine it with neutral subtrees."""
-        out = type(self)(capacity)
+    def grown(self, capacity: int) -> "SumTree":
+        """A tree with room for ``capacity`` leaves, holding this tree's
+        leaves. Every node is the sum of its children, so each node of this
+        tree keeps its value, and the nodes above it only add zero subtrees."""
+        out = SumTree(capacity)
         out._tree[out._size : out._size + self._size] = self._tree[self._size :]
         level = out._size
         while level > 1:
             level //= 2
             children = out._tree[2 * level : 4 * level]
-            out._tree[level : 2 * level] = out._ufunc(children[0::2], children[1::2])
+            out._tree[level : 2 * level] = children[0::2] + children[1::2]
         return out
 
     def leaves(self, idxs: np.ndarray) -> np.ndarray:
@@ -82,11 +73,6 @@ class SegmentTree:
     @property
     def root(self) -> float:
         return float(self._tree[1])
-
-
-class SumTree(SegmentTree):
-    def __init__(self, capacity: int):
-        super().__init__(capacity, np.add, 0.0, operator.add)
 
     def prefix_index(self, mass: float) -> int:
         """Largest slot whose prefix sum exceeds ``mass`` (tree descent)."""
@@ -114,11 +100,6 @@ class SumTree(SegmentTree):
         return i - self._size
 
 
-class MaxTree(SegmentTree):
-    def __init__(self, capacity: int):
-        super().__init__(capacity, np.maximum, 0.0, max)
-
-
 _FIRST_SLOTS = 1024  # slots a buffer allocates up front; doubled as the fill reaches them
 
 
@@ -140,13 +121,14 @@ class PrioritizedReplayBuffer:
     """Ring buffer of :class:`Batch` rows with proportional prioritized sampling.
 
     Evicts FIFO at capacity. Slots never written have zero mass and are
-    therefore never sampled; overwritten (evicted) rows are unreachable. The
-    max tree holds every row's raw priority (see :meth:`priorities`).
+    therefore never sampled; overwritten (evicted) rows are unreachable. A
+    plain column holds every row's raw priority (see :meth:`priorities`).
 
-    The trees and the row arrays grow with the fill, doubling up to
-    ``capacity``: a tree over the occupied slots samples exactly as one over
-    all ``capacity`` slots would (the rest have zero mass), with fewer levels
-    to walk. ``sample`` gathers its batch with one fancy index per array.
+    The sum tree, the rows and the priority column grow with the fill,
+    doubling up to ``capacity``: a tree over the occupied slots samples
+    exactly as one over all ``capacity`` slots would (the rest have zero
+    mass), with fewer levels to walk. ``sample`` gathers its batch with one
+    fancy index per array.
     """
 
     def __init__(self, capacity: int, alpha: float = 0.6):
@@ -157,7 +139,7 @@ class PrioritizedReplayBuffer:
         self._rows: Batch | None = None  # allocated by the first add
         self._slots = min(capacity, _FIRST_SLOTS)
         self._sum = SumTree(self._slots)
-        self._max = MaxTree(self._slots)
+        self._priority = np.zeros(self._slots)  # raw priority by slot
         self._next = 0
         self._size = 0
 
@@ -166,11 +148,11 @@ class PrioritizedReplayBuffer:
 
     def max_priority(self) -> float:
         """Largest raw priority currently stored, or 0 when empty."""
-        return self._max.root
+        return float(self._priority[: self._size].max()) if self._size else 0.0
 
     def priorities(self) -> np.ndarray:
         """Raw priority of every stored row, by slot."""
-        return self._max.leaves(np.arange(self._size))
+        return self._priority[: self._size].copy()
 
     def add(self, rows: Batch) -> None:
         """Append a block of rows at the current max priority (1 if empty).
@@ -196,9 +178,10 @@ class PrioritizedReplayBuffer:
         for column, new in zip(self._rows, rows):
             column[start:end] = new[:head]
             column[: n - head] = new[head:]
+        self._priority[start:end] = priority
+        self._priority[: n - head] = priority
         for slot in (*range(start, end), *range(n - head)):
             self._sum[slot] = mass
-            self._max[slot] = priority
         self._next = (start + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
 
@@ -216,7 +199,9 @@ class PrioritizedReplayBuffer:
 
     def _grow(self, slots: int) -> None:
         self._sum = self._sum.grown(slots)
-        self._max = self._max.grown(slots)
+        priority = np.zeros(slots)
+        priority[: self._slots] = self._priority
+        self._priority = priority
         self._slots = slots
         if self._rows is not None:
             old = self._rows
@@ -241,10 +226,12 @@ class PrioritizedReplayBuffer:
     def update_priorities(self, indices: Sequence[int], priorities: Sequence[float]) -> None:
         idx = np.asarray(indices, dtype=np.int64)
         pri = np.asarray(priorities, dtype=np.float64)
+        if idx.shape != pri.shape:
+            raise ValueError(f"{idx.shape} indices but {pri.shape} priorities")
         if not np.all(np.isfinite(pri) & (pri > 0)):
             raise ValueError("priorities must be positive and finite")
         empty = idx[(idx < 0) | (idx >= self._size)]  # slots fill 0, 1, .. and never empty
         if empty.size:
             raise IndexError(f"slot {empty[0]} is empty")
         self._sum.set_many(idx, pri**self.alpha)
-        self._max.set_many(idx, pri)
+        self._priority[idx] = pri

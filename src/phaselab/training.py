@@ -76,6 +76,9 @@ class TrainConfig:
         if self.buffer_capacity < max(self.warmup_transitions, self.batch_size):
             # warm-up waits for that many transitions, which the buffer never holds
             raise ValueError("buffer_capacity must hold max(warmup_transitions, batch_size)")
+        if self.buffer_capacity < self.n_actors:
+            # each decision round adds one row per actor in a single block
+            raise ValueError("buffer_capacity must hold one round: at least n_actors rows")
 
     def beta(self, step: int) -> float:
         frac = min(1.0, step / max(1, self.max_learner_steps))
@@ -347,7 +350,7 @@ class CurvePoint:
     learner_step: int
     eval_travel_time: float
     exited_count: int
-    censored_travel_time: float = 0.0  # counts stranded vehicles; ranking metric
+    censored_travel_time: float  # counts stranded vehicles; ranking metric
 
 
 def censored_travel_time(metrics, episode_length: float) -> float:

@@ -214,10 +214,10 @@ class SequentialReplayOracle:
     Each row goes to the next ring slot at the largest raw priority stored
     then (1 when empty), with mass ``priority ** alpha`` as a Python float.
     The occupied slots double from ``first_slots`` up to ``capacity`` as the
-    next row reaches them. ``trees`` rebuilds the sum and max trees bottom up
-    from the leaves, at the size those slots need; a tree whose every node is
-    the reduction of its two children holds exactly those values, however its
-    leaves were written.
+    next row reaches them. ``sum_tree`` rebuilds the sum tree bottom up from
+    the masses, at the size those slots need; a tree whose every node is the
+    sum of its two children holds exactly those values, however its leaves
+    were written.
     """
 
     def __init__(self, capacity: int, alpha: float, first_slots: int):
@@ -254,21 +254,18 @@ class SequentialReplayOracle:
         self.priority[indices] = priorities
         self.mass[indices] = priorities**self.alpha
 
-    def trees(self) -> tuple[np.ndarray, np.ndarray]:
+    def sum_tree(self) -> np.ndarray:
         size = 1
         while size < self.slots:
             size *= 2
         sums = np.zeros(2 * size)
-        maxes = np.zeros(2 * size)
         sums[size : size + self.slots] = self.mass[: self.slots]
-        maxes[size : size + self.slots] = self.priority[: self.slots]
         level = size
         while level > 1:
             level //= 2
-            for tree, reduce in ((sums, np.add), (maxes, np.maximum)):
-                children = tree[2 * level : 4 * level]
-                tree[level : 2 * level] = reduce(children[0::2], children[1::2])
-        return sums, maxes
+            children = sums[2 * level : 4 * level]
+            sums[level : 2 * level] = children[0::2] + children[1::2]
+        return sums
 
 
 # --- flows and classical control ------------------------------------------------

@@ -67,8 +67,9 @@ def test_greedy_q_calls_are_the_episode_distinct_states(tracing, table4):
 
 def test_learner_step_spans(tracing, table4):
     # The per-layer metrics read a learner step as three batched forwards
-    # (target and online Q of the next states, online Q of the batch) and
-    # one numerics.backward, the whole backward pass, all inside its span.
+    # (target and online Q of the next states, online Q of the batch), one
+    # numerics.backward, the whole backward pass, and one replay sample and
+    # priority update, all inside its span.
     net = networks.FrapNetwork(table4, networks.FrapConfig())
     config = training.TrainConfig(batch_size=16)
     buffer = replay.PrioritizedReplayBuffer(64, config.alpha)
@@ -86,6 +87,9 @@ def test_learner_step_spans(tracing, table4):
     forwards = [s for s in tracer.spans if s.name == "networks.forward"]
     assert len(forwards) == 3
     assert all(s.parent == step.id for s in forwards)
+    for name in ("replay.sample", "replay.update"):
+        (span,) = [s for s in tracer.spans if s.name == name]
+        assert span.parent == step.id
 
 
 def test_actor_round_spans(tracing, table4):

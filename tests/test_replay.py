@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from phaselab import replay
-from phaselab.replay import Batch, MaxTree, PrioritizedReplayBuffer, SumTree
+from phaselab.replay import Batch, PrioritizedReplayBuffer, SumTree
 
 from conftest import random_rows
 from oracles import SequentialReplayOracle
@@ -43,12 +43,6 @@ class TestSegmentTrees:
                 a[i] = v
             b.set_many(np.arange(capacity), vals)
             assert np.array_equal(a._tree, b._tree)
-            m1, m2 = MaxTree(capacity), MaxTree(capacity)
-            for i, v in enumerate(vals):
-                m1[i] = v
-            m2.set_many(np.arange(capacity), vals)
-            assert np.array_equal(m1._tree, m2._tree)
-            assert m1.root == vals.max()
 
 
 def _rows(*ids: int) -> Batch:
@@ -86,9 +80,15 @@ class TestBuffer:
         buf.add(_rows(1))
         buf.update_priorities([1], [5.0])
         buf.add(_rows(2))
-        assert buf._max[2] == 5.0
+        assert buf.priorities()[2] == 5.0
         buf.update_priorities([1], [0.5])
         assert buf.max_priority() == 5.0  # max over the current rows
+        # Lowered below 1, the stored priorities set the next block's: a
+        # running max would still say 5.0, a reset to the empty default 1.0.
+        buf.update_priorities([0, 1, 2], [0.25, 0.5, 0.75])
+        buf.add(_rows(3, 4))
+        assert buf.priorities().tolist() == [0.25, 0.5, 0.75, 0.75, 0.75]
+        assert buf._sum.leaves([3, 4]).tolist() == [0.75, 0.75]
 
     def test_sample_requires_enough_items(self):
         buf = PrioritizedReplayBuffer(capacity=8)
@@ -158,18 +158,28 @@ class TestBuffer:
         with pytest.raises(IndexError):
             buf.update_priorities([3], [1.0])
 
+    @pytest.mark.parametrize("priorities", [[5.0], [5.0, 6.0], [[5.0, 6.0, 7.0]]])
+    def test_priorities_of_another_shape_are_rejected(self, priorities):
+        # numpy would broadcast [5.0] over all three slots
+        buf = self._filled([1.0, 2.0, 0.5], alpha=0.6)
+        tree, root = buf._sum._tree.copy(), buf._sum.root
+        with pytest.raises(ValueError, match="priorities"):
+            buf.update_priorities([0, 1, 2], priorities)
+        assert buf._sum.root == root and np.array_equal(buf._sum._tree, tree)
+        assert buf.priorities().tolist() == [1.0, 2.0, 0.5]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_priorities_leave_the_trees_alone(self, bad):
         # add takes no priority: it reuses the max, one update_priorities checked
         buf = self._filled([1.0, 2.0, 0.5], alpha=0.6)
-        trees = buf._sum._tree.copy(), buf._max._tree.copy()
+        tree = buf._sum._tree.copy()
         root = buf._sum.root
         with pytest.raises(ValueError):
             buf.update_priorities([0, 1], [3.0, bad])
         assert len(buf) == 3
         assert buf._sum.root == root
-        assert np.array_equal(buf._sum._tree, trees[0])
-        assert np.array_equal(buf._max._tree, trees[1])
+        assert np.array_equal(buf._sum._tree, tree)
+        assert buf.priorities().tolist() == [1.0, 2.0, 0.5]
 
     def test_priorities_are_the_raw_leaves(self):
         buf = self._filled([1.0, 4.0, 9.0], alpha=0.5)
@@ -180,9 +190,8 @@ class TestBuffer:
 class TestBlockAdd:
     @staticmethod
     def _assert_same(buf, oracle):
-        sums, maxes = oracle.trees()
-        assert np.array_equal(buf._sum._tree, sums)
-        assert np.array_equal(buf._max._tree, maxes)
+        assert np.array_equal(buf._sum._tree, oracle.sum_tree())
+        assert np.array_equal(buf.priorities(), oracle.priority[: len(oracle)])
         assert len(buf) == len(oracle) and buf._next == oracle.next
         for column, expected in zip(buf._rows, oracle.columns):
             assert np.array_equal(column[: len(buf)], expected[: len(oracle)])
@@ -263,9 +272,9 @@ class TestGrowth:
 
     def test_grown_tree_keeps_leaves_and_root(self):
         rng = np.random.default_rng(2)
-        for tree in (SumTree(5), MaxTree(5)):
-            tree.set_many(np.arange(5), rng.uniform(0.1, 3.0, 5))
-            bigger = tree.grown(37)
-            assert bigger._size == 64
-            assert np.array_equal(bigger.leaves(np.arange(5)), tree.leaves(np.arange(5)))
-            assert bigger.root == tree.root
+        tree = SumTree(5)
+        tree.set_many(np.arange(5), rng.uniform(0.1, 3.0, 5))
+        bigger = tree.grown(37)
+        assert bigger._size == 64
+        assert np.array_equal(bigger.leaves(np.arange(5)), tree.leaves(np.arange(5)))
+        assert bigger.root == tree.root

@@ -288,6 +288,9 @@ class TestTrainConfig:
             TrainConfig(buffer_capacity=100, warmup_transitions=200)
         with pytest.raises(ValueError, match="buffer_capacity"):
             TrainConfig(buffer_capacity=32, warmup_transitions=0, batch_size=64)
+        # Each round adds one row per actor in one block, which must fit.
+        with pytest.raises(ValueError, match="buffer_capacity.*n_actors"):
+            TrainConfig(n_actors=8, buffer_capacity=4, warmup_transitions=4, batch_size=4)
         assert TrainConfig(buffer_capacity=200, warmup_transitions=200).buffer_capacity == 200
 
     @pytest.mark.parametrize(
