@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,3 +307,44 @@ class TestMirrorFlow:
         flow = FlowSchedule(events=(FlowEvent(0, 0.0, ((0, 6), (1, 6))),))
         with pytest.raises(ValueError):
             mirror_flow(flip, flow)
+
+
+def _golden_flow(case: str) -> FlowSchedule:
+    kind, name, seed = case.split("/")
+    if kind == "grid-2x3":
+        return synthesize_grid_flow(benchmark_flow_spec(name), 2, 3, int(seed))
+    if kind == "uniform":
+        rates = (360.0, 0.0, 97.5, 1200.0, 7.0, 45.0)
+        return synthesize_flow(FlowSynthesisSpec(rates=rates, process="uniform"), int(seed))
+    return synthesize_flow(benchmark_flow_spec(name), int(seed))
+
+
+# sha256 of the written CSV of each 3600 s flow: pins every synthesized bit.
+GOLDEN_FLOW_DIGESTS = {
+    "1x1/balanced-8/0": "61fbcf8d8df2f7b2f3e5812e9025f86499b966ade9e23caf074222209c79a653",
+    "1x1/balanced-8/1": "7dd1c5d2300eb552453d3d1fa8737d61aaff42a16faed5e1a19b7be4be90dd8c",
+    "1x1/balanced-8/2": "28637676847aec92894c4a17e52baa81b59a82c57c2e67c6353bf488bd77fe4f",
+    "1x1/flip-pair-am/0": "0d5bad50a2e1b627766dd830bf1c326559e10dc2777506753f9ea4d47fe4cf3b",
+    "1x1/flip-pair-am/1": "a0918c20b81dcc77d40dc9a0a6bc758f812d5c48ca62b873650c75abeedf4e90",
+    "1x1/flip-pair-am/2": "fc7d65355fe82c7363a781e5283ae580a6ccd6d1c4671bd702195f6fa27d1cc1",
+    "1x1/flip-pair-pm/0": "65fd500d9f93f4f03dac8dd3afb0d1f317cfea8d384b72c1bcba2f75d4623f02",
+    "1x1/flip-pair-pm/1": "16d5089b7451d3c5d634dca96aa6cb5c93fc4d0c535816ca346027f419c049c3",
+    "1x1/flip-pair-pm/2": "3182134e41b2512d26237fcde800c040b9576597bf94b75166ae49978e50ae6e",
+    "1x1/unbalanced-we/0": "ec2562cc80aeca0489dfd315e0d7dc95bf6638701b0f7706f22f9bf30f76d909",
+    "1x1/unbalanced-we/1": "ce4ed159d3970b2da344d8007811334a5953eaab30ff397e490cb3506bbc282d",
+    "1x1/unbalanced-we/2": "c31e8315ca5f17784b58a86f89c6769bafbf35a7db124c5440c6a77e64949db0",
+    "grid-2x3/unbalanced-we/0": "adfe35999888ae6c601a0edd8c9a56cbba2b7f8b7681efe36918d9f16b91418d",
+    "uniform/six-movements/0": "f1bb9cb6a0ce783bcd97d2eb1227bd9eaddf53caba5f68eede68021c2fef45ae",
+}
+
+
+class TestGoldenFlows:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_FLOW_DIGESTS))
+    def test_flow_csv_digest(self, case, tmp_path):
+        flow = _golden_flow(case)
+        path = write_flow_csv(flow, tmp_path / "flow.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FLOW_DIGESTS[case]
+        parsed = parse_flow_csv(path)
+        assert parsed.vehicle_ids == flow.vehicle_ids
+        assert parsed.entry_times == flow.entry_times
+        assert parsed.routes == flow.routes
