@@ -24,7 +24,7 @@ from .simulator import (
     run_controller,
     run_grid_controller,
 )
-from .state import CLEARANCE_PHASE, TrafficState
+from .state import TrafficState
 from .topology import (
     PhaseTable,
     Relation,
@@ -39,7 +39,6 @@ from .training import TrainConfig, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLEARANCE_PHASE",
     "EpisodeMetrics",
     "FixedPlan",
     "FixedTimeController",

@@ -162,20 +162,6 @@ def webster_plan(
     )
 
 
-def formula_controller(
-    volumes: Sequence[float],
-    table: PhaseTable,
-    decision_interval: float,
-    saturation_headway: float = 2.0,
-    clearance: float = 5.0,
-) -> FixedTimeController:
-    """Fixed-time controller running the Webster plan for the given volumes."""
-    plan = webster_plan(
-        volumes, table, saturation_headway=saturation_headway, clearance=clearance
-    )
-    return FixedTimeController(plan, decision_interval)
-
-
 class SOTLController:
     """Threshold rule: keep the phase for a minimum green, then switch to the
     highest-demand phase once the red-side queue total exceeds theta.
@@ -202,7 +188,7 @@ class SOTLController:
 
     def __call__(self, state: TrafficState) -> int:
         if self._current is None:
-            self._current = state.phase_index if state.phase_index >= 0 else 0
+            self._current = state.phase_index
         current = self._current
         if self._elapsed >= self.t_min:
             counts = state.counts.tolist()

@@ -17,7 +17,7 @@ from .classical import (
     FixedTimeController,
     SOTLController,
     fixedtime_grid_search,
-    formula_controller,
+    webster_plan,
 )
 from .networks import (
     FrapConfig,
@@ -235,10 +235,10 @@ def make_classical_controller(
         volumes = flow.movement_volumes(
             table.n_movements, config.flow.duration, config.n_intersections
         )
-        return formula_controller(
-            volumes, table, sim_cfg.decision_interval,
-            saturation_headway=sim_cfg.saturation_headway, clearance=clearance,
+        plan = webster_plan(
+            volumes, table, saturation_headway=sim_cfg.saturation_headway, clearance=clearance
         )
+        return FixedTimeController(plan, sim_cfg.decision_interval)
     if method == "sotl":
         return SOTLController(
             table, config.classical.sotl_theta, config.classical.sotl_t_min,

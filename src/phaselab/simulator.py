@@ -76,7 +76,7 @@ class EpisodeMetrics:
     ``avg_travel_time`` averages exit minus approach-entry over vehicles that
     exited; vehicles still in the network at episode end are only counted.
 
-    The series are kept as columns, in flow-event order, and as one
+    The series are kept as columns, in the flow's vehicle order, and as one
     ``(t, phase, reward, counts)`` tuple per interval and intersection;
     ``vehicles`` and ``intervals`` build the records from them on first
     access, so a caller that reads only the summary never pays for them.
@@ -107,7 +107,7 @@ class GridSim:
     between them. ``reset`` and ``step`` take and return one entry per
     intersection.
 
-    A vehicle is its index into the flow's events: queues, waiting lines and
+    A vehicle is its index into the flow's columns: queues, waiting lines and
     the link from one intersection to the next hold these ints, and its
     progress lives in per-episode lists (``_hop``, ``_queue_join``, ``_exit``)
     indexed the same way.

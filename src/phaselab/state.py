@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CLEARANCE_PHASE = -1  # phase_index sentinel while no phase is green
-
 
 @dataclass(frozen=True, eq=False)
 class TrafficState:
@@ -15,8 +13,7 @@ class TrafficState:
 
     ``counts[i]`` is the number of vehicles queued on movement ``i`` (capped at
     the lane capacity), ``signal_bits[i]`` is 1 iff movement ``i`` currently
-    has green, and ``phase_index`` identifies the active phase
-    (``CLEARANCE_PHASE`` while none is).
+    has green, and ``phase_index`` (non-negative) identifies the active phase.
     """
 
     counts: np.ndarray
@@ -28,6 +25,8 @@ class TrafficState:
         object.__setattr__(self, "signal_bits", np.asarray(self.signal_bits, dtype=np.int64))
         if self.counts.ndim != 1 or self.counts.shape != self.signal_bits.shape:
             raise ValueError("counts and signal_bits must be 1-d arrays of equal length")
+        if self.phase_index < 0:
+            raise ValueError(f"phase_index must be non-negative, got {self.phase_index}")
 
     @classmethod
     def trusted(

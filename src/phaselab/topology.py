@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .state import CLEARANCE_PHASE, TrafficState
+from .state import TrafficState
 
 VALID_APPROACH_COUNTS = (3, 4, 5)
 
@@ -277,8 +277,5 @@ def apply_symmetry(op: SymmetryOp, state: TrafficState) -> TrafficState:
     bits = np.empty_like(state.signal_bits)
     counts[op.movement_perm] = state.counts
     bits[op.movement_perm] = state.signal_bits
-    if state.phase_index == CLEARANCE_PHASE:
-        phase = CLEARANCE_PHASE
-    else:
-        phase = int(op.phase_perm[state.phase_index])
+    phase = int(op.phase_perm[state.phase_index])
     return TrafficState(counts=counts, signal_bits=bits, phase_index=phase)

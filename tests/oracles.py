@@ -273,20 +273,19 @@ class SequentialReplayOracle:
 def movement_times_oracle(spec, movement: int, rng: np.random.Generator) -> list[float]:
     """Arrival times of one movement, one scalar exponential draw per gap."""
     times: list[float] = []
-    for start, end, rates in spec.segment_list():
-        rate = rates[movement]
-        if rate <= 0:
-            continue
-        if spec.process == "uniform":
-            t = start
-            while t < end - 1e-9:
-                times.append(t)
-                t += 3600.0 / rate
-        else:
-            t = start + rng.exponential(3600.0 / rate)
-            while t < end:
-                times.append(t)
-                t += rng.exponential(3600.0 / rate)
+    rate = spec.rates[movement]
+    if rate <= 0:
+        return times
+    if spec.process == "uniform":
+        t = 0.0
+        while t < spec.duration - 1e-9:
+            times.append(t)
+            t += 3600.0 / rate
+    else:
+        t = rng.exponential(3600.0 / rate)
+        while t < spec.duration:
+            times.append(t)
+            t += rng.exponential(3600.0 / rate)
     return times
 
 
@@ -306,7 +305,7 @@ class SOTLOracle:
 
     def __call__(self, state) -> int:
         if self.current is None:
-            self.current = state.phase_index if state.phase_index >= 0 else 0
+            self.current = state.phase_index
         green = set(self.table.phases[self.current].members)
         if self.elapsed >= self.t_min:
             red_wait = 0

@@ -199,7 +199,7 @@ class TestSOTL:
         data=st.data(),
         theta=st.floats(0.5, 30.0),
         intervals=st.integers(1, 4),
-        start_phase=st.integers(-1, 7),
+        start_phase=st.integers(0, 7),
     )
     @settings(max_examples=60, deadline=None)
     def test_decisions_match_oracle(self, table4, data, theta, intervals, start_phase):
@@ -214,8 +214,7 @@ class TestSOTL:
         ))
         for i, (counts, phase) in enumerate(rows):
             phase = start_phase if i == 0 else phase
-            bits = table4.phases[phase].bits if phase >= 0 else (0,) * 8
-            state = pl.TrafficState(np.array(counts), np.array(bits), phase)
+            state = pl.TrafficState(np.array(counts), np.array(table4.phases[phase].bits), phase)
             assert ctrl(state) == oracle(state)
 
     def test_validation(self, table4):

@@ -9,7 +9,6 @@ import phaselab as pl
 from phaselab import flows
 from phaselab.flows import (
     BENCHMARK_FLOW_NAMES,
-    FlowEvent,
     FlowSchedule,
     FlowSynthesisSpec,
     benchmark_flow_spec,
@@ -43,13 +42,8 @@ class TestCsv:
         assert len(flow) == 0
 
     def test_three_row_roundtrip_byte_identical(self, tmp_path):
-        flow = FlowSchedule(
-            events=(
-                FlowEvent(0, 0.0, ((0, 6),)),
-                FlowEvent(1, 12.5, ((0, 2), (1, 2))),
-                FlowEvent(2, 100.25, ((0, 0),)),
-            )
-        )
+        routes = (((0, 6),), ((0, 2), (1, 2)), ((0, 0),))
+        flow = FlowSchedule((0, 1, 2), (0.0, 12.5, 100.25), routes)
         p1 = write_flow_csv(flow, tmp_path / "a.csv")
         parsed = parse_flow_csv(p1)
         p2 = write_flow_csv(parsed, tmp_path / "b.csv")
@@ -61,7 +55,9 @@ class TestCsv:
         spec = benchmark_flow_spec("unbalanced-WE", duration=600.0)
         flow = synthesize_grid_flow(spec, 2, 2, 3) if grid else synthesize_flow(spec, 3)
         parsed = parse_flow_csv(write_flow_csv(flow, tmp_path / "flow.csv"))
-        assert parsed.events == flow.events
+        assert parsed.vehicle_ids == flow.vehicle_ids
+        assert parsed.entry_times == flow.entry_times
+        assert parsed.routes == flow.routes
 
     def test_out_of_order_rows_sorted_stably(self, tmp_path):
         path = tmp_path / "flow.csv"
@@ -73,7 +69,9 @@ class TestCsv:
             "13,1.0,0:4\n"
         )
         flow = parse_flow_csv(path)
-        assert [e.vehicle_id for e in flow.events] == [13, 11, 10, 12]
+        assert flow.vehicle_ids == (13, 11, 10, 12)
+        assert flow.entry_times == (1.0, 2.0, 5.0, 5.0)
+        assert flow.routes == (((0, 4),), ((0, 2),), ((0, 1),), ((0, 3),))
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "flow.csv"
@@ -97,9 +95,7 @@ class TestCsv:
             parse_flow_csv(path)
 
     def test_validated_flow_still_rejects_tighter_bounds(self):
-        flow = FlowSchedule(
-            events=(FlowEvent(0, 0.0, ((0, 3),)), FlowEvent(1, 1.0, ((0, 2), (1, 7))))
-        )
+        flow = FlowSchedule((0, 1), (0.0, 1.0), (((0, 3),), ((0, 2), (1, 7))))
         flow.validate(8, 2)
         with pytest.raises(ValueError, match="vehicle 1: unknown movement id 7"):
             flow.validate(4, 2)
@@ -107,7 +103,7 @@ class TestCsv:
             flow.validate(8, 1)
         with pytest.raises(ValueError, match="vehicle 0: unknown intersection 0"):
             flow.validate(8, 0)
-        FlowSchedule(events=()).validate(8, 0)
+        FlowSchedule((), (), ()).validate(8, 0)
 
     def test_unknown_movement_rejected(self, tmp_path):
         path = tmp_path / "flow.csv"
@@ -134,23 +130,27 @@ class TestSchedule:
         ],
     )
     def test_entry_time_must_be_finite_and_non_negative(self, times, bad):
-        events = tuple(FlowEvent(i, t, ((0, 1),)) for i, t in enumerate(times))
         with pytest.raises(ValueError, match=f"vehicle {bad}: entry time .* finite and non-negative"):
-            FlowSchedule(events=events)
+            FlowSchedule(tuple(range(len(times))), times, (((0, 1),),) * len(times))
 
     def test_unsorted_and_empty_route_rejected(self):
         with pytest.raises(ValueError, match="sorted by entry time"):
-            FlowSchedule(events=(FlowEvent(0, 2.0, ((0, 1),)), FlowEvent(1, 1.0, ((0, 1),))))
+            FlowSchedule((0, 1), (2.0, 1.0), (((0, 1),), ((0, 1),)))
         with pytest.raises(ValueError, match="vehicle 1 has an empty route"):
-            FlowSchedule(events=(FlowEvent(0, 0.0, ((0, 1),)), FlowEvent(1, 1.0, ())))
+            FlowSchedule((0, 1), (0.0, 1.0), (((0, 1),), ()))
 
-    def test_columns_follow_the_events(self):
+    @pytest.mark.parametrize("n_ids,n_times,n_routes", [(2, 3, 3), (3, 2, 3), (3, 3, 2)])
+    def test_columns_must_have_equal_lengths(self, n_ids, n_times, n_routes):
+        with pytest.raises(ValueError, match="columns differ in length"):
+            FlowSchedule(
+                tuple(range(n_ids)), (0.0, 1.0, 2.0)[:n_times], (((0, 1),),) * n_routes
+            )
+
+    def test_route_lengths_follow_the_routes(self):
         flow = synthesize_grid_flow(benchmark_flow_spec("unbalanced-WE", duration=600.0), 2, 2, 3)
-        assert flow.vehicle_ids == tuple(e.vehicle_id for e in flow.events)
-        assert flow.entry_times == tuple(e.entry_time for e in flow.events)
-        assert flow.routes == tuple(e.route for e in flow.events)
-        assert flow.route_lengths == tuple(len(e.route) for e in flow.events)
-        assert flow.entry_times is flow.entry_times  # built once
+        assert len(flow) == len(flow.entry_times) == len(flow.routes)
+        assert flow.route_lengths == tuple(len(route) for route in flow.routes)
+        assert flow.route_lengths is flow.route_lengths  # built once
 
 
 class TestSynthesis:
@@ -161,7 +161,7 @@ class TestSynthesis:
     def test_uniform_spacing(self):
         spec = FlowSynthesisSpec(rates=(360.0,) + (0.0,) * 7, process="uniform")
         flow = synthesize_flow(spec, 0)
-        times = [e.entry_time for e in flow.events]
+        times = flow.entry_times
         assert len(times) == 360
         assert times[0] == 0.0
         assert np.allclose(np.diff(times), 10.0)
@@ -179,22 +179,8 @@ class TestSynthesis:
         spec = benchmark_flow_spec("unbalanced-WE")
         f1 = synthesize_flow(spec, 7)
         f2 = synthesize_flow(spec, 7)
-        assert [e.entry_time for e in f1.events] == [e.entry_time for e in f2.events]
-        assert [e.route for e in f1.events] == [e.route for e in f2.events]
-
-    def test_segments_tile_duration(self):
-        spec = FlowSynthesisSpec(
-            rates=(360.0,) + (0.0,) * 7,
-            process="uniform",
-            duration=200.0,
-            segments=((100.0, (360.0,) + (0.0,) * 7), (100.0, (0.0,) * 8)),
-        )
-        flow = synthesize_flow(spec, 0)
-        assert all(e.entry_time < 100.0 for e in flow.events)
-        with pytest.raises(ValueError, match="segments"):
-            FlowSynthesisSpec(
-                rates=(1.0,) * 8, duration=100.0, segments=((30.0, (1.0,) * 8),)
-            )
+        assert f1.entry_times == f2.entry_times
+        assert f1.routes == f2.routes
 
     def test_benchmark_names(self):
         assert set(BENCHMARK_FLOW_NAMES) == {
@@ -220,19 +206,6 @@ class TestBlockDraws:
         for seed in range(5):
             assert_draws_match_scalar_loop(benchmark_flow_spec(name), seed)
 
-    def test_segmented_spec_matches_scalar_loop(self):
-        spec = FlowSynthesisSpec(
-            rates=(360.0,) * 8,
-            duration=900.0,
-            segments=(
-                (300.0, (600.0, 0.0, 120.0, 30.0, 360.0, 5.0, 900.0, 60.0)),
-                (0.0, (360.0,) * 8),
-                (600.0, (60.0, 240.0, 0.0, 1800.0, 360.0, 0.5, 90.0, 360.0)),
-            ),
-        )
-        for seed in range(5):
-            assert_draws_match_scalar_loop(spec, seed)
-
     def test_blocks_that_fall_short_are_extended(self, monkeypatch):
         monkeypatch.setattr(flows, "_gap_block", lambda expected: 3)
         for seed in range(3):
@@ -256,8 +229,7 @@ class TestGridSynthesis:
         )
         flow = synthesize_grid_flow(spec, rows=1, cols=3, seed=0)
         assert len(flow) == 360
-        for e in flow.events:
-            assert e.route == ((0, 6), (1, 6), (2, 6))  # west-to-east corridor
+        assert set(flow.routes) == {((0, 6), (1, 6), (2, 6))}  # west-to-east corridor
 
     def test_left_turns_are_local(self):
         spec = FlowSynthesisSpec(
@@ -265,7 +237,7 @@ class TestGridSynthesis:
         )
         flow = synthesize_grid_flow(spec, rows=1, cols=3, seed=0)
         assert len(flow) == 3 * 120  # once per intersection
-        assert {e.route for e in flow.events} == {((0, 1),), ((1, 1),), ((2, 1),)}
+        assert set(flow.routes) == {((0, 1),), ((1, 1),), ((2, 1),)}
 
     def test_movement_volumes_are_per_intersection(self):
         # A corridor vehicle loads every intersection it crosses; a left turn
@@ -280,31 +252,29 @@ class TestGridSynthesis:
 
 class TestMirrorFlow:
     def _small_flow(self):
-        return FlowSchedule(
-            events=(FlowEvent(0, 1.0, ((0, 6),)), FlowEvent(1, 2.0, ((0, 0),)))
-        )
+        return FlowSchedule((0, 1), (1.0, 2.0), (((0, 6),), ((0, 0),)))
 
     def test_identity_unchanged(self, table4, group4):
         flow = self._small_flow()
         out = mirror_flow(group4[0], flow)
-        assert [e.route for e in out.events] == [e.route for e in flow.events]
+        assert out.routes == flow.routes
 
     def test_flip_is_involution(self, table4):
         flip = find_op(table4, "flip")
         flow = self._small_flow()
         double = mirror_flow(flip, mirror_flow(flip, flow))
-        assert [e.route for e in double.events] == [e.route for e in flow.events]
-        assert [e.entry_time for e in double.events] == [e.entry_time for e in flow.events]
+        assert double.routes == flow.routes
+        assert double.vehicle_ids == flow.vehicle_ids
+        assert double.entry_times == flow.entry_times
 
     def test_w_through_maps_to_e_through(self, table4):
         flip = find_op(table4, "flip")
         out = mirror_flow(flip, self._small_flow())
-        assert out.events[0].route == ((0, 2),)  # W-T -> E-T
-        assert out.events[1].route == ((0, 0),)  # N-T fixed
+        assert out.routes == (((0, 2),), ((0, 0),))  # W-T -> E-T; N-T fixed
 
     def test_multi_intersection_rejected(self, table4):
         flip = find_op(table4, "flip")
-        flow = FlowSchedule(events=(FlowEvent(0, 0.0, ((0, 6), (1, 6))),))
+        flow = FlowSchedule((0,), (0.0,), (((0, 6), (1, 6)),))
         with pytest.raises(ValueError):
             mirror_flow(flip, flow)
 

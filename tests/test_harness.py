@@ -7,7 +7,6 @@ import pytest
 import phaselab as pl
 from phaselab import harness
 from phaselab.cli import main as cli_main
-from phaselab.flows import FlowEvent
 from phaselab.harness import (
     ExperimentConfig,
     cmd_compare,
@@ -153,9 +152,10 @@ class TestCommands:
         cmd_compare(cfg, ["fixedtime"])
         [calibration] = seen
         held_out = harness.build_flow(cfg, harness.eval_flow_seed(cfg))
-        assert calibration.events != held_out.events
+        assert calibration.entry_times != held_out.entry_times
         drawn = harness.build_flow(cfg, harness.calibration_flow_seed(cfg))
-        assert calibration.events == drawn.events
+        assert calibration.entry_times == drawn.entry_times
+        assert calibration.routes == drawn.routes
 
     def test_transfer_identity_matches_eval(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -171,7 +171,7 @@ class TestCommands:
         # A W-through-only file flow: flip maps movement 6 to movement 2, and
         # the retrain must see the mirrored schedule, not the original file.
         flow = pl.FlowSchedule(
-            events=tuple(FlowEvent(i, 8.0 * i, ((0, 6),)) for i in range(25))
+            tuple(range(25)), tuple(8.0 * i for i in range(25)), (((0, 6),),) * 25
         )
         flow_path = pl.write_flow_csv(flow, tmp_path / "wt.csv")
         cfg = tiny_config(tmp_path, flow={"name": None, "rates": None, "path": str(flow_path)})
@@ -180,8 +180,10 @@ class TestCommands:
         retrain = load_config(tmp_path / "out" / "retrain" / "config.json")
         trained_on = pl.parse_flow_csv(retrain.flow.path, n_movements=8)
         flip = find_op(cfg.build_table(), "flip")
-        assert trained_on.events == pl.mirror_flow(flip, flow).events
-        assert {e.route for e in trained_on.events} == {((0, 2),)}
+        mirrored = pl.mirror_flow(flip, flow)
+        assert trained_on.vehicle_ids == mirrored.vehicle_ids
+        assert trained_on.entry_times == mirrored.entry_times
+        assert trained_on.routes == mirrored.routes == (((0, 2),),) * 25
 
     def test_train_parses_a_file_flow_once(self, tmp_path, monkeypatch):
         # Every actor episode and every eval used to re-read the same file.

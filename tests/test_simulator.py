@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import phaselab as pl
 from phaselab import training
 from phaselab.flows import (
-    FlowEvent,
     FlowSchedule,
     FlowSynthesisSpec,
     synthesize_flow,
@@ -24,7 +23,7 @@ from oracles import always_green_departures, episode_summary_oracle
 
 def single_hop(entries, movement):
     return FlowSchedule(
-        events=tuple(FlowEvent(i, t, ((0, movement),)) for i, t in enumerate(entries))
+        tuple(range(len(entries))), tuple(entries), (((0, movement),),) * len(entries)
     )
 
 
@@ -35,7 +34,7 @@ def cfg():
 
 class TestReset:
     def test_empty_flow_all_zero(self, table4, cfg):
-        sim = pl.IntersectionSim(cfg, table4, FlowSchedule(events=()))
+        sim = pl.IntersectionSim(cfg, table4, FlowSchedule((), (), ()))
         [s] = sim.reset()
         assert np.array_equal(s.counts, np.zeros(8))
         assert s.phase_index == 0
@@ -63,7 +62,7 @@ class TestReset:
 
 class TestStep:
     def test_empty_network_zero_reward(self, table4, cfg):
-        sim = pl.IntersectionSim(cfg, table4, FlowSchedule(events=()))
+        sim = pl.IntersectionSim(cfg, table4, FlowSchedule((), (), ()))
         sim.reset()
         [s], [r], done = sim.step([0])
         assert r == 0.0
@@ -110,14 +109,14 @@ class TestStep:
         assert np.array_equal(s.signal_bits, table4.phases[0].bits)
 
     def test_invalid_action_rejected(self, table4, cfg):
-        sim = pl.IntersectionSim(cfg, table4, FlowSchedule(events=()))
+        sim = pl.IntersectionSim(cfg, table4, FlowSchedule((), (), ()))
         sim.reset()
         with pytest.raises(ValueError):
             sim.step([8])
 
     def test_step_after_done_rejected(self, table4):
         sim = pl.IntersectionSim(
-            pl.SimConfig(episode_length=20), pl.build_phase_table(4), FlowSchedule(events=())
+            pl.SimConfig(episode_length=20), pl.build_phase_table(4), FlowSchedule((), (), ())
         )
         sim.reset()
         done = False
@@ -151,7 +150,7 @@ class TestStep:
 
 class TestRunController:
     def test_empty_flow_reports_zero(self, table4, cfg):
-        m = pl.run_controller(lambda s: 0, cfg, table4, FlowSchedule(events=()))
+        m = pl.run_controller(lambda s: 0, cfg, table4, FlowSchedule((), (), ()))
         assert m.avg_travel_time == 0.0
         assert m.exited_count == 0
         assert m.in_network_count == 0
@@ -161,12 +160,12 @@ class TestRunController:
         spec = FlowSynthesisSpec(rates=(900.0,) + (0.0,) * 7, process="uniform")
         flow = synthesize_flow(spec, 0)
         m = pl.run_controller(lambda s: 0, config, table4, flow)
-        stops = [e.entry_time + 30.0 for e in flow.events]
+        stops = [t + 30.0 for t in flow.entry_times]
         expected = always_green_departures(stops, 2.0)
         travel = {r.vehicle_id: (r.exit - r.entry) for r in m.vehicles if r.exit is not None}
-        for e, dep in zip(flow.events, expected):
+        for vid, t, dep in zip(flow.vehicle_ids, flow.entry_times, expected):
             if dep <= config.episode_length:
-                assert travel[e.vehicle_id] == dep - e.entry_time
+                assert travel[vid] == dep - t
 
     def test_every_travel_time_is_position_rule(self, table4):
         # 10 s spacing, always green: queue position is always 1.
@@ -267,7 +266,7 @@ class TestGrid:
 
     def test_two_hop_tandem_oracle(self, table4):
         config = pl.SimConfig(episode_length=300)
-        flow = FlowSchedule(events=(FlowEvent(0, 0.0, ((0, 6), (1, 6))),))
+        flow = FlowSchedule((0,), (0.0,), (((0, 6), (1, 6)),))
         grid = pl.GridSim(config, table4, flow, n_intersections=2)
         grid.reset()
         wt_phase = table4.phase_with_members([6, 7])
@@ -287,10 +286,7 @@ class TestGrid:
         # first, so it takes the first headway (exit 64) and the forwarded
         # vehicle the second (exit 66).
         config = pl.SimConfig(episode_length=100)
-        flow = FlowSchedule(events=(
-            FlowEvent(0, 0.0, ((0, 6), (1, 6))),
-            FlowEvent(1, 32.0, ((1, 6),)),
-        ))
+        flow = FlowSchedule((0, 1), (0.0, 32.0), (((0, 6), (1, 6)), ((1, 6),)))
         grid = pl.GridSim(config, table4, flow, n_intersections=2)
         wt_phase = table4.phase_with_members([6, 7])
         done = False
@@ -306,10 +302,7 @@ class TestGrid:
         # at 8.5; vehicle 1 enters there at 7.25 and arrives at 8.75. Both
         # queue in second 9, the earlier arrival (the forwarded one) first.
         config = pl.SimConfig(approach_length=15.0, episode_length=30)
-        flow = FlowSchedule(events=(
-            FlowEvent(0, 0.0, ((0, 6), (1, 6))),
-            FlowEvent(1, 7.25, ((1, 6),)),
-        ))
+        flow = FlowSchedule((0, 1), (0.0, 7.25), (((0, 6), (1, 6)), ((1, 6),)))
         grid = pl.GridSim(config, table4, flow, n_intersections=2)
         wt_phase = table4.phase_with_members([6, 7])
         done = False
@@ -321,7 +314,7 @@ class TestGrid:
 
     def test_empty_flow_grid_rewards_zero(self, table4):
         config = pl.SimConfig(episode_length=100)
-        grid = pl.GridSim(config, table4, FlowSchedule(events=()), n_intersections=12)
+        grid = pl.GridSim(config, table4, FlowSchedule((), (), ()), n_intersections=12)
         grid.reset()
         states, rewards, _ = grid.step([0] * 12)
         assert all(r == 0.0 for r in rewards)
@@ -329,7 +322,7 @@ class TestGrid:
 
     def test_action_count_mismatch(self, table4):
         grid = pl.GridSim(
-            pl.SimConfig(episode_length=100), table4, FlowSchedule(events=()), n_intersections=3
+            pl.SimConfig(episode_length=100), table4, FlowSchedule((), (), ()), n_intersections=3
         )
         grid.reset()
         with pytest.raises(ValueError):
@@ -340,7 +333,7 @@ class TestGrid:
         # discharge keeps going.
         config = pl.SimConfig(lane_capacity=3, episode_length=600)
         flow = FlowSchedule(
-            events=tuple(FlowEvent(i, float(i), ((0, 6), (1, 6))) for i in range(12))
+            tuple(range(12)), tuple(map(float, range(12))), (((0, 6), (1, 6)),) * 12
         )
         grid = pl.GridSim(config, table4, flow, n_intersections=2)
         grid.reset()

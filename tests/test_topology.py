@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import phaselab as pl
-from phaselab.state import CLEARANCE_PHASE
 from phaselab.topology import Relation, Turn, compose, find_op, inverse
 
 from conftest import random_state
@@ -167,12 +166,21 @@ class TestApplySymmetry:
         assert out.phase_index == s.phase_index
 
     def test_uniform_state_fixed_by_every_op(self, table4, group4):
-        s = pl.TrafficState(np.full(8, 7), np.zeros(8, dtype=int), CLEARANCE_PHASE)
+        s = pl.TrafficState(np.full(8, 7), np.zeros(8, dtype=int), 0)
         for op in group4:
             out = pl.apply_symmetry(op, s)
             assert np.array_equal(out.counts, s.counts)
             assert np.array_equal(out.signal_bits, s.signal_bits)
-            assert out.phase_index == CLEARANCE_PHASE
+            assert out.phase_index == op.phase_perm[0]
+
+    @pytest.mark.parametrize("phase_index", [-1, -2])
+    def test_negative_phase_index_rejected(self, group4, phase_index):
+        # No negative index names a phase; -2 indexed phase_perm from the end
+        # and came out of apply_symmetry as a real phase.
+        with pytest.raises(ValueError, match="phase_index must be non-negative"):
+            pl.apply_symmetry(
+                group4[1], pl.TrafficState(np.zeros(8), np.zeros(8), phase_index)
+            )
 
     def test_flip_moves_w_heavy_to_e_heavy(self, table4):
         flip = find_op(table4, "flip")
