@@ -209,14 +209,17 @@ def _poisson_times(end: float, scale: float, rng: np.random.Generator) -> list[f
     Bitwise the scalar loop ``t = gap(); while t < end: keep t; t += gap()``:
     the gaps are drawn in blocks and summed left to right by ``cumsum``, then
     the generator is rewound and advanced by exactly the draws that loop
-    makes, the first time >= ``end`` included.
+    makes, the first time >= ``end`` included. A near-zero rate can make a
+    sum overflow to inf; like the loop's float ``+=`` that is silent, and
+    inf is past ``end``.
     """
     saved = rng.bit_generator.state
     block = _gap_block(end / scale)
-    sums = np.cumsum(rng.exponential(scale, block))
-    while sums[-1] < end:
-        more = np.cumsum(np.concatenate((sums[-1:], rng.exponential(scale, block))))[1:]
-        sums = np.concatenate((sums, more))
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(rng.exponential(scale, block))
+        while sums[-1] < end:
+            more = np.cumsum(np.concatenate((sums[-1:], rng.exponential(scale, block))))[1:]
+            sums = np.concatenate((sums, more))
     kept = int(np.searchsorted(sums, end, side="left"))  # sums[kept] is the first >= end
     rng.bit_generator.state = saved
     rng.exponential(scale, kept + 1)

@@ -211,6 +211,12 @@ class TestBlockDraws:
         for seed in range(3):
             assert_draws_match_scalar_loop(benchmark_flow_spec("unbalanced-WE"), seed)
 
+    @pytest.mark.parametrize("rate", [1.1555371709515167e-304, 5e-324])
+    def test_near_zero_rate_matches_scalar_loop(self, rate):
+        # The gap mean 3600 / rate is near or past the float maximum, so the
+        # block sums overflow to inf.
+        assert_draws_match_scalar_loop(FlowSynthesisSpec(rates=(rate,), duration=1.0), 0)
+
     @given(
         rates=st.lists(st.floats(0.0, 4000.0), min_size=1, max_size=4),
         duration=st.floats(0.5, 2000.0),
