@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -89,6 +91,11 @@ class TestBuffer:
         buf.add(_rows(3, 4))
         assert buf.priorities().tolist() == [0.25, 0.5, 0.75, 0.75, 0.75]
         assert buf._sum.leaves([3, 4]).tolist() == [0.75, 0.75]
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_capacity_below_one_is_rejected(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            PrioritizedReplayBuffer(capacity)
 
     def test_sample_requires_enough_items(self):
         buf = PrioritizedReplayBuffer(capacity=8)
@@ -278,3 +285,54 @@ class TestGrowth:
         assert bigger._size == 64
         assert np.array_equal(bigger.leaves(np.arange(5)), tree.leaves(np.arange(5)))
         assert bigger.root == tree.root
+
+
+def _sampling_digest(capacity: int, table, seed: int = 7) -> str:
+    """sha256 over every batch a scripted run of blocks, samples and priority
+    updates draws: sampled indices, IS weights and rows, in order.
+
+    The script adds one and a half rings of rows in blocks of 1-7, so the
+    buffer grows to ``capacity`` and wraps; each step samples 16 rows and
+    moves their priorities, the first four indices twice over.
+    """
+    rng = np.random.default_rng(seed)
+    draw = np.random.default_rng(seed + 1)
+    total = capacity + capacity // 2
+    pool = random_rows(table, rng, total, done_every=7)
+    buf = PrioritizedReplayBuffer(capacity, alpha=0.6)
+    digest = hashlib.sha256()
+    slots, wrapped, start = {buf._slots}, False, 0
+    while start < total:
+        n = min(int(rng.integers(1, 8)), total - start)
+        before = buf._next
+        buf.add(Batch(*(column[start : start + n] for column in pool)))
+        start += n
+        slots.add(buf._slots)
+        wrapped |= buf._next < before
+        if len(buf) < 16:
+            continue
+        beta = 0.4 + 0.6 * start / total
+        indices, rows, weights = buf.sample(16, beta, draw)
+        for array in (indices, weights, *rows):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        repeated = np.concatenate([indices, indices[:4]])  # duplicates: the last write wins
+        buf.update_priorities(repeated, rng.uniform(0.01, 10.0, len(repeated)))
+    assert len(slots) > 1 and max(slots) == capacity and wrapped
+    return digest.hexdigest()
+
+
+class TestGoldenSampling:
+    """Pins replay sampling bit for bit across growth, ring wrap and
+    duplicate update indices."""
+
+    @pytest.mark.parametrize(
+        "capacity, first_slots, expected",
+        [
+            (50, 16, "fb3f62a0a919d29125bbd56a32a48da1e4f776cd80204fa1c5b95301e6d5b0c6"),
+            (1500, replay._FIRST_SLOTS, "7d40ebb2e378373f242bc2c91b4b706ef73c94e8175bfab38bd5e140ed452db5"),
+            (3000, replay._FIRST_SLOTS, "1903dad2775cf3bc928e6fac7f0f10e2984a3ca006e6dc5fdb22482fc090ab3e"),
+        ],
+    )
+    def test_sampling_digest(self, table4, monkeypatch, capacity, first_slots, expected):
+        monkeypatch.setattr(replay, "_FIRST_SLOTS", first_slots)
+        assert _sampling_digest(capacity, table4) == expected
