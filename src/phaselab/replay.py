@@ -1,7 +1,8 @@
-"""Prioritized experience replay: FIFO ring plus a sum tree.
+"""Prioritized experience replay: a FIFO ring of rows, sampled through a sum tree.
 
 The buffer keeps one transition per row of the :class:`Batch` arrays, with
-each row's raw priority in a column beside them, and takes them in blocks:
+each row's raw priority and sampling mass in columns beside them, and takes
+them in blocks:
 an actor round adds each learner's rows in one call, at the largest stored
 priority. Sampling probability of slot i is
 priority_i**alpha / sum_j priority_j**alpha; importance-sampling weights are
@@ -16,59 +17,28 @@ import numpy as np
 
 
 class SumTree:
-    """Array-backed binary tree whose every node is the sum of its two
-    children; the leaves hold the sampling masses."""
+    """Binary tree over a leaf array, built bottom up: every internal node is
+    the sum of its two children.
 
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    The leaves are padded with zeros to a power of two. More zero leaves
+    would change nothing: the extra top levels hold the whole sum on their
+    left, so the root and the descent of every mass in [0, root) stay the
+    same.
+    """
+
+    def __init__(self, leaves: np.ndarray):
         size = 1
-        while size < capacity:
+        while size < len(leaves):
             size *= 2
-        self._size = size
-        self._tree = np.zeros(2 * size)
-
-    def __setitem__(self, idx: int, value: float) -> None:
-        tree = self._tree
-        i = idx + self._size
-        tree[i] = value
-        i //= 2
-        while i >= 1:
-            tree[i] = tree.item(2 * i) + tree.item(2 * i + 1)
-            i //= 2
-
-    def set_many(self, idxs: np.ndarray, values: np.ndarray) -> None:
-        """Set many leaves, then recompute their ancestors one level at a time.
-
-        All leaves sit at the same depth, so each level is one vectorized
-        update; a parent shared by several leaves is recomputed once per
-        leaf, to the same value.
-        """
-        tree = self._tree
-        children = tree.reshape(-1, 2)  # row i holds nodes 2i and 2i+1
-        i = np.asarray(idxs, dtype=np.int64) + self._size
-        tree[i] = values
-        i >>= 1
-        while i.size and i[0] >= 1:
-            pairs = children[i]
-            tree[i] = pairs[:, 0] + pairs[:, 1]
-            i >>= 1
-
-    def grown(self, capacity: int) -> "SumTree":
-        """A tree with room for ``capacity`` leaves, holding this tree's
-        leaves. Every node is the sum of its children, so each node of this
-        tree keeps its value, and the nodes above it only add zero subtrees."""
-        out = SumTree(capacity)
-        out._tree[out._size : out._size + self._size] = self._tree[self._size :]
-        level = out._size
+        tree = np.zeros(2 * size)
+        tree[size : size + len(leaves)] = leaves
+        level = size
         while level > 1:
             level //= 2
-            children = out._tree[2 * level : 4 * level]
-            out._tree[level : 2 * level] = children[0::2] + children[1::2]
-        return out
-
-    def leaves(self, idxs: np.ndarray) -> np.ndarray:
-        return self._tree[np.asarray(idxs, dtype=np.int64) + self._size]
+            children = tree[2 * level : 4 * level]
+            tree[level : 2 * level] = children[0::2] + children[1::2]
+        self._size = size
+        self._tree = tree
 
     @property
     def root(self) -> float:
@@ -120,26 +90,28 @@ class Batch(NamedTuple):
 class PrioritizedReplayBuffer:
     """Ring buffer of :class:`Batch` rows with proportional prioritized sampling.
 
-    Evicts FIFO at capacity. Slots never written have zero mass and are
-    therefore never sampled; overwritten (evicted) rows are unreachable. A
-    plain column holds every row's raw priority (see :meth:`priorities`).
+    Evicts FIFO at capacity; overwritten (evicted) rows are unreachable.
+    Two plain columns hold every row's raw priority (see :meth:`priorities`)
+    and its mass ``priority ** alpha``.
 
-    The sum tree, the rows and the priority column grow with the fill,
-    doubling up to ``capacity``: a tree over the occupied slots samples
-    exactly as one over all ``capacity`` slots would (the rest have zero
-    mass), with fewer levels to walk. ``sample`` gathers its batch with one
-    fancy index per array.
+    The rows and both columns grow with the fill, doubling up to
+    ``capacity``. ``sample`` builds a :class:`SumTree` over the stored masses
+    for each batch: it samples exactly as a tree over all ``capacity`` slots
+    would (the rest have zero mass), with fewer levels to walk. It gathers
+    its batch with one fancy index per array.
     """
 
     def __init__(self, capacity: int, alpha: float = 0.6):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
+        if capacity < 1:
+            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.alpha = alpha
         self._rows: Batch | None = None  # allocated by the first add
         self._slots = min(capacity, _FIRST_SLOTS)
-        self._sum = SumTree(self._slots)
         self._priority = np.zeros(self._slots)  # raw priority by slot
+        self._mass = np.zeros(self._slots)  # sampling mass by slot
         self._next = 0
         self._size = 0
 
@@ -180,8 +152,8 @@ class PrioritizedReplayBuffer:
             column[: n - head] = new[head:]
         self._priority[start:end] = priority
         self._priority[: n - head] = priority
-        for slot in (*range(start, end), *range(n - head)):
-            self._sum[slot] = mass
+        self._mass[start:end] = mass
+        self._mass[: n - head] = mass
         self._next = (start + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
 
@@ -198,10 +170,8 @@ class PrioritizedReplayBuffer:
         )
 
     def _grow(self, slots: int) -> None:
-        self._sum = self._sum.grown(slots)
-        priority = np.zeros(slots)
-        priority[: self._slots] = self._priority
-        self._priority = priority
+        self._priority = np.pad(self._priority, (0, slots - self._slots))
+        self._mass = np.pad(self._mass, (0, slots - self._slots))
         self._slots = slots
         if self._rows is not None:
             old = self._rows
@@ -213,12 +183,13 @@ class PrioritizedReplayBuffer:
         """Draw iid proportional samples; returns (indices, rows, is_weights)."""
         if self._size < batch_size:
             raise ValueError(f"buffer holds {self._size} rows, need {batch_size}")
-        total = self._sum.root
+        tree = SumTree(self._mass[: self._size])
+        total = tree.root
         # Descent can fall on a zero-mass slot when a draw hits a prefix-sum
         # boundary exactly; occupied slots are always 0.._size-1, so clamp.
         masses = rng.uniform(0.0, total, size=batch_size)
-        indices = np.minimum(self._sum.prefix_indices(masses), self._size - 1)
-        probs = self._sum.leaves(indices) / total
+        indices = np.minimum(tree.prefix_indices(masses), self._size - 1)
+        probs = self._mass[indices] / total
         weights = (self._size * probs) ** (-beta)
         weights = weights / weights.max()
         return indices, Batch(*(column[indices] for column in self._rows)), weights
@@ -233,5 +204,5 @@ class PrioritizedReplayBuffer:
         empty = idx[(idx < 0) | (idx >= self._size)]  # slots fill 0, 1, .. and never empty
         if empty.size:
             raise IndexError(f"slot {empty[0]} is empty")
-        self._sum.set_many(idx, pri**self.alpha)
         self._priority[idx] = pri
+        self._mass[idx] = pri**self.alpha

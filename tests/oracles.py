@@ -214,10 +214,7 @@ class SequentialReplayOracle:
     Each row goes to the next ring slot at the largest raw priority stored
     then (1 when empty), with mass ``priority ** alpha`` as a Python float.
     The occupied slots double from ``first_slots`` up to ``capacity`` as the
-    next row reaches them. ``sum_tree`` rebuilds the sum tree bottom up from
-    the masses, at the size those slots need; a tree whose every node is the
-    sum of its two children holds exactly those values, however its leaves
-    were written.
+    next row reaches them.
     """
 
     def __init__(self, capacity: int, alpha: float, first_slots: int):
@@ -225,7 +222,7 @@ class SequentialReplayOracle:
         self.alpha = alpha
         self.slots = min(capacity, first_slots)
         self.priority = np.zeros(capacity)  # raw priority by slot
-        self.mass = np.zeros(capacity)  # sum-tree leaf by slot
+        self.mass = np.zeros(capacity)  # sampling mass by slot
         self.columns = None  # one float64 array of ``capacity`` rows per field
         self.size = 0
         self.next = 0
@@ -253,19 +250,6 @@ class SequentialReplayOracle:
         priorities = np.asarray(priorities, dtype=np.float64)
         self.priority[indices] = priorities
         self.mass[indices] = priorities**self.alpha
-
-    def sum_tree(self) -> np.ndarray:
-        size = 1
-        while size < self.slots:
-            size *= 2
-        sums = np.zeros(2 * size)
-        sums[size : size + self.slots] = self.mass[: self.slots]
-        level = size
-        while level > 1:
-            level //= 2
-            children = sums[2 * level : 4 * level]
-            sums[level : 2 * level] = children[0::2] + children[1::2]
-        return sums
 
 
 # --- flows and classical control ------------------------------------------------

@@ -13,10 +13,8 @@ from oracles import SequentialReplayOracle
 
 class TestSegmentTrees:
     def test_sum_tree_root_and_prefix(self):
-        tree = SumTree(8)
         values = [3.0, 1.0, 4.0, 1.0, 5.0]
-        for i, v in enumerate(values):
-            tree[i] = v
+        tree = SumTree(np.array(values))
         assert tree.root == sum(values)
         assert tree.prefix_index(0.0) == 0
         assert tree.prefix_index(2.999) == 0
@@ -27,24 +25,26 @@ class TestSegmentTrees:
     def test_lockstep_descent_matches_prefix_index(self):
         rng = np.random.default_rng(1)
         for capacity in (1, 2, 7, 64, 1000):
-            tree = SumTree(capacity)
-            tree.set_many(np.arange(capacity), rng.uniform(0.0, 3.0, size=capacity))
-            leaves = tree._tree[tree._size : tree._size + capacity]
+            leaves = rng.uniform(0.0, 3.0, size=capacity)
+            tree = SumTree(leaves)
             boundaries = np.concatenate([[0.0], np.cumsum(leaves)[:-1]])
             masses = np.concatenate([rng.uniform(0.0, tree.root, size=200), boundaries])
             expected = [tree.prefix_index(m) for m in masses]
             assert tree.prefix_indices(masses).tolist() == expected
 
-    def test_set_many_matches_sequential(self):
-        rng = np.random.default_rng(0)
-        for capacity in (1, 2, 7, 64):
-            vals = rng.uniform(0.5, 3.0, size=capacity)
-            a = SumTree(capacity)
-            b = SumTree(capacity)
-            for i, v in enumerate(vals):
-                a[i] = v
-            b.set_many(np.arange(capacity), vals)
-            assert np.array_equal(a._tree, b._tree)
+    def test_zero_padding_keeps_root_and_descent(self):
+        # A buffer's tree covers its stored rows, not its capacity: the same
+        # leaves with zeros after them must sample the same slots.
+        rng = np.random.default_rng(3)
+        for n, padded in ((1, 2), (5, 37), (1000, 3000)):
+            leaves = rng.uniform(0.0, 3.0, size=n)
+            tree = SumTree(leaves)
+            wide = SumTree(np.concatenate([leaves, np.zeros(padded - n)]))
+            assert wide._size > tree._size
+            boundaries = np.concatenate([[0.0], np.cumsum(leaves)[:-1]])
+            masses = np.concatenate([rng.uniform(0.0, tree.root, size=500), boundaries])
+            assert wide.root == tree.root
+            assert np.array_equal(wide.prefix_indices(masses), tree.prefix_indices(masses))
 
 
 def _rows(*ids: int) -> Batch:
@@ -90,7 +90,7 @@ class TestBuffer:
         buf.update_priorities([0, 1, 2], [0.25, 0.5, 0.75])
         buf.add(_rows(3, 4))
         assert buf.priorities().tolist() == [0.25, 0.5, 0.75, 0.75, 0.75]
-        assert buf._sum.leaves([3, 4]).tolist() == [0.75, 0.75]
+        assert buf._mass[[3, 4]].tolist() == [0.75, 0.75]
 
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_capacity_below_one_is_rejected(self, capacity):
@@ -169,23 +169,21 @@ class TestBuffer:
     def test_priorities_of_another_shape_are_rejected(self, priorities):
         # numpy would broadcast [5.0] over all three slots
         buf = self._filled([1.0, 2.0, 0.5], alpha=0.6)
-        tree, root = buf._sum._tree.copy(), buf._sum.root
+        mass = buf._mass.copy()
         with pytest.raises(ValueError, match="priorities"):
             buf.update_priorities([0, 1, 2], priorities)
-        assert buf._sum.root == root and np.array_equal(buf._sum._tree, tree)
+        assert np.array_equal(buf._mass, mass)
         assert buf.priorities().tolist() == [1.0, 2.0, 0.5]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_priorities_leave_the_trees_alone(self, bad):
         # add takes no priority: it reuses the max, one update_priorities checked
         buf = self._filled([1.0, 2.0, 0.5], alpha=0.6)
-        tree = buf._sum._tree.copy()
-        root = buf._sum.root
+        mass = buf._mass.copy()
         with pytest.raises(ValueError):
             buf.update_priorities([0, 1], [3.0, bad])
         assert len(buf) == 3
-        assert buf._sum.root == root
-        assert np.array_equal(buf._sum._tree, tree)
+        assert np.array_equal(buf._mass, mass)
         assert buf.priorities().tolist() == [1.0, 2.0, 0.5]
 
     def test_priorities_are_the_raw_leaves(self):
@@ -197,9 +195,9 @@ class TestBuffer:
 class TestBlockAdd:
     @staticmethod
     def _assert_same(buf, oracle):
-        assert np.array_equal(buf._sum._tree, oracle.sum_tree())
+        assert len(buf) == len(oracle) and buf._next == oracle.next and buf._slots == oracle.slots
+        assert np.array_equal(buf._mass[: len(buf)], oracle.mass[: len(oracle)])
         assert np.array_equal(buf.priorities(), oracle.priority[: len(oracle)])
-        assert len(buf) == len(oracle) and buf._next == oracle.next
         for column, expected in zip(buf._rows, oracle.columns):
             assert np.array_equal(column[: len(buf)], expected[: len(oracle)])
 
@@ -234,14 +232,14 @@ class TestBlockAdd:
         buf = PrioritizedReplayBuffer(4, alpha=0.6)
         with pytest.raises(ValueError, match="overflows"):
             buf.add(random_rows(table4, np.random.default_rng(0), 5))
-        assert len(buf) == 0 and buf._next == 0 and buf._sum.root == 0.0
+        assert len(buf) == 0 and buf._next == 0 and not buf._mass.any()
 
     def test_columns_of_unequal_length_are_rejected(self, table4):
         buf = PrioritizedReplayBuffer(8, alpha=0.6)
         rows = random_rows(table4, np.random.default_rng(0), 3)
         with pytest.raises(ValueError, match="one entry per row"):
             buf.add(rows._replace(reward=rows.reward[:2]))
-        assert len(buf) == 0 and buf._next == 0 and buf._sum.root == 0.0
+        assert len(buf) == 0 and buf._next == 0 and not buf._mass.any()
 
 
 class TestGrowth:
@@ -264,8 +262,8 @@ class TestGrowth:
 
     @pytest.mark.parametrize("capacity", [1500, 3000])
     def test_growing_buffer_samples_like_a_full_size_one(self, capacity, monkeypatch):
-        # Trees (and rows) grow with the fill: 1024, 2048, ... slots. A draw
-        # then walks fewer levels but must land where the full tree's would.
+        # Rows and columns grow with the fill: 1024, 2048, ... slots. A draw
+        # then walks a smaller tree but must land where the full tree's would.
         grown = PrioritizedReplayBuffer(capacity, alpha=0.6)
         monkeypatch.setattr(replay, "_FIRST_SLOTS", capacity)
         full = PrioritizedReplayBuffer(capacity, alpha=0.6)
@@ -274,17 +272,8 @@ class TestGrowth:
             assert np.array_equal(a[0], b[0]) and np.array_equal(a[2], b[2])
             assert all(np.array_equal(x, y) for x, y in zip(a[1], b[1]))
         assert grown._slots == capacity
-        assert grown._sum.root == full._sum.root
+        assert np.array_equal(grown._mass, full._mass)
         assert np.array_equal(grown.priorities(), full.priorities())
-
-    def test_grown_tree_keeps_leaves_and_root(self):
-        rng = np.random.default_rng(2)
-        tree = SumTree(5)
-        tree.set_many(np.arange(5), rng.uniform(0.1, 3.0, 5))
-        bigger = tree.grown(37)
-        assert bigger._size == 64
-        assert np.array_equal(bigger.leaves(np.arange(5)), tree.leaves(np.arange(5)))
-        assert bigger.root == tree.root
 
 
 def _sampling_digest(capacity: int, table, seed: int = 7) -> str:
