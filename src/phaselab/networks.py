@@ -49,7 +49,7 @@ class FrapConfig:
 
 @dataclass(frozen=True)
 class VanillaConfig:
-    hidden: tuple[int, int] = (32, 32)
+    hidden: tuple[int, ...] = (32, 32)
     norm_capacity: float = 40.0
 
 

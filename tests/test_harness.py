@@ -71,6 +71,51 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown"):
             config_from_dict({"train": {"bogus": 1}})
 
+    @pytest.mark.parametrize(
+        "data, name",
+        [
+            ({"train": {"double_dqn": "false"}}, "train.double_dqn"),
+            ({"frap": {"output_relu": "false"}}, "frap.output_relu"),
+            ({"train": {"sync": 1}}, "train.sync"),
+            ({"train": {"batch_size": True}}, "train.batch_size"),
+            ({"train": {"batch_size": 64.0}}, "train.batch_size"),
+            ({"train": {"gamma": "0.9"}}, "train.gamma"),
+            ({"train": {"lr_end": False}}, "train.lr_end"),
+            ({"sim": {"approach_length": None}}, "sim.approach_length"),
+            ({"vanilla": {"hidden": [32, "32"]}}, "vanilla.hidden"),
+            ({"classical": {"fixedtime_cycles": 60.0}}, "classical.fixedtime_cycles"),
+            ({"flow": {"name": None, "rates": [240.0] * 7 + [None]}}, "flow.rates"),
+            ({"flow": {"name": 8}}, "flow.name"),
+            ({"seed": "1"}, "seed"),
+            ({"train": [64]}, "train"),
+        ],
+    )
+    def test_values_of_another_json_type_are_rejected(self, data, name):
+        # "false" is a truthy string: it would run double DQN and reach the
+        # checkpoint's meta.
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            config_from_dict(data)
+
+    def test_json_numbers_fit_their_fields(self):
+        cfg = config_from_dict({
+            "sim": {"approach_length": 300, "episode_length": 600},
+            "flow": {"name": None, "rates": [240, 120.5] * 4, "duration": 600},
+            "train": {"lr_end": None, "double_dqn": False},
+            "vanilla": {"hidden": [16]},
+            "classical": {"fixedtime_cycles": [40, 60.0]},
+        })
+        assert cfg.flow.rates == (240, 120.5) * 4 and cfg.vanilla.hidden == (16,)
+        assert cfg.train.double_dqn is False
+        assert cfg.classical.fixedtime_cycles == (40, 60.0)
+
+    @pytest.mark.parametrize("approaches, n_rates", [(4, 7), (4, 9), (3, 8)])
+    def test_flow_rates_need_one_rate_per_movement(self, approaches, n_rates):
+        # With 7 rates movement 7 silently got no traffic; 9 failed only
+        # when the first simulator was built.
+        with pytest.raises(ValueError, match="flow.rates"):
+            config_from_dict({"approaches": approaches, "flow": {"name": None, "rates": [240.0] * n_rates}})
+        config_from_dict({"approaches": approaches, "flow": {"name": None, "rates": [240.0] * 2 * approaches}})
+
     def test_load_config_with_overrides(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": 3, "train": {"batch_size": 16}}))
