@@ -30,13 +30,14 @@ class SumTree:
         size = 1
         while size < len(leaves):
             size *= 2
-        tree = np.zeros(2 * size)
+        tree = np.empty(2 * size)  # node 0 is unused; the loop writes nodes 1..size-1
         tree[size : size + len(leaves)] = leaves
+        tree[size + len(leaves) :] = 0.0
         level = size
         while level > 1:
             level //= 2
             children = tree[2 * level : 4 * level]
-            tree[level : 2 * level] = children[0::2] + children[1::2]
+            np.add(children[0::2], children[1::2], out=tree[level : 2 * level])
         self._size = size
         self._tree = tree
 
