@@ -2,9 +2,8 @@
 
 The buffer keeps one transition per row of the :class:`Batch` arrays, with
 each row's raw priority and sampling mass in columns beside them, and takes
-them in blocks:
-an actor round adds each learner's rows in one call, at the largest stored
-priority. Sampling probability of slot i is
+them in blocks: an actor round adds each learner's rows in one call, at the
+largest stored priority. Sampling probability of slot i is
 priority_i**alpha / sum_j priority_j**alpha; importance-sampling weights are
 (N * P(i))**-beta, normalized by the batch maximum so they never exceed 1.
 """
