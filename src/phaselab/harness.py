@@ -6,8 +6,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -15,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import flows as fl
+from . import numerics as nm
 from .classical import (
     FixedTimeController,
     SOTLController,
@@ -121,47 +120,6 @@ class ExperimentConfig:
         return table
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has the type a config field declares. bool is not
-    an int here, an int is a float, and tuples and unions are checked member
-    by member."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is types.UnionType:
-        return any(_fits(value, arg) for arg in args)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        if args[1:] == (Ellipsis,):
-            args = args[:1] * len(value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    if hint is type(None):
-        return value is None
-    if hint in (int, float) and isinstance(value, bool):
-        return False
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def _dataclass_from(cls, data: dict, section: str = ""):
-    if not isinstance(data, dict):
-        raise ValueError(f"{section} must be an object, got {data!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for key, value in data.items():
-        if not _fits(value, hints[key]):
-            name = f"{section}.{key}" if section else key
-            raise ValueError(f"{name} must be {fields[key].type}, got {value!r}")
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    return cls(**kwargs)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     data = dict(data)
     nested = {
@@ -175,10 +133,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     kwargs = {}
     for key, value in data.items():
         if key in nested:
-            kwargs[key] = _dataclass_from(nested[key], value, key)
+            kwargs[key] = nm.dataclass_from(nested[key], value, key)
         else:
             kwargs[key] = value
-    return _dataclass_from(ExperimentConfig, {**kwargs})
+    return nm.dataclass_from(ExperimentConfig, {**kwargs})
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> ExperimentConfig:

@@ -16,9 +16,10 @@ phase permutation. The flat baseline below has no such structure and serves
 as the negative control.
 
 Both networks are fused kernels over plain parameter arrays: ``forward``
-computes the Q-values in numpy and, with ``vjp=True``, also returns the
-network's hand-derived backward pass, a map from the gradient of Q to the
-gradient of each named parameter. ``q_values`` scores one state from the
+computes the Q-values in numpy. Given the taken ``actions`` it computes only
+Q[b, actions[b]], and with ``vjp=True`` it also returns the network's
+hand-derived backward pass, a map from the gradient of those taken Q-values
+to the gradient of each named parameter. ``q_values`` scores one state from the
 constants ``prepare`` builds once per parameter set; its output is bitwise
 row 0 of ``forward``.
 """
@@ -88,6 +89,16 @@ def _relu_grads(g_out: np.ndarray, x: np.ndarray, out: np.ndarray, w: np.ndarray
     return g @ w.T, x.T @ g, g.sum(axis=0)
 
 
+def _taken(actions, batch: int, n_actions: int) -> np.ndarray:
+    """``actions`` as an index array of one action per row."""
+    actions = np.asarray(actions)
+    if actions.shape != (batch,):
+        raise ValueError(f"expected {batch} actions, got shape {actions.shape}")
+    if batch and not 0 <= actions.min() <= actions.max() < n_actions:
+        raise ValueError(f"actions must lie in [0, {n_actions})")
+    return actions
+
+
 def _selector(index: np.ndarray, n: int) -> np.ndarray:
     """One-hot matrix S [index.size, n] with S[k, index[k]] = 1; S.T @ g
     scatter-adds the rows of g into the n slots they were gathered from."""
@@ -133,11 +144,14 @@ class FrapNetwork:
     - Value-sorted opponent sum. Q(p) sums p's scores in ascending value
       order, so permuting opponents leaves Q bitwise unchanged and exact Q
       ties survive symmetry relabelling.
+    - Taken-action mode. A learner reads one Q-value per row, so given the
+      actions the forward builds only the P-1 cells of each row's action,
+      and its VJP maps the gradient of those [B] values back.
 
     ``opponents``, ``pair_relation`` and their flat index arrays are fixed at
-    construction and the network keeps no scratch state, so concurrent calls
-    are safe. A prepared demand table only ever grows by replacement, so it
-    may be shared too.
+    construction. The VJP borrows one scratch buffer the network keeps, so
+    calls must not run concurrently. A prepared demand table only ever grows
+    by replacement, so it may be shared.
     """
 
     def __init__(self, table: PhaseTable, config: FrapConfig = FrapConfig()):
@@ -158,6 +172,10 @@ class FrapNetwork:
         self._member_rows = self.members.T.ravel()  # first members, then second
         self._cells = np.arange(opponents.size)
         self._relation_flat = self.pair_relation.ravel()
+        # Zeros the VJP lays the taken cells' activations into, grown to the
+        # largest batch seen. A fresh array of this size every step made the
+        # allocator return pages and fault them back in each time.
+        self._scratch = np.zeros(0)
 
     @property
     def n_actions(self) -> int:
@@ -226,29 +244,44 @@ class FrapNetwork:
         m = self.members
         return movement_demands[:, m[:, 0]] + movement_demands[:, m[:, 1]]
 
-    def _pair_stage(self, p: dict[str, np.ndarray], dp: np.ndarray, batch: int, w_rel: np.ndarray):
-        """(q, hd, scores): Q [B, P] from phase demands dp [P*B, D] (rows
-        phase-major) and relation weights w_rel [2, C], with the pair-cell
-        activations of every conv layer and the pair scores [P, P-1, B]
-        before any output ReLU, which the backward reads."""
-        cfg = self.config
-        n_ph, n_dem, n_ch = self.table.n_phases, cfg.demand_dim, cfg.conv_channels
-
-        # Layer 0, split: pre(p, j) = A(p) + Bq(opponents[p, j]), cells [P*(P-1), B, C].
+    def _layer0(self, p: dict[str, np.ndarray], dp: np.ndarray):
+        """(A, Bq) [P*B, C] of phase demands dp [P*B, D], rows phase-major:
+        the first pair convolution is pre(p, q) = A(p) + Bq(q)."""
         w0 = p["w_d0"]
+        n_dem = self.config.demand_dim
         a = dp @ w0[:n_dem]
         a += p["b_d0"]
-        bq = (dp @ w0[n_dem:]).reshape(n_ph, batch * n_ch)
-        cells = bq.take(self._opponents_flat, axis=0).reshape(n_ph, -1, batch * n_ch)
-        cells += a.reshape(n_ph, 1, batch * n_ch)
-        hd = [np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)]  # rows (p, j, b)
-        for k in range(1, cfg.conv_layers):
-            # One gemm per phase: OpenBLAS rounds a product over all
-            # P(P-1)B rows differently once B reaches a few dozen, and a
-            # state's Q would then depend on the batch size.
-            blocks = np.split(hd[-1], n_ph)
-            hd.append(np.concatenate([_relu_rows(x, p[f"w_d{k}"], p[f"b_d{k}"]) for x in blocks]))
+        return a, dp @ w0[n_dem:]
 
+    def _conv_stack(self, p: dict[str, np.ndarray], h0: np.ndarray, n_blocks: int):
+        """[h0, h1, ..]: layer 0's cell activations h0 [n_blocks*(P-1)*B, C]
+        and those of every later pair convolution. They take one gemm per
+        block of (P-1)B rows: OpenBLAS rounds a product over all P(P-1)B rows
+        differently once B reaches a few dozen, and a state's Q would then
+        depend on the batch size."""
+        hd = [h0]
+        for k in range(1, self.config.conv_layers):
+            blocks = np.split(hd[-1], n_blocks)
+            hd.append(np.concatenate([_relu_rows(x, p[f"w_d{k}"], p[f"b_d{k}"]) for x in blocks]))
+        return hd
+
+    def _opponent_sum(self, scores: np.ndarray) -> np.ndarray:
+        """Q from pair scores [..., P-1]: the scores the output ReLU keeps,
+        summed over the last axis in ascending order."""
+        kept = np.maximum(scores, 0.0) if self.config.output_relu else scores
+        # np.add.reduce is the reduction .sum runs, without its Python wrapper.
+        return np.add.reduce(np.sort(kept, axis=-1), axis=-1)
+
+    def _pair_stage(self, p: dict[str, np.ndarray], dp: np.ndarray, batch: int, w_rel: np.ndarray):
+        """Q [B, P] from phase demands dp [P*B, D] (rows phase-major) and
+        relation weights w_rel [2, C]."""
+        n_ph, n_ch = self.table.n_phases, self.config.conv_channels
+        a, bq = self._layer0(p, dp)
+        # Cells [P*(P-1), B, C]: pre(p, j) = A(p) + Bq(opponents[p, j]).
+        cells = bq.reshape(n_ph, -1).take(self._opponents_flat, axis=0)
+        cells = cells.reshape(n_ph, -1, batch * n_ch)
+        cells += a.reshape(n_ph, 1, batch * n_ch)
+        hd = self._conv_stack(p, np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch), n_ph)
         # Score every cell against both relation kinds (one gemm, so a row's
         # score does not depend on the batch size), then keep its own kind.
         # w_rel.T stays a transposed view: a contiguous copy takes another
@@ -256,68 +289,99 @@ class FrapNetwork:
         by_kind = (hd[-1] @ w_rel.T).reshape(self._cells.size, batch, 2)
         scores = by_kind[self._cells, :, self._relation_flat].reshape(n_ph, -1, batch)
         scores += p["b_out"][0]
-        kept = np.maximum(scores, 0.0) if cfg.output_relu else scores
-        # np.add.reduce is the reduction .sum runs, without its Python wrapper.
-        q = np.add.reduce(np.sort(kept.transpose(0, 2, 1), axis=2), axis=2).T  # [B, P]
-        return q, hd, scores
+        return self._opponent_sum(scores.transpose(0, 2, 1)).T
+
+    def _taken_stage(self, p: dict[str, np.ndarray], dp: np.ndarray, actions: np.ndarray, w_rel):
+        """(q, hd, scores): Q [B] at ``actions`` from phase demands dp
+        [P*B, D], the activations [(P-1)*B, C] of every conv layer on the P-1
+        cells of each row's own action (rows opponent-major) and their pair
+        scores [P-1, B] before any output ReLU. Every value is bitwise the
+        one ``_pair_stage`` computes for that cell."""
+        n_ph, n_ch = self.table.n_phases, self.config.conv_channels
+        batch = len(actions)
+        rows = np.arange(batch)
+        a, bq = self._layer0(p, dp)
+        cells = bq.reshape(n_ph, batch, n_ch)[self.opponents[actions].T, rows]  # [P-1, B, C]
+        cells += a.reshape(n_ph, batch, n_ch)[actions, rows]
+        hd = self._conv_stack(p, np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch), 1)
+        by_kind = (hd[-1] @ w_rel.T).reshape(n_ph - 1, batch, 2)
+        scores = by_kind[np.arange(n_ph - 1)[:, None], rows, self.pair_relation[actions].T]
+        scores += p["b_out"][0]
+        return self._opponent_sum(scores.T), hd, scores
 
     def forward(
-        self, params: Params, counts, bits, vjp: bool = False
+        self, params: Params, counts, bits, actions=None, vjp: bool = False
     ) -> np.ndarray | tuple[np.ndarray, Vjp]:
-        """Q-values for a batch of states, shape [B, P]; with ``vjp``, the
-        pair (Q, VJP) of Q and its backward pass."""
+        """Q-values for a batch of states, shape [B, P].
+
+        Given ``actions`` [B], only each row's taken Q-value, shape [B]:
+        bitwise ``forward(params, counts, bits)[arange(B), actions]``, from
+        the P-1 pair cells of each row's action instead of all P(P-1). With
+        ``vjp``, which needs ``actions``, the pair (Q, VJP): the VJP maps the
+        gradient of those [B] values to the gradient of each parameter."""
         cfg = self.config
         p = params
         n_ph, n_dem, n_ch = self.table.n_phases, cfg.demand_dim, cfg.conv_channels
-        opponents, relation = self.opponents, self.pair_relation
         xv, xs, h, d = self._movement_rows(p, counts, bits)
         batch = xv.shape[0] // self.table.n_movements
         d3 = d.reshape(-1, batch, n_dem)
         dp = (d3[self.members[:, 0]] + d3[self.members[:, 1]]).reshape(-1, n_dem)  # [P*B, D]
         hr, w_rel = self._relation_rows(p)
-        q, hd, scores = self._pair_stage(p, dp, batch, w_rel)
+        if actions is None:
+            if vjp:
+                raise ValueError("the VJP is of the taken Q-values: pass actions")
+            return self._pair_stage(p, dp, batch, w_rel)
+        actions = _taken(actions, batch, n_ph)
+        q, hd, scores = self._taken_stage(p, dp, actions, w_rel)
+        if not vjp:
+            return q
+
+        n_opp = n_ph - 1
+        rows = np.arange(batch)
+        opponents, relation = self.opponents[actions].T, self.pair_relation[actions].T  # [P-1, B]
         w0 = p["w_d0"]
-        n_cells = relation.size
 
         def grads_of(gq: np.ndarray) -> Params:
             g: Params = {}
-            gs = np.broadcast_to(gq.T[:, None, :], scores.shape)  # [P, P-1, B]
-            if cfg.output_relu:
-                gs = gs * (scores > 0.0)
-            gs = gs.reshape(n_cells, batch)
-            g["b_out"] = np.array([gs.sum()])
+            gs = gq * (scores > 0.0) if cfg.output_relu else np.broadcast_to(gq, scores.shape)
+            # The sums over cells and rows run over the dense [P, P-1, B]
+            # layout, zeros where a row did not take the phase: a sum over the
+            # taken cells alone rounds differently.
+            gs_cells = np.zeros((n_ph, n_opp, batch))
+            gs_cells[actions, :, rows] = gs.T
+            gs_cells = gs_cells.reshape(-1, batch)
+            g["b_out"] = np.array([gs_cells.sum()])
             # Last conv: per cell, sum_b gs * h; then by relation kind.
-            h3 = hd[-1].reshape(n_cells, batch, n_ch)
-            gh_cells = np.matmul(gs[:, None, :], h3).reshape(n_cells, n_ch)
-            g_rel = _selector(relation, 2).T @ gh_cells  # [2, C]
+            cell_of = actions * n_opp + np.arange(n_opp)[:, None]  # [P-1, B]
+            size = n_ph * n_opp * batch * n_ch
+            if self._scratch.size < size:
+                self._scratch = np.zeros(size)
+            h3 = self._scratch[:size].reshape(-1, batch, n_ch)
+            h3[cell_of, rows] = hd[-1].reshape(n_opp, batch, n_ch)
+            try:
+                gh_cells = np.matmul(gs_cells[:, None, :], h3).reshape(-1, n_ch)
+            finally:  # the buffer is all zeros between calls
+                h3[cell_of, rows] = 0.0
+            g_rel = _selector(self.pair_relation, 2).T @ gh_cells  # [2, C]
             g["w_out"] = (g_rel * hr[-1]).sum(axis=0)[:, None]
             g_r = g_rel * p["w_out"][:, 0]
             for k in reversed(range(cfg.conv_layers)):
                 g_r, g[f"w_r{k}"], g[f"b_r{k}"] = _relu_grads(g_r, hr[k], hr[k + 1], p[f"w_r{k}"])
             g["rel_emb"] = g_r
 
-            # Pair cells one phase at a time, so every temporary is [P-1, B, C]:
-            # a second full [P(P-1), B, C] array next to the forward's makes
-            # the allocator hand its pages back and fault them in every step.
-            n_opp = n_cells // n_ph
-            for k in range(1, cfg.conv_layers):
-                g[f"w_d{k}"] = np.zeros_like(p[f"w_d{k}"])
-                g[f"b_d{k}"] = np.zeros_like(p[f"b_d{k}"])
-            g_a = np.empty((n_ph, batch * n_ch))
-            g_bq = np.zeros((n_ph, batch * n_ch))
-            for ph in range(n_ph):
-                own = slice(ph * n_opp, (ph + 1) * n_opp)
-                rows = slice(own.start * batch, own.stop * batch)
-                g_h = np.einsum("kb,kc->kbc", gs[own], w_rel[relation[ph]]).reshape(-1, n_ch)
-                for k in reversed(range(1, cfg.conv_layers)):
-                    g_h, g_w, g_b = _relu_grads(g_h, hd[k - 1][rows], hd[k][rows], p[f"w_d{k}"])
-                    g[f"w_d{k}"] += g_w
-                    g[f"b_d{k}"] += g_b
-                g_h *= hd[0][rows] > 0.0
-                # Layer 0: A(p) collects p's cells, Bq(q) every cell q opposes.
-                g_cells = g_h.reshape(n_opp, batch * n_ch)
-                g_a[ph] = g_cells.sum(axis=0)
-                g_bq[opponents[ph]] += g_cells
+            # The taken cells, rows (j, b).
+            g_h = (gs[:, :, None] * w_rel[relation]).reshape(-1, n_ch)
+            for k in reversed(range(1, cfg.conv_layers)):
+                g_out = g_h * (hd[k] > 0.0)
+                g_h = g_out @ p[f"w_d{k}"].T
+                g[f"w_d{k}"], g[f"b_d{k}"] = self._phase_block_sums(hd[k - 1], g_out, actions)
+            g_h *= hd[0] > 0.0
+            # Layer 0: A(p) collects p's cells, Bq(q) every cell q opposes.
+            g_h = g_h.reshape(n_opp, batch, n_ch)
+            g_a = np.zeros((n_ph, batch, n_ch))
+            g_a[actions, rows] = g_h.sum(axis=0)
+            g_bq = np.zeros((n_ph, batch, n_ch))
+            g_bq[opponents, rows] = g_h
             g_a = g_a.reshape(-1, n_ch)
             g_bq = g_bq.reshape(-1, n_ch)
             g["w_d0"] = np.concatenate([dp.T @ g_a, dp.T @ g_bq])
@@ -332,7 +396,24 @@ class FrapNetwork:
                 _, g[f"w_{br}"], g[f"b_{br}"] = _relu_grads(g_h[:, c], x, h[:, c], p[f"w_{br}"])
             return g
 
-        return (q, grads_of) if vjp else q
+        return q, grads_of
+
+    def _phase_block_sums(self, x: np.ndarray, g: np.ndarray, actions: np.ndarray):
+        """(g_w, g_b) of a deeper pair convolution from its taken-cell inputs
+        x and output gradients g [(P-1)*B, .]: x.T @ g and g summed over rows,
+        one phase's block of (P-1)B rows at a time, zeros where a row took
+        another phase. Those are the sums the full layout rounds."""
+        n_opp, batch = self.table.n_phases - 1, len(actions)
+        x3, g3 = x.reshape(n_opp, batch, -1), g.reshape(n_opp, batch, -1)
+        g_w = np.zeros((x.shape[1], g.shape[1]))
+        g_b = np.zeros(g.shape[1])
+        for ph in range(self.table.n_phases):
+            took = (actions == ph)[:, None]
+            if took.any():
+                g_block = (g3 * took).reshape(-1, g.shape[1])
+                g_w += (x3 * took).reshape(-1, x.shape[1]).T @ g_block
+                g_b += g_block.sum(axis=0)
+        return g_w, g_b
 
     def prepare(self, params: Params) -> Prepared:
         """Single-state constants of ``params``: the relation weights and an
@@ -374,7 +455,7 @@ class FrapNetwork:
         member = table.take((2 * counts + bits)[self._member_rows], axis=0)
         n_ph = self.table.n_phases
         dp = member[:n_ph] + member[n_ph:]  # [P, D]
-        return self._pair_stage(prepared.params, dp, 1, prepared.w_rel)[0][0]
+        return self._pair_stage(prepared.params, dp, 1, prepared.w_rel)[0]
 
 
 class VanillaNetwork:
@@ -411,15 +492,26 @@ class VanillaNetwork:
         return hs, _rows_at(hs[-1], p[f"w{n_layers}"]) + p[f"b{n_layers}"]
 
     def forward(
-        self, params: Params, counts, bits, vjp: bool = False
+        self, params: Params, counts, bits, actions=None, vjp: bool = False
     ) -> np.ndarray | tuple[np.ndarray, Vjp]:
-        """Q-values for a batch of states, shape [B, P]; with ``vjp``, the
-        pair (Q, VJP) of Q and its backward pass."""
+        """Q-values for a batch of states, shape [B, P]; given ``actions``,
+        the taken ones [B], gathered from them. With ``vjp``, which needs
+        ``actions``, the pair (Q, VJP) of the taken Q and its backward pass."""
         n_layers = len(self.config.hidden)
         hs, q = self._layers(params, counts, bits)
+        if actions is None:
+            if vjp:
+                raise ValueError("the VJP is of the taken Q-values: pass actions")
+            return q
+        rows = np.arange(len(q))
+        actions = _taken(actions, len(q), self.n_actions)
+        if not vjp:
+            return q[rows, actions]
 
-        def grads_of(g_out: np.ndarray) -> Params:
+        def grads_of(gq: np.ndarray) -> Params:
             grads: Params = {}
+            g_out = np.zeros_like(q)
+            g_out[rows, actions] = gq
             for i in reversed(range(n_layers + 1)):
                 grads[f"w{i}"] = hs[i].T @ g_out
                 grads[f"b{i}"] = g_out.sum(axis=0)
@@ -427,7 +519,7 @@ class VanillaNetwork:
                     g_out = (g_out @ params[f"w{i}"].T) * (hs[i] > 0.0)
             return grads
 
-        return (q, grads_of) if vjp else q
+        return q[rows, actions], grads_of
 
     def q_values(
         self, params: Params, state: TrafficState, prepared: Prepared | None = None
@@ -457,8 +549,6 @@ def save_checkpoint(path: str | Path, kind: str, network, params: Params) -> Pat
         "n_movements": network.table.n_movements,
         "n_phases": network.table.n_phases,
     }
-    if isinstance(network.config, VanillaConfig):
-        meta["config"]["hidden"] = list(network.config.hidden)
     files = nm.array_files(path, params)
     files[path.with_suffix(".meta.json")] = json.dumps(meta, indent=2, sort_keys=True).encode()
     nm.write_files(files)
@@ -466,8 +556,9 @@ def save_checkpoint(path: str | Path, kind: str, network, params: Params) -> Pat
 
 
 def load_checkpoint(path: str | Path, table: PhaseTable):
-    """Load (kind, network, params); raises ValueError on a table mismatch or
-    on arrays whose names or shapes the described network does not have."""
+    """Load (kind, network, params); raises ValueError on a table mismatch,
+    on a sidecar config value of the wrong type (the checks of a JSON config)
+    or on arrays whose names or shapes the described network does not have."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".meta.json").read_text())
     kind = meta["kind"]
@@ -476,15 +567,10 @@ def load_checkpoint(path: str | Path, table: PhaseTable):
             f"checkpoint was trained for {meta['n_movements']} movements / "
             f"{meta['n_phases']} phases; table has {table.n_movements} / {table.n_phases}"
         )
-    cfg_dict = dict(meta["config"])
-    if kind == "frap":
-        config = FrapConfig(**cfg_dict)
-    elif kind == "vanilla":
-        cfg_dict["hidden"] = tuple(cfg_dict["hidden"])
-        config = VanillaConfig(**cfg_dict)
-    else:
+    configs = {"frap": FrapConfig, "vanilla": VanillaConfig}
+    if kind not in configs:
         raise ValueError(f"unknown checkpoint kind {kind!r}")
-    network = build_network(kind, table, config)
+    network = build_network(kind, table, nm.dataclass_from(configs[kind], meta["config"], "config"))
     arrays = nm.load_arrays(path)
     expected = {k: a.shape for k, a in network.init_params(0).items()}
     for name in sorted(expected.keys() | arrays.keys()):

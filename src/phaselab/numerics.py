@@ -1,9 +1,10 @@
-"""The learner's backward pass, Adam and checkpoints.
+"""The learner's backward pass, Adam, checkpoints and typed JSON config sections.
 
 Parameters are plain ``dict[str, np.ndarray]``. The Q-networks are fused
-kernels (see ``networks``): asked for it, a forward returns its hand-derived
-VJP next to Q. ``backward`` puts the learner's weighted Huber loss on top of
-that VJP, so one call is the whole backward pass of a learner step.
+kernels (see ``networks``): asked for it, a forward returns the Q-values of
+the taken actions and its hand-derived VJP next to them. ``backward`` puts
+the learner's weighted Huber loss on top of that VJP, so one call is the
+whole backward pass of a learner step.
 
 Nothing here mutates its inputs: ``backward`` and ``adam_update`` always
 allocate fresh arrays. Actors and greedy policies share parameter arrays
@@ -12,7 +13,10 @@ with learner snapshots, so that is what keeps them consistent.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -20,35 +24,30 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 Params = dict[str, np.ndarray]
-Vjp = Callable[[np.ndarray], Params]  # gradient of Q [B, P] -> gradient per parameter
+Vjp = Callable[[np.ndarray], Params]  # gradient of the taken Q [B] -> gradient per parameter
 
 
 def backward(
-    vjp: Vjp,
-    q: np.ndarray,
-    actions: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
+    vjp: Vjp, q: np.ndarray, targets: np.ndarray, weights: np.ndarray
 ) -> tuple[float, Params]:
     """(loss, grads) of the weighted Huber loss (delta 1) of a batch.
 
-    ``q`` [B, P] is a forward's output and ``vjp`` the map it returned from
-    d loss / d Q to the gradient of each named parameter. Row i contributes
-    ``weights[i] * H(q[i, actions[i]] - targets[i])``; the loss is the mean
-    over the B rows.
+    ``q`` [B] holds each row's Q-value at its taken action, as a forward
+    given the actions returns it, and ``vjp`` the map it returned from
+    d loss / d q to the gradient of each named parameter. Row i contributes
+    ``weights[i] * H(q[i] - targets[i])``; the loss is the mean over the B
+    rows.
     """
-    batch = q.shape[0]
-    if actions.shape != (batch,) or targets.shape != (batch,) or weights.shape != (batch,):
+    if q.ndim != 1 or targets.shape != q.shape or weights.shape != q.shape:
         raise ValueError(
-            f"backward: q{q.shape} needs actions, targets and weights of shape ({batch},), "
-            f"got {actions.shape}, {targets.shape} and {weights.shape}"
+            f"backward: q, targets and weights need one shape (B,), "
+            f"got {q.shape}, {targets.shape} and {weights.shape}"
         )
-    rows = np.arange(batch)
-    r = q[rows, actions] - targets
+    batch = len(q)
+    r = q - targets
     absr = np.abs(r)
     h = np.where(absr <= 1.0, 0.5 * r * r, absr - 0.5)
-    g_q = np.zeros_like(q)
-    g_q[rows, actions] = np.clip(r, -1.0, 1.0) * weights * (1.0 / batch)
+    g_q = np.clip(r, -1.0, 1.0) * weights * (1.0 / batch)
     return float((weights * h).sum() / batch), vjp(g_q)
 
 
@@ -168,3 +167,49 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
         arr = np.frombuffer(raw, dtype=entry["dtype"], count=count, offset=entry["offset"])
         out[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return out
+
+
+# --- config sections read from JSON ---------------------------------------------
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type a config field declares. bool is not
+    an int here, an int is a float, and tuples and unions are checked member
+    by member."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if hint is type(None):
+        return value is None
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def dataclass_from(cls, data: dict, section: str = ""):
+    """``cls(**data)`` for a config section read from JSON, each value
+    checked against its field's type (see ``_fits``) and lists made tuples.
+    A ValueError names the ``section.key`` that does not fit."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be an object, got {data!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in data.items():
+        if not _fits(value, hints[key]):
+            name = f"{section}.{key}" if section else key
+            raise ValueError(f"{name} must be {fields[key].type}, got {value!r}")
+        if isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)

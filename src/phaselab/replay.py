@@ -92,7 +92,10 @@ class PrioritizedReplayBuffer:
 
     Evicts FIFO at capacity; overwritten (evicted) rows are unreachable.
     Two plain columns hold every row's raw priority (see :meth:`priorities`)
-    and its mass ``priority ** alpha``.
+    and its mass ``priority ** alpha``. The largest priority is cached with
+    one slot that holds it, the newest row unless an update raised the max
+    since. An add cannot lower the max, since new rows take it, so only an
+    update that lowers that slot rescans the column.
 
     The rows and both columns grow with the fill, doubling up to
     ``capacity``. ``sample`` builds a :class:`SumTree` over the stored masses
@@ -112,6 +115,8 @@ class PrioritizedReplayBuffer:
         self._slots = min(capacity, _FIRST_SLOTS)
         self._priority = np.zeros(self._slots)  # raw priority by slot
         self._mass = np.zeros(self._slots)  # sampling mass by slot
+        self._max = 0.0  # largest stored priority
+        self._max_slot = 0  # a slot holding it
         self._next = 0
         self._size = 0
 
@@ -120,7 +125,7 @@ class PrioritizedReplayBuffer:
 
     def max_priority(self) -> float:
         """Largest raw priority currently stored, or 0 when empty."""
-        return float(self._priority[: self._size].max()) if self._size else 0.0
+        return self._max
 
     def priorities(self) -> np.ndarray:
         """Raw priority of every stored row, by slot."""
@@ -138,7 +143,7 @@ class PrioritizedReplayBuffer:
             raise ValueError("every column of a block needs one entry per row")
         if n > self.capacity:
             raise ValueError(f"a block of {n} rows overflows a buffer of {self.capacity}")
-        priority = self.max_priority() or 1.0
+        priority = self._max or 1.0
         mass = priority**self.alpha
         start = self._next
         end = min(start + n, self.capacity)
@@ -156,6 +161,7 @@ class PrioritizedReplayBuffer:
         self._mass[: n - head] = mass
         self._next = (start + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
+        self._max, self._max_slot = priority, (start + n - 1) % self.capacity
 
     @staticmethod
     def _allocate(size: int, n_movements: int) -> Batch:
@@ -204,5 +210,14 @@ class PrioritizedReplayBuffer:
         empty = idx[(idx < 0) | (idx >= self._size)]  # slots fill 0, 1, .. and never empty
         if empty.size:
             raise IndexError(f"slot {empty[0]} is empty")
+        if not idx.size:
+            return
         self._priority[idx] = pri
         self._mass[idx] = pri**self.alpha
+        new = self._priority[idx]  # a repeated slot keeps its last write
+        top = int(new.argmax())
+        if new[top] >= self._max:
+            self._max, self._max_slot = float(new[top]), int(idx[top])
+        elif self._priority[self._max_slot] != self._max:  # the slot holding it was lowered
+            self._max_slot = int(self._priority[: self._size].argmax())
+            self._max = float(self._priority[self._max_slot])

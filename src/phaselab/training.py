@@ -12,9 +12,11 @@ each round, all actors decide in lockstep (one batched forward per
 intersection), hand each learner the round's rows in one ``replay.Batch``,
 then every learner steps once. Replay keeps transitions as rows of arrays,
 so a learner step gathers its batch with one index per array. Parameters
-are plain arrays by name, and every snapshot is a copy. A learner step runs
-the online forward with its VJP and hands both to ``numerics.backward``,
-which returns the loss and the gradients."""
+are plain arrays by name, and every snapshot is a copy. A learner step
+computes Q only where it reads it: the online Q of the next states in full,
+for the argmax, then the target Q at that argmax and the online Q at the
+taken actions, the latter with its VJP, which ``numerics.backward`` turns
+into the loss and the gradients."""
 
 from __future__ import annotations
 
@@ -108,15 +110,16 @@ def td_targets(
     """TD targets of a batch of rows.
 
     target = r for terminal transitions, else r + gamma * Q_target(s', a*),
-    where a* is the online argmax (double-DQN) or the target argmax.
+    where a* is the online argmax (double-DQN) or the target argmax. Double
+    DQN computes the target Q at a* alone.
     """
-    q_target_next = network.forward(target_params, batch.next_counts, batch.next_bits)
     if double_dqn:
         q_online_next = network.forward(online_params, batch.next_counts, batch.next_bits)
         best = np.argmax(q_online_next, axis=1)
+        boot = network.forward(target_params, batch.next_counts, batch.next_bits, actions=best)
     else:
-        best = np.argmax(q_target_next, axis=1)
-    boot = q_target_next[np.arange(len(best)), best]
+        q_target_next = network.forward(target_params, batch.next_counts, batch.next_bits)
+        boot = q_target_next.max(axis=1)
     return batch.reward + gamma * batch.not_done * boot
 
 
@@ -151,9 +154,11 @@ class Learner:
         targets = td_targets(
             batch, self.network, self.online, self.target, cfg.gamma, cfg.double_dqn
         )
-        q, vjp = self.network.forward(self.online, batch.counts, batch.bits, vjp=True)
-        loss, grads = nm.backward(vjp, q, batch.action, targets, weights)
-        td_errors = targets - q[np.arange(len(q)), batch.action]
+        q, vjp = self.network.forward(
+            self.online, batch.counts, batch.bits, actions=batch.action, vjp=True
+        )
+        loss, grads = nm.backward(vjp, q, targets, weights)
+        td_errors = targets - q
         self.online = nm.adam_update(
             self.online, grads, self.adam, lr=cfg.learning_rate(self.step_count)
         )
@@ -248,6 +253,14 @@ class GreedyPolicy:
         return action
 
 
+def _stack(states: Sequence[Sequence[TrafficState]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, bits) [N, M] of intersection k in each of N actors' states."""
+    return (
+        np.stack([s[k].counts for s in states]),
+        np.stack([s[k].signal_bits for s in states]),
+    )
+
+
 # States per forward in a decision round. Row i of a forward is bitwise the
 # single-state Q of state i only up to some batch size, which depends on the
 # BLAS kernels (FRAP rows diverge at B = 512 on OpenBLAS 0.3.31);
@@ -283,10 +296,12 @@ class Actors:
             for i in range(config.n_actors)
         ]
         self.sims: list[GridSim | None] = [None] * config.n_actors
-        self.states: list[list[TrafficState]] = [[] for _ in range(config.n_actors)]
         self.episodes = [0] * config.n_actors
         self.rounds = 0
         self.params: list[Params] = []  # one set per intersection
+        # Per intersection, the last round's stacked next states (counts,
+        # bits): the next round's states, but for actors whose episode ended.
+        self._next_stacks: list[tuple[np.ndarray, np.ndarray]] = []
 
     def decide(self, learners: Sequence[Learner]) -> None:
         """One decision of every actor; ``learners[k]`` gets one Batch of the
@@ -298,18 +313,27 @@ class Actors:
         for up to 64 actors) score every actor's state, explorers included.
         Row i of a batched forward is bitwise the Q-values of state i alone,
         so the actions, rows and rng states do not depend on how many actors
-        decide together. The rows reuse the stacked states of the forward.
+        decide together. The rows reuse the stacked states of the forward,
+        and the next round's forward the stacked next states of the rows,
+        with the first states of new episodes spliced in.
         """
         if self.rounds % self.snapshot_period == 0:
             self.params = [learner.snapshot() for learner in learners]
+        fresh = {}  # the first states of the episodes starting now, by actor
         for i, sim in enumerate(self.sims):
             if sim is None:
                 self.sims[i] = sim = self.env_factory(i, self.episodes[i])
-                self.states[i] = sim.states()
+                fresh[i] = sim.states()
         stacked, q_by_intersection = [], []
         for k, params in enumerate(self.params):
-            counts = np.stack([states[k].counts for states in self.states])
-            bits = np.stack([states[k].signal_bits for states in self.states])
+            if not self._next_stacks:  # the first round: every actor starts
+                counts, bits = _stack(list(fresh.values()), k)
+            elif fresh:  # the last round's rows keep their terminal states
+                counts, bits = (a.copy() for a in self._next_stacks[k])
+                for i, states in fresh.items():
+                    counts[i], bits[i] = states[k].counts, states[k].signal_bits
+            else:
+                counts, bits = self._next_stacks[k]
             stacked.append((counts, bits))
             q_by_intersection.append(np.concatenate([
                 self.network.forward(
@@ -327,19 +351,19 @@ class Actors:
             if done:
                 self.episodes[i] += 1
                 self.sims[i] = None
-            else:
-                self.states[i] = after
         actions = np.array(actions, dtype=np.int64)  # [actor, intersection]
         rewards = np.array(rewards, dtype=np.float64)
         not_done = np.array(not_done)
+        self._next_stacks = [_stack(next_states, k) for k in range(len(self.params))]
         for k, (learner, (counts, bits)) in enumerate(zip(learners, stacked)):
+            next_counts, next_bits = self._next_stacks[k]
             learner.buffer.add(Batch(
                 counts=counts,
                 bits=bits,
                 action=actions[:, k],
                 reward=rewards[:, k],
-                next_counts=np.stack([states[k].counts for states in next_states]),
-                next_bits=np.stack([states[k].signal_bits for states in next_states]),
+                next_counts=next_counts,
+                next_bits=next_bits,
                 not_done=not_done,
             ))
         self.rounds += 1

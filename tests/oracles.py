@@ -87,6 +87,144 @@ def vanilla_reference(counts, bits, table, params, config) -> np.ndarray:
     return h @ p_np[f"w{last}"] + p_np[f"b{last}"]
 
 
+def _rows_at(x, w):
+    return (np.concatenate([x, x]) @ w)[:1] if x.shape[0] == 1 else x @ w
+
+
+def _relu_rows(x, w, b):
+    out = _rows_at(x, w)
+    out += b
+    return np.maximum(out, 0.0, out=out)
+
+
+def _relu_grads(g_out, x, out, w):
+    g = g_out * (out > 0.0)
+    return g @ w.T, x.T @ g, g.sum(axis=0)
+
+
+def _selector(index, n):
+    flat = index.ravel()
+    out = np.zeros((flat.size, n))
+    out[np.arange(flat.size), flat] = 1.0
+    return out
+
+
+def frap_dense_vjp(net, params, counts, bits):
+    """(Q [B, P], VJP) of the FRAP network over all P(P-1) pair cells of
+    every row, the VJP mapping a gradient of the full Q [B, P] to the
+    parameter gradients. This is the dense kernel the taken-action mode
+    replaced, op for op, so the taken Q and VJP must agree with it bitwise."""
+    cfg, table, p = net.config, net.table, params
+    n_ph, n_dem, n_ch = table.n_phases, cfg.demand_dim, cfg.conv_channels
+    members = np.array([ph.members for ph in table.phases], dtype=np.int64)
+    opponents = np.array([[q for q in range(n_ph) if q != pi] for pi in range(n_ph)])
+    relation = np.take_along_axis(table.relation, opponents, axis=1)
+    n_cells = relation.size
+    counts = np.asarray(counts, dtype=np.float64).reshape(-1, table.n_movements)
+    bits = np.asarray(bits, dtype=np.float64).reshape(-1, table.n_movements)
+    batch = len(counts)
+    xv = counts.T.reshape(-1, 1) / cfg.norm_capacity
+    xs = bits.T.reshape(-1, 1)
+    h = np.concatenate(
+        [_relu_rows(xv, p["w_v"], p["b_v"]), _relu_rows(xs, p["w_s"], p["b_s"])], axis=1
+    )
+    d = _relu_rows(h, p["w_h"], p["b_h"])
+    d3 = d.reshape(-1, batch, n_dem)
+    dp = (d3[members[:, 0]] + d3[members[:, 1]]).reshape(-1, n_dem)
+    hr = [p["rel_emb"]]
+    for k in range(cfg.conv_layers):
+        hr.append(_relu_rows(hr[-1], p[f"w_r{k}"], p[f"b_r{k}"]))
+    w_rel = hr[-1] * p["w_out"][:, 0]
+
+    w0 = p["w_d0"]
+    a = dp @ w0[:n_dem]
+    a += p["b_d0"]
+    bq = (dp @ w0[n_dem:]).reshape(n_ph, batch * n_ch)
+    cells = bq.take(opponents.ravel(), axis=0).reshape(n_ph, -1, batch * n_ch)
+    cells += a.reshape(n_ph, 1, batch * n_ch)
+    hd = [np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)]
+    for k in range(1, cfg.conv_layers):
+        blocks = np.split(hd[-1], n_ph)
+        hd.append(np.concatenate([_relu_rows(x, p[f"w_d{k}"], p[f"b_d{k}"]) for x in blocks]))
+    by_kind = (hd[-1] @ w_rel.T).reshape(n_cells, batch, 2)
+    scores = by_kind[np.arange(n_cells), :, relation.ravel()].reshape(n_ph, -1, batch)
+    scores += p["b_out"][0]
+    kept = np.maximum(scores, 0.0) if cfg.output_relu else scores
+    q = np.add.reduce(np.sort(kept.transpose(0, 2, 1), axis=2), axis=2).T
+
+    def grads_of(gq):
+        g = {}
+        gs = np.broadcast_to(gq.T[:, None, :], scores.shape)
+        if cfg.output_relu:
+            gs = gs * (scores > 0.0)
+        gs = gs.reshape(n_cells, batch)
+        g["b_out"] = np.array([gs.sum()])
+        h3 = hd[-1].reshape(n_cells, batch, n_ch)
+        gh_cells = np.matmul(gs[:, None, :], h3).reshape(n_cells, n_ch)
+        g_rel = _selector(relation, 2).T @ gh_cells
+        g["w_out"] = (g_rel * hr[-1]).sum(axis=0)[:, None]
+        g_r = g_rel * p["w_out"][:, 0]
+        for k in reversed(range(cfg.conv_layers)):
+            g_r, g[f"w_r{k}"], g[f"b_r{k}"] = _relu_grads(g_r, hr[k], hr[k + 1], p[f"w_r{k}"])
+        g["rel_emb"] = g_r
+        n_opp = n_cells // n_ph
+        for k in range(1, cfg.conv_layers):
+            g[f"w_d{k}"] = np.zeros_like(p[f"w_d{k}"])
+            g[f"b_d{k}"] = np.zeros_like(p[f"b_d{k}"])
+        g_a = np.empty((n_ph, batch * n_ch))
+        g_bq = np.zeros((n_ph, batch * n_ch))
+        for ph in range(n_ph):
+            own = slice(ph * n_opp, (ph + 1) * n_opp)
+            rows = slice(own.start * batch, own.stop * batch)
+            g_h = np.einsum("kb,kc->kbc", gs[own], w_rel[relation[ph]]).reshape(-1, n_ch)
+            for k in reversed(range(1, cfg.conv_layers)):
+                g_h, g_w, g_b = _relu_grads(g_h, hd[k - 1][rows], hd[k][rows], p[f"w_d{k}"])
+                g[f"w_d{k}"] += g_w
+                g[f"b_d{k}"] += g_b
+            g_h *= hd[0][rows] > 0.0
+            g_cells = g_h.reshape(n_opp, batch * n_ch)
+            g_a[ph] = g_cells.sum(axis=0)
+            g_bq[opponents[ph]] += g_cells
+        g_a = g_a.reshape(-1, n_ch)
+        g_bq = g_bq.reshape(-1, n_ch)
+        g["w_d0"] = np.concatenate([dp.T @ g_a, dp.T @ g_bq])
+        g["b_d0"] = g_a.sum(axis=0)
+        g_dp = g_a @ w0[:n_dem].T + g_bq @ w0[n_dem:].T
+        n_mov = table.n_movements
+        member_of = _selector(members[:, 0], n_mov) + _selector(members[:, 1], n_mov)
+        g_d = (member_of.T @ g_dp.reshape(n_ph, -1)).reshape(-1, n_dem)
+        g_h, g["w_h"], g["b_h"] = _relu_grads(g_d, h, d, p["w_h"])
+        n_hid = cfg.movement_hidden
+        for br, x, c in (("v", xv, slice(None, n_hid)), ("s", xs, slice(n_hid, None))):
+            _, g[f"w_{br}"], g[f"b_{br}"] = _relu_grads(g_h[:, c], x, h[:, c], p[f"w_{br}"])
+        return g
+
+    return q, grads_of
+
+
+def vanilla_dense_vjp(net, params, counts, bits):
+    """(Q [B, P], VJP) of the flat MLP, the VJP mapping a gradient of the
+    full Q [B, P] to the parameter gradients."""
+    n_layers = len(net.config.hidden)
+    counts = np.asarray(counts, dtype=np.float64).reshape(-1, net.table.n_movements)
+    bits = np.asarray(bits, dtype=np.float64).reshape(-1, net.table.n_movements)
+    hs = [np.concatenate([counts / net.config.norm_capacity, bits], axis=1)]
+    for i in range(n_layers):
+        hs.append(_relu_rows(hs[-1], params[f"w{i}"], params[f"b{i}"]))
+    q = _rows_at(hs[-1], params[f"w{n_layers}"]) + params[f"b{n_layers}"]
+
+    def grads_of(g_out):
+        grads = {}
+        for i in reversed(range(n_layers + 1)):
+            grads[f"w{i}"] = hs[i].T @ g_out
+            grads[f"b{i}"] = g_out.sum(axis=0)
+            if i:
+                g_out = (g_out @ params[f"w{i}"].T) * (hs[i] > 0.0)
+        return grads
+
+    return q, grads_of
+
+
 # --- differentiation -------------------------------------------------------------
 
 def finite_difference_grads(f, params, eps: float = 1e-3) -> dict[str, np.ndarray]:

@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -17,8 +18,10 @@ from phaselab.networks import (
 from conftest import random_state
 from oracles import (
     finite_difference_grads_filtered,
+    frap_dense_vjp,
     frap_reference,
     masked_relative_error,
+    vanilla_dense_vjp,
     vanilla_reference,
 )
 
@@ -37,27 +40,32 @@ def _random_batch(table, rng, batch):
 
 
 def _check_full_graph_gradient(net, table, seed, trials=3):
-    """The VJP of ``net`` against central differences, for every parameter.
+    """The taken-action VJP of ``net`` against central differences, for
+    every parameter.
 
-    The scalar is sum(G * Q) for a fixed random G [B, P], whose gradient is
-    the VJP of G: every Q-value enters with its own weight, as the learner's
-    Huber gradient enters at the taken actions. Zero-initialised biases leave
-    ReLU inputs exactly at the kink, where central differences are invalid;
-    perturb all parameters first.
+    Each of two states is repeated once per action, with that action taken,
+    so the scalar sum(g * Q_taken) for a fixed random g weighs every Q-value
+    of both states, as the learner's Huber gradient weighs its taken ones.
+    Its gradient is the VJP of g. Zero-initialised biases leave ReLU inputs
+    exactly at the kink, where central differences are invalid; perturb all
+    parameters first.
     """
     rng = np.random.default_rng(seed)
+    n_actions = net.n_actions
     for trial in range(trials):
         params = {
             k: v + rng.normal(0.0, 0.3, size=v.shape)
             for k, v in net.init_params(300 + trial).items()
         }
         counts, bits = _random_batch(table, rng, 2)
-        q, vjp = net.forward(params, counts, bits, vjp=True)
+        counts, bits = np.repeat(counts, n_actions, axis=0), np.repeat(bits, n_actions, axis=0)
+        actions = np.tile(np.arange(n_actions), 2)
+        q, vjp = net.forward(params, counts, bits, actions=actions, vjp=True)
         g_q = rng.choice([-1.0, 1.0], size=q.shape) * rng.uniform(0.1, 1.0, size=q.shape)
         grads = vjp(g_q)
 
         def scalar(arrays):
-            return float((g_q * net.forward(arrays, counts, bits)).sum())
+            return float((g_q * net.forward(arrays, counts, bits, actions=actions)).sum())
 
         # Step 1e-4: at 1e-3 the probes of a composed ReLU graph bracket
         # kinks often enough to corrupt the quotient.
@@ -251,6 +259,67 @@ def test_batched_row_is_the_single_state_q(table4, kind, config, batch):
             assert np.array_equal(row, net.q_values(params, state))
 
 
+def test_every_batch_size_keeps_the_single_state_rows(table4, frap4):
+    # ROUND_BLOCK and the learner's taken-action forwards rest on this for
+    # every batch size up to 64, not only the ones above.
+    rng = np.random.default_rng(65)
+    for seed in range(3):
+        params = frap4.init_params(seed)
+        states = [random_state(table4, rng) for _ in range(64)]
+        counts = np.stack([s.counts for s in states])
+        bits = np.stack([s.signal_bits for s in states])
+        single = [frap4.q_values(params, state) for state in states]
+        for batch in range(1, 65):
+            q = frap4.forward(params, counts[:batch], bits[:batch])
+            for row, expected in zip(q, single):
+                assert np.array_equal(row, expected), batch
+
+
+@EVERY_KERNEL
+def test_taken_q_and_vjp_are_the_dense_kernels(table4, kind, config):
+    # The taken-action mode must be the dense kernel read at the actions:
+    # its Q the dense Q's entries and its VJP the dense VJP of the one-hot
+    # gradient, bitwise, at every batch size a learner or a round uses.
+    net = build_network(kind, table4, config)
+    dense_vjp = frap_dense_vjp if kind == "frap" else vanilla_dense_vjp
+    rng = np.random.default_rng(19)
+    for seed in range(2):
+        params = {
+            k: v + rng.normal(0.0, 0.3, size=v.shape) for k, v in net.init_params(seed).items()
+        }
+        for batch in range(1, 65):
+            counts, bits = _random_batch(table4, rng, batch)
+            actions = rng.integers(0, net.n_actions, size=batch)
+            q_dense, vjp_dense = dense_vjp(net, params, counts, bits)
+            assert np.array_equal(q_dense, net.forward(params, counts, bits))
+            q, vjp = net.forward(params, counts, bits, actions=actions, vjp=True)
+            rows = np.arange(batch)
+            assert np.array_equal(q, q_dense[rows, actions]), batch
+            assert np.array_equal(q, net.forward(params, counts, bits, actions=actions))
+            g = rng.normal(size=batch)
+            one_hot = np.zeros_like(q_dense)
+            one_hot[rows, actions] = g
+            expected, grads = vjp_dense(one_hot), vjp(g)
+            assert grads.keys() == expected.keys() == params.keys()
+            for name in params:
+                assert np.array_equal(grads[name], expected[name]), (batch, name)
+
+
+@pytest.mark.parametrize("kind", ["frap", "vanilla"])
+def test_taken_mode_checks_its_actions(table4, kind):
+    net = build_network(kind, table4)
+    params = net.init_params(0)
+    counts, bits = _random_batch(table4, np.random.default_rng(0), 3)
+    with pytest.raises(ValueError, match="pass actions"):
+        net.forward(params, counts, bits, vjp=True)
+    for actions in ([0, 1], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="expected 3 actions"):
+            net.forward(params, counts, bits, actions=np.array(actions))
+    for actions in ([0, 1, -1], [0, 8, 1]):
+        with pytest.raises(ValueError, match="must lie in"):
+            net.forward(params, counts, bits, actions=np.array(actions))
+
+
 @EVERY_KERNEL
 def test_prepared_q_is_the_forward_row(table4, kind, config):
     # Greedy policies score one state at a time from one prepared object per
@@ -351,6 +420,28 @@ class TestCheckpointSidecar:
         path = save_checkpoint(tmp_path / "extra.bin", "frap", large, extra)
         with pytest.raises(ValueError, match="stray"):
             load_checkpoint(path, table4)
+
+    @pytest.mark.parametrize(
+        "key, value", [("output_relu", "false"), ("conv_layers", 1.0), ("hidden", [32, "32"])]
+    )
+    def test_sidecar_config_takes_the_config_type_checks(self, table4, tmp_path, key, value):
+        # A sidecar written from a config holding "false" for output_relu
+        # used to load with output_relu == "false", which is truthy.
+        kind = "vanilla" if key == "hidden" else "frap"
+        net = build_network(kind, table4)
+        path = save_checkpoint(tmp_path / "model.bin", kind, net, net.init_params(0))
+        meta_path = path.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta["config"][key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"config.{key} must be"):
+            load_checkpoint(path, table4)
+
+    def test_vanilla_sidecar_roundtrip(self, table4, tmp_path):
+        net = VanillaNetwork(table4, VanillaConfig(hidden=(16,)))
+        path = save_checkpoint(tmp_path / "model.bin", "vanilla", net, net.init_params(0))
+        _, loaded_net, _ = load_checkpoint(path, table4)
+        assert loaded_net.config == net.config
 
     @pytest.mark.parametrize("fail_at", ["second temp file", "first rename"])
     def test_interrupted_save_keeps_previous_checkpoint(

@@ -17,8 +17,8 @@ FD_TOL = 1e-4
 
 
 def _loss_and_grads(net, params, counts, bits, actions, targets, weights):
-    q, vjp = net.forward(params, counts, bits, vjp=True)
-    return nm.backward(vjp, q, actions, targets, weights)
+    q, vjp = net.forward(params, counts, bits, actions=actions, vjp=True)
+    return nm.backward(vjp, q, targets, weights)
 
 
 def _grad_case(net, params, counts, bits, actions, targets, weights):
@@ -155,14 +155,13 @@ class TestForwardSemantics:
         assert np.abs(q_swapped - net.forward(params, counts, bits)).max() > 1e-6
 
     def test_shape_mismatch_raises(self):
-        q = np.ones((2, 3))
-        actions, ones = np.array([0, 2]), np.ones(2)
+        q, ones = np.ones(2), np.ones(2)
         with pytest.raises(ValueError):
-            nm.backward(_identity_vjp, q, actions, np.ones(3), ones)
+            nm.backward(_identity_vjp, q, np.ones(3), ones)
         with pytest.raises(ValueError):
-            nm.backward(_identity_vjp, q, actions, ones, np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            nm.backward(_identity_vjp, q, np.array([0]), ones, ones)
+            nm.backward(_identity_vjp, q, ones, np.ones((2, 3)))
+        with pytest.raises(ValueError):  # a full Q [B, P], not the taken [B]
+            nm.backward(_identity_vjp, np.ones((2, 3)), ones, ones)
 
     def test_ops_do_not_mutate_inputs(self, table4):
         # Actors and greedy policies share parameter arrays with learner
@@ -178,9 +177,9 @@ class TestForwardSemantics:
             inputs = {**params, "counts": counts, "bits": bits, "actions": actions,
                       "targets": targets, "weights": weights}
             before = {k: v.copy() for k, v in inputs.items()}
-            q, vjp = net.forward(params, counts, bits, vjp=True)
+            q, vjp = net.forward(params, counts, bits, actions=actions, vjp=True)
             q_before = q.copy()
-            _, grads = nm.backward(vjp, q, actions, targets, weights)
+            _, grads = nm.backward(vjp, q, targets, weights)
             grads_before = {k: g.copy() for k, g in grads.items()}
             nm.adam_update(params, grads, nm.adam_init(params), lr=0.1)
             for k, v in inputs.items():
@@ -190,14 +189,12 @@ class TestForwardSemantics:
                 assert np.array_equal(g, grads_before[k]), k
 
     def test_huber_quadratic_and_linear_regions(self):
-        q = np.array([[0.5, 9.0], [9.0, 3.0]])
-        loss, grads = nm.backward(
-            _identity_vjp, q, np.array([0, 1]), np.zeros(2), np.array([1.0, 0.5])
-        )
+        q = np.array([0.5, 3.0])  # the taken Q-values of two rows
+        loss, grads = nm.backward(_identity_vjp, q, np.zeros(2), np.array([1.0, 0.5]))
         # (1 * 0.5 * 0.25 + 0.5 * (3 - 0.5)) averaged over a batch of 2; the
-        # gradient reaches the taken actions only, clipped to 1 in the linear region.
+        # gradient is clipped to 1 in the linear region.
         assert np.isclose(loss, (0.125 + 1.25) / 2)
-        assert np.array_equal(grads["q"], [[0.25, 0.0], [0.0, 0.25]])
+        assert np.array_equal(grads["q"], [0.25, 0.25])
 
 
 class TestGradients:

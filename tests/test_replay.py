@@ -92,6 +92,27 @@ class TestBuffer:
         assert buf.priorities().tolist() == [0.25, 0.5, 0.75, 0.75, 0.75]
         assert buf._mass[[3, 4]].tolist() == [0.75, 0.75]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_max_is_the_scanned_max(self, seed):
+        # Random adds (ring wraps included), updates with repeated slots,
+        # and priorities from a small set, so updates often lower or tie the
+        # rows holding the max: after every call the cached max is a full
+        # scan's, and the slot cached with it holds it.
+        rng = np.random.default_rng(seed)
+        buf = PrioritizedReplayBuffer(capacity=int(rng.integers(5, 13)), alpha=0.6)
+        lowered = 0
+        for _ in range(400):
+            before = buf.max_priority()
+            if len(buf) == 0 or rng.random() < 0.2:
+                buf.add(_rows(*range(int(rng.integers(1, 4)))))
+            else:
+                idx = rng.integers(0, len(buf), size=int(rng.integers(0, 2 * len(buf))))
+                buf.update_priorities(idx, rng.integers(1, 6, size=idx.size) / 2.0)
+            assert buf.max_priority() == buf._priority[: len(buf)].max()
+            assert buf._priority[buf._max_slot] == buf.max_priority()
+            lowered += buf.max_priority() < before
+        assert lowered > 10
+
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_capacity_below_one_is_rejected(self, capacity):
         with pytest.raises(ValueError, match="capacity"):

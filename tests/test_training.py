@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,27 @@ class TestLearner:
             learner.step()
         last = np.mean([learner.step() for _ in range(5)])
         assert last < first
+
+    def test_step_builds_no_full_pair_volume(self, table4):
+        # A learner step reads one Q per row from its online and target
+        # forwards, so only the dense next-state forward may build all
+        # P(P-1) pair cells of every row: [56, 64, 20] float64, 560 KiB. A
+        # second such array made the traced peak 1333 KiB; one step peaks
+        # at 1028 KiB without it (numpy 2.4). The bound leaves 15%.
+        net = FrapNetwork(table4, FrapConfig())
+        cfg = TrainConfig(batch_size=64)
+        buf = PrioritizedReplayBuffer(2048, cfg.alpha)
+        buf.add(random_rows(table4, np.random.default_rng(0), 1300, done_every=8))
+        learner = Learner(net, net.init_params(0), cfg, buf, np.random.default_rng(1))
+        for _ in range(3):  # steady state: scratch buffers exist, caches are warm
+            learner.step()
+        tracemalloc.start()
+        try:
+            learner.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.15 * 1028 * 1024
 
 
 class TestActorPolicy:
