@@ -94,9 +94,10 @@ class FlowSchedule:
         crossing a grid loads each intersection it passes; the total is
         averaged over the ``n_intersections`` intersections.
         """
-        counts = np.zeros(n_movements)
-        for _, movement in chain.from_iterable(self.routes):
-            counts[movement] += 1.0
+        hops = np.fromiter((m for _, m in chain.from_iterable(self.routes)), dtype=np.int64)
+        counts = np.bincount(hops, minlength=n_movements)
+        if len(counts) > n_movements:
+            raise ValueError(f"unknown movement id {len(counts) - 1} for {n_movements} movements")
         return counts * 3600.0 / duration / n_intersections
 
 

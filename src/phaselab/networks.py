@@ -393,7 +393,8 @@ class FrapNetwork:
             g_h, g["w_h"], g["b_h"] = _relu_grads(g_d, h, d, p["w_h"])
             n_hid = cfg.movement_hidden
             for br, x, c in (("v", xv, slice(None, n_hid)), ("s", xs, slice(n_hid, None))):
-                _, g[f"w_{br}"], g[f"b_{br}"] = _relu_grads(g_h[:, c], x, h[:, c], p[f"w_{br}"])
+                g_out = g_h[:, c] * (h[:, c] > 0.0)  # the inputs are data: no input gradient
+                g[f"w_{br}"], g[f"b_{br}"] = x.T @ g_out, g_out.sum(axis=0)
             return g
 
         return q, grads_of

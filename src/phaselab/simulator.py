@@ -1,12 +1,15 @@
 """Deterministic 1 s point-queue simulator for grids of K intersections.
 
-Vehicles enter an approach, travel it at free-flow speed, then stack in a
-vertical queue at the stop line (capacity-capped; overflow waits upstream and
-slots in FIFO as space frees). Each second of green a movement discharges at
-the saturation rate, with the fractional service carried in an accumulator.
-Switching phases inserts yellow plus all-red seconds during which nothing
-discharges. Identical (config, flow, action sequence) inputs give
-bit-identical trajectories; a simulator instance is single-threaded.
+Vehicles enter an approach, travel it at free-flow speed, then join their
+movement's FIFO line. The first ``lane_capacity`` vehicles of a line form the
+vertical queue at the stop line, which observations and rewards count; the
+rest wait upstream and move up as the front discharges. Each second of green
+a movement discharges at the saturation rate, at most the vehicles at its
+stop line, with the fractional service carried in a credit that restarts
+when green is interrupted. Switching phases inserts yellow plus all-red
+seconds during which nothing discharges. Identical (config, flow, action
+sequence) inputs give bit-identical trajectories; a simulator instance is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -107,10 +110,10 @@ class GridSim:
     between them. ``reset`` and ``step`` take and return one entry per
     intersection.
 
-    A vehicle is its index into the flow's columns: queues, waiting lines and
-    the link from one intersection to the next hold these ints, and its
-    progress lives in per-episode lists (``_hop``, ``_queue_join``, ``_exit``)
-    indexed the same way.
+    A vehicle is its index into the flow's columns: lines and the link from
+    one intersection to the next hold these ints, and its progress lives in
+    per-episode lists (``_hop``, ``_queue_join``, ``_exit``) indexed the same
+    way. Each (intersection, movement) has one line and one service credit.
 
     Vehicles reach a stop line from two streams, both already in time order:
     flow entries, read with a pointer into ``_arrivals`` (the flow is sorted
@@ -151,10 +154,8 @@ class GridSim:
         self.clock = 0
         self.done = False
         self.current = [0] * k
-        self._queues = [[deque() for _ in range(m)] for _ in range(k)]
-        self._waiting = [[deque() for _ in range(m)] for _ in range(k)]
-        self._acc = [[0.0] * m for _ in range(k)]
-        self._last_green = [[-2] * m for _ in range(k)]
+        self._lines = [[deque() for _ in range(m)] for _ in range(k)]
+        self._credit = [[0.0] * m for _ in range(k)]
         n = len(self.flow)
         self._hop = [0] * n
         self._queue_join: list[float | None] = [None] * n
@@ -169,9 +170,10 @@ class GridSim:
 
     def step(self, actions: Sequence[int]) -> tuple[list[TrafficState], list[float], bool]:
         """Advance one decision interval, second by second: arrivals join
-        their stop-line queue (or wait upstream when it is full), then every
-        green movement outside clearance discharges at the saturation rate,
-        its departures exiting or travelling on to their next hop."""
+        the back of their line (at the stop line while it holds fewer than
+        ``lane_capacity``), then every green movement outside clearance
+        discharges at the saturation rate, its departures exiting or
+        travelling on to their next hop."""
         if self.done:
             raise RuntimeError("step() called after the episode ended")
         if len(actions) != self.n_intersections:
@@ -182,13 +184,20 @@ class GridSim:
         cfg = self.config
         clearance, cap, headway = cfg.clearance, cfg.lane_capacity, cfg.saturation_headway
         approach_time = cfg.approach_time
-        queues, waiting = self._queues, self._waiting
-        # per intersection: its first second of green, after any clearance
-        green = [
-            (queues[k], waiting[k], self._acc[k], self._last_green[k],
-             self._phase_members[a], clearance if a != self.current[k] else 0)
-            for k, a in enumerate(actions)
-        ]
+        lines = self._lines
+        green = []  # per intersection: its lines, credits, green movements, first green second
+        for k, a in enumerate(actions):
+            members, credit = self._phase_members[a], self._credit[k]
+            first_green = 0
+            if a != self.current[k]:
+                # Green is interrupted, so service restarts, except on a
+                # movement that stays green through a change with no clearance.
+                first_green = clearance
+                stays = self._phase_members[self.current[k]] if not clearance else ()
+                for m in members:
+                    if m not in stays:
+                        credit[m] = 0.0
+            green.append((lines[k], credit, members, first_green))
         self.current = list(actions)
         arrivals, forwarded = self._arrivals, self._forwarded
         n_entries = len(arrivals)
@@ -210,46 +219,42 @@ class GridSim:
                 else:
                     break
                 k, m = routes[v][hop[v]]
-                queue = queues[k][m]
-                if len(queue) < cap and not waiting[k][m]:
-                    if queue_join[v] is None:
-                        queue_join[v] = float(s)
-                    queue.append(v)
-                else:
-                    waiting[k][m].append(v)
-            for qs, ws, acc, last_green, members, first_green in green:
+                line = lines[k][m]
+                if len(line) < cap and queue_join[v] is None:
+                    queue_join[v] = float(s)
+                line.append(v)
+            for ls, credit, members, first_green in green:
                 if i < first_green:
                     continue  # yellow + all-red: no discharge anywhere
                 for m in members:
-                    # service restarts when green was interrupted
-                    served = acc[m] + 1.0 if last_green[m] == s - 1 else 1.0
-                    last_green[m] = s
-                    queue = qs[m]
-                    if not queue:
-                        acc[m] = 0.0
+                    line = ls[m]
+                    if not line:
+                        credit[m] = 0.0
                         continue
+                    served = credit[m] + 1.0
                     if served < headway:
-                        # Nothing departs, so nothing moves up from the waiting
-                        # line either: a movement with a waiting line ends every
-                        # second with a full queue.
-                        acc[m] = served
+                        credit[m] = served
                         continue
-                    while served >= headway and queue:
+                    n = len(line)
+                    # Only the vehicles at the stop line can leave this
+                    # second; the credit left over carries to the next.
+                    departures = n if n < cap else cap
+                    while served >= headway and departures:
                         served -= headway
-                        v = queue.popleft()
+                        departures -= 1
+                        v = line.popleft()
                         hop[v] += 1
                         if hop[v] == route_lens[v]:
                             exit_time[v] = float(s + 1)
                             exited += 1
                         else:
                             forwarded.append((float(s + 1) + approach_time, v))
-                    acc[m] = served
-                    wait = ws[m]
-                    while wait and len(queue) < cap:
-                        v = wait.popleft()
-                        if queue_join[v] is None:
-                            queue_join[v] = float(s)
-                        queue.append(v)
+                    credit[m] = served
+                    if n > cap:  # vehicles move up from upstream into the freed places
+                        for j in range(cap - (n - len(line)), min(cap, len(line))):
+                            v = line[j]
+                            if queue_join[v] is None:
+                                queue_join[v] = float(s)
             if on_microstep is not None:
                 self._next_entry, self.exited_count = next_entry, exited
                 on_microstep(self, s + 1)
@@ -258,7 +263,7 @@ class GridSim:
         self.done = self.clock >= cfg.episode_length
         states, rewards = [], []
         for k, phase in enumerate(self.current):
-            lens = [len(q) for q in queues[k]]
+            lens = self._stop_line_counts(k)
             reward = -(sum(lens) / len(lens))  # integer sums are exact: bitwise the float mean
             rewards.append(reward)
             self._intervals[k].append((float(self.clock), phase, reward, tuple(lens)))
@@ -268,8 +273,13 @@ class GridSim:
 
     # -- observation and accounting --------------------------------------------
 
+    def _stop_line_counts(self, k: int) -> list[int]:
+        """Per movement of intersection k, the vehicles at its stop line."""
+        cap = self.config.lane_capacity
+        return [n if n < cap else cap for n in map(len, self._lines[k])]
+
     def counts(self, k: int) -> np.ndarray:
-        return np.array([len(q) for q in self._queues[k]], dtype=np.int64)
+        return np.array(self._stop_line_counts(k), dtype=np.int64)
 
     def state(self, k: int) -> TrafficState:
         phase = self.current[k]
@@ -280,8 +290,8 @@ class GridSim:
 
     def conservation_snapshot(self, now: float) -> dict[str, int]:
         """Vehicle accounting recomputed from the raw structures."""
-        in_queue = sum(len(q) for row in self._queues for q in row)
-        waiting = sum(len(w) for row in self._waiting for w in row)
+        in_queue = sum(sum(self._stop_line_counts(k)) for k in range(self.n_intersections))
+        waiting = sum(len(line) for row in self._lines for line in row) - in_queue
         entry_times, next_entry = self.flow.entry_times, self._next_entry
         on_approach = sum(1 for _, v in self._forwarded if entry_times[v] < now)
         on_approach += bisect_left(entry_times, now, lo=next_entry) - next_entry
@@ -353,7 +363,13 @@ def run_grid_controller(
     seed: int = 0,
 ) -> EpisodeMetrics:
     """Closed-loop episode with one independent controller per intersection."""
-    sim = GridSim(config, table, flow, len(controllers), seed)
+    return run_episode(GridSim(config, table, flow, len(controllers), seed), controllers)
+
+
+def run_episode(sim: GridSim, controllers: Sequence) -> EpisodeMetrics:
+    """Run ``sim`` from its current state to the episode's end, one controller
+    per intersection mapping its TrafficState to a phase index; a controller
+    with a ``reset`` method is reset first."""
     states = sim.states()
     for c in controllers:
         if hasattr(c, "reset"):

@@ -29,7 +29,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Params
 from .replay import Batch, PrioritizedReplayBuffer
-from .simulator import GridSim
+from .simulator import GridSim, run_episode
 from .state import TrafficState
 
 
@@ -472,12 +472,8 @@ def train(
 
     def evaluate(step: int, sim: GridSim | None = None) -> None:
         sim = eval_factory() if sim is None else sim
-        states = sim.states()
         policies = [GreedyPolicy(network, l.snapshot()) for l in learners]
-        done = False
-        while not done:
-            states, _, done = sim.step([p(s) for p, s in zip(policies, states)])
-        m = sim.metrics()
+        m = run_episode(sim, policies)
         censored = censored_travel_time(m, sim.config.episode_length)
         result.curve.append(
             CurvePoint(

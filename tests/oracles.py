@@ -8,6 +8,7 @@ tautology.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -315,6 +316,145 @@ def always_green_departures(stop_line_times: list[float], headway: float) -> lis
         n_ticks = math.ceil(n_ticks - 1e-12)
         departures.append(busy_start + n_ticks)
     return departures
+
+
+class TwoDequeSimOracle:
+    """The grid simulator as two deques and a last-green stamp per movement.
+
+    A stop-line queue holds at most ``lane_capacity`` vehicles and a waiting
+    line holds the overflow upstream; after each discharge the waiting line
+    refills the queue in FIFO order. A movement's service credit carries
+    over only when it was green in the second before (its stamp), else it
+    restarts at zero. ``step`` returns (per-intersection queue counts,
+    rewards, done); ``on_second(oracle, now)`` runs after every second.
+    """
+
+    def __init__(self, config, table, flow, n_intersections, on_second=None):
+        self.config = config
+        self.flow = flow
+        self.members = [ph.members for ph in table.phases]
+        self.arrivals = [float(t) + config.approach_time for t in flow.entry_times]
+        self.on_second = on_second
+        k, m, n = n_intersections, table.n_movements, len(flow)
+        self.clock = 0
+        self.done = False
+        self.current = [0] * k
+        self.queues = [[deque() for _ in range(m)] for _ in range(k)]
+        self.waiting = [[deque() for _ in range(m)] for _ in range(k)]
+        self.acc = [[0.0] * m for _ in range(k)]
+        self.last_green = [[-2] * m for _ in range(k)]
+        self.hop = [0] * n
+        self.queue_join = [None] * n
+        self.exit = [None] * n
+        self.next_entry = 0
+        self.forwarded = deque()  # (arrival, vehicle)
+        self.exited = 0
+        self.intervals = [[] for _ in range(k)]
+
+    def step(self, actions):
+        cfg = self.config
+        cap, headway = cfg.lane_capacity, cfg.saturation_headway
+        first_green = [
+            cfg.clearance if a != self.current[k] else 0 for k, a in enumerate(actions)
+        ]
+        self.current = list(actions)
+        for i in range(cfg.decision_interval):
+            s = self.clock + i
+            while True:  # the earlier of the two streams' heads; an entry on a tie
+                if self.next_entry < len(self.arrivals) and self.arrivals[self.next_entry] <= s:
+                    if self.forwarded and self.forwarded[0][0] < self.arrivals[self.next_entry]:
+                        v = self.forwarded.popleft()[1]
+                    else:
+                        v = self.next_entry
+                        self.next_entry += 1
+                elif self.forwarded and self.forwarded[0][0] <= s:
+                    v = self.forwarded.popleft()[1]
+                else:
+                    break
+                k, m = self.flow.routes[v][self.hop[v]]
+                if len(self.queues[k][m]) < cap and not self.waiting[k][m]:
+                    if self.queue_join[v] is None:
+                        self.queue_join[v] = float(s)
+                    self.queues[k][m].append(v)
+                else:
+                    self.waiting[k][m].append(v)
+            for k, a in enumerate(actions):
+                if i < first_green[k]:
+                    continue
+                for m in self.members[a]:
+                    if self.last_green[k][m] == s - 1:
+                        served = self.acc[k][m] + 1.0
+                    else:
+                        served = 1.0
+                    self.last_green[k][m] = s
+                    queue = self.queues[k][m]
+                    if not queue:
+                        self.acc[k][m] = 0.0
+                        continue
+                    if served < headway:
+                        self.acc[k][m] = served
+                        continue
+                    while served >= headway and queue:
+                        served -= headway
+                        v = queue.popleft()
+                        self.hop[v] += 1
+                        if self.hop[v] == len(self.flow.routes[v]):
+                            self.exit[v] = float(s + 1)
+                            self.exited += 1
+                        else:
+                            self.forwarded.append((float(s + 1) + cfg.approach_time, v))
+                    self.acc[k][m] = served
+                    wait = self.waiting[k][m]
+                    while wait and len(queue) < cap:
+                        v = wait.popleft()
+                        if self.queue_join[v] is None:
+                            self.queue_join[v] = float(s)
+                        queue.append(v)
+            if self.on_second is not None:
+                self.on_second(self, s + 1)
+        self.clock += cfg.decision_interval
+        self.done = self.clock >= cfg.episode_length
+        counts, rewards = [], []
+        for k, phase in enumerate(self.current):
+            lens = [len(q) for q in self.queues[k]]
+            reward = -(sum(lens) / len(lens))
+            counts.append(lens)
+            rewards.append(reward)
+            self.intervals[k].append((float(self.clock), phase, reward, tuple(lens)))
+        return counts, rewards, self.done
+
+    def snapshot(self, now):
+        """The simulator's conservation snapshot, counted one vehicle at a time."""
+        entry_times = self.flow.entry_times
+        on_approach = 0
+        for _, v in self.forwarded:
+            if entry_times[v] < now:
+                on_approach += 1
+        for t in entry_times[self.next_entry:]:
+            if t < now:
+                on_approach += 1
+        return {
+            "entered": sum(1 for t in entry_times if t < now),
+            "in_queue": sum(len(q) for row in self.queues for q in row),
+            "waiting": sum(len(w) for row in self.waiting for w in row),
+            "on_approach": on_approach,
+            "exited": self.exited,
+        }
+
+    def summary(self):
+        """(avg_travel_time, exited, in_network, queue-join column, exit
+        column, interval rows): ``EpisodeMetrics``'s fields, in its order."""
+        entry_times = self.flow.entry_times
+        travel = [x - t for x, t in zip(self.exit, entry_times) if x is not None]
+        entered = sum(1 for t in entry_times if t < float(self.clock))
+        return (
+            float(np.mean(travel)) if travel else 0.0,
+            self.exited,
+            entered - self.exited,
+            tuple(self.queue_join),
+            tuple(self.exit),
+            tuple(tuple(rows) for rows in self.intervals),
+        )
 
 
 def episode_summary_oracle(vehicles, clock: float, episode_length: float):

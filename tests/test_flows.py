@@ -255,6 +255,17 @@ class TestGridSynthesis:
         volumes = flow.movement_volumes(8, spec.duration, n_intersections=3)
         assert np.allclose(volumes, spec.rates)
 
+    def test_movement_volumes_match_per_hop_loop(self):
+        flow = synthesize_grid_flow(pl.benchmark_flow_spec("unbalanced-WE"), 2, 2, seed=0)
+        counts = np.zeros(8)
+        for route in flow.routes:
+            for _, movement in route:
+                counts[movement] += 1.0
+        expected = counts * 3600.0 / 3600.0 / 4
+        assert flow.movement_volumes(8, 3600.0, 4).tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="unknown movement id 7"):
+            flow.movement_volumes(4, 3600.0, 4)
+
 
 class TestMirrorFlow:
     def _small_flow(self):

@@ -67,7 +67,8 @@ def test_greedy_q_calls_are_the_episode_distinct_states(tracing, table4):
 
 def test_learner_step_spans(tracing, table4):
     # The per-layer metrics read a learner step as three batched forwards
-    # (target and online Q of the next states, online Q of the batch), one
+    # (online Q of the next states, target Q of the next states at the online
+    # argmax, online Q of the batch at the taken actions), one
     # numerics.backward, the whole backward pass, and one replay sample and
     # priority update, all inside its span.
     net = networks.FrapNetwork(table4, networks.FrapConfig())

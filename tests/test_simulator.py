@@ -18,7 +18,7 @@ from phaselab.simulator import write_interval_csv, write_vehicle_csv
 from phaselab.state import states_equal
 from phaselab.topology import find_op, inverse
 
-from oracles import always_green_departures, episode_summary_oracle
+from oracles import TwoDequeSimOracle, always_green_departures, episode_summary_oracle
 
 
 def single_hop(entries, movement):
@@ -147,6 +147,39 @@ class TestStep:
             max_count = max(max_count, int(s.counts[4]))
         assert max_count == 5  # capacity bound holds
 
+    def test_capacity_one_departs_once_a_second(self, table4):
+        # Five vehicles reach a one-place stop line at 30 s. A 0.5 s headway
+        # would serve two a second, but only the vehicle at the stop line can
+        # leave in a second; the next moves up as it goes.
+        config = pl.SimConfig(lane_capacity=1, saturation_headway=0.5, episode_length=60)
+        sim = pl.IntersectionSim(config, table4, single_hop([0.0] * 5, 0))
+        for _ in range(6):
+            [s], _, _ = sim.step([0])
+            assert s.counts[0] <= 1
+        m = sim.metrics()
+        assert m.exit_times == (31.0, 32.0, 33.0, 34.0, 35.0)
+        assert m.queue_join_times == (30.0, 30.0, 31.0, 32.0, 33.0)
+
+    @pytest.mark.parametrize(
+        "yellow,all_red,exits",
+        [
+            # no clearance: N-T stays green, one departure every other second
+            (0, 0, (33.0, 35.0, 37.0, 39.0, 41.0, 43.0, 45.0, 47.0)),
+            # 5 s clearance at 40: service restarts at 45
+            (3, 2, (33.0, 35.0, 37.0, 39.0, 47.0, 49.0, 51.0, 53.0)),
+        ],
+    )
+    def test_shared_movement_across_a_phase_change(self, table4, yellow, all_red, exits):
+        # Eight vehicles reach the N-T stop line at 31 s; headway 2 leaves a
+        # credit of 1 s at the end of second 39, when the phase changes from
+        # {N-T, S-T} to {N-T, N-L}.
+        config = pl.SimConfig(yellow=yellow, all_red=all_red, episode_length=60)
+        sim = pl.IntersectionSim(config, table4, single_hop([1.0] * 8, 0))
+        before, after = table4.phase_with_members([0, 4]), table4.phase_with_members([0, 1])
+        for a in [before] * 4 + [after] * 2:
+            sim.step([a])
+        assert sim.metrics().exit_times == exits
+
 
 class TestRunController:
     def test_empty_flow_reports_zero(self, table4, cfg):
@@ -241,6 +274,68 @@ class TestConservation:
             assert np.all(s.counts >= 0)
             assert np.all(s.counts <= 12)
             assert r <= 0.0
+
+
+@st.composite
+def differential_cases(draw):
+    decision_interval = draw(st.integers(3, 10))
+    yellow = draw(st.integers(0, min(3, decision_interval - 1)))
+    config = pl.SimConfig(
+        approach_length=draw(st.floats(3.0, 300.0)),
+        saturation_headway=draw(st.sampled_from((0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.1, 2.5))),
+        lane_capacity=draw(st.integers(1, 5)),
+        yellow=yellow,
+        all_red=draw(st.integers(0, min(3, decision_interval - 1 - yellow))),
+        decision_interval=decision_interval,
+        episode_length=draw(st.integers(1, 600)),
+    )
+    rates = tuple(float(r) for r in draw(st.lists(st.integers(0, 900), min_size=8, max_size=8)))
+    spec = FlowSynthesisSpec(rates=rates, duration=float(config.episode_length))
+    flow_seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        return config, synthesize_grid_flow(spec, 2, 2, flow_seed), 4
+    return config, synthesize_flow(spec, flow_seed), 1
+
+
+class TestTwoDequeReference:
+    """The one-line simulator against the two-deque reference it replaced."""
+
+    @given(case=differential_cases(), action_seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, table4, case, action_seed):
+        config, flow, k = case
+        seconds, reference_seconds = [], []
+        sim = pl.GridSim(
+            config, table4, flow, k,
+            on_microstep=lambda sim, now: seconds.append(sim.conservation_snapshot(now)),
+        )
+        reference = TwoDequeSimOracle(
+            config, table4, flow, k,
+            on_second=lambda ref, now: reference_seconds.append(ref.snapshot(now)),
+        )
+        rng = np.random.default_rng(action_seed)
+        done = False
+        while not done:
+            actions = [int(a) for a in rng.integers(table4.n_phases, size=k)]
+            states, rewards, done = sim.step(actions)
+            counts, ref_rewards, ref_done = reference.step(actions)
+            assert [s.counts.tolist() for s in states] == counts
+            assert [s.phase_index for s in states] == actions
+            assert all(
+                s.signal_bits.tolist() == list(table4.phases[a].bits)
+                for s, a in zip(states, actions)
+            )
+            assert rewards == ref_rewards
+            assert done == ref_done
+            assert sim.conservation_snapshot(float(sim.clock)) == reference.snapshot(
+                float(reference.clock)
+            )
+        assert seconds == reference_seconds
+        m = sim.metrics()
+        assert (
+            m.avg_travel_time, m.exited_count, m.in_network_count,
+            m.queue_join_times, m.exit_times, m.interval_rows,
+        ) == reference.summary()
 
 
 class TestGrid:
