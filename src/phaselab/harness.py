@@ -121,22 +121,7 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    nested = {
-        "sim": SimConfig,
-        "frap": FrapConfig,
-        "vanilla": VanillaConfig,
-        "train": TrainConfig,
-        "classical": ClassicalConfig,
-        "flow": FlowConfig,
-    }
-    kwargs = {}
-    for key, value in data.items():
-        if key in nested:
-            kwargs[key] = nm.dataclass_from(nested[key], value, key)
-        else:
-            kwargs[key] = value
-    return nm.dataclass_from(ExperimentConfig, {**kwargs})
+    return nm.dataclass_from(ExperimentConfig, data)
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> ExperimentConfig:

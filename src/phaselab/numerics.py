@@ -196,7 +196,8 @@ def _fits(value, hint) -> bool:
 def dataclass_from(cls, data: dict, section: str = ""):
     """``cls(**data)`` for a config section read from JSON, each value
     checked against its field's type (see ``_fits``) and lists made tuples.
-    A ValueError names the ``section.key`` that does not fit."""
+    An object given for a dataclass-typed field is read as that section. A
+    ValueError names the ``section.key`` that does not fit."""
     if not isinstance(data, dict):
         raise ValueError(f"{section} must be an object, got {data!r}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -206,8 +207,11 @@ def dataclass_from(cls, data: dict, section: str = ""):
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
+        name = f"{section}.{key}" if section else key
+        if dataclasses.is_dataclass(hints[key]) and isinstance(value, dict):
+            kwargs[key] = dataclass_from(hints[key], value, name)
+            continue
         if not _fits(value, hints[key]):
-            name = f"{section}.{key}" if section else key
             raise ValueError(f"{name} must be {fields[key].type}, got {value!r}")
         if isinstance(value, list):
             value = tuple(value)

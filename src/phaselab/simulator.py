@@ -48,6 +48,13 @@ class SimConfig:
             raise ValueError("simulator config values must be positive")
         if self.yellow + self.all_red >= self.decision_interval:
             raise ValueError("clearance (yellow + all_red) must fit inside the decision interval")
+        if self.lane_capacity * self.saturation_headway < 1.0:
+            # A green second departs at most lane_capacity vehicles, so a
+            # shorter product would serve below the saturation rate.
+            raise ValueError(
+                f"lane_capacity * saturation_headway must be at least 1 s, got "
+                f"{self.lane_capacity} * {self.saturation_headway}"
+            )
 
     @property
     def approach_time(self) -> float:

@@ -277,6 +277,8 @@ class Actors:
     and draws from one rng, seeded ``seed * 7919 + 31 i + 1``, at its K
     intersections in order. All actors act on the same parameters: one set
     per intersection, refreshed every ``config.snapshot_period`` rounds.
+    ``states[i]`` is actor i's current state at each intersection: the first
+    states of an episode, then the states of its last step.
     """
 
     def __init__(
@@ -296,12 +298,10 @@ class Actors:
             for i in range(config.n_actors)
         ]
         self.sims: list[GridSim | None] = [None] * config.n_actors
+        self.states: list[list[TrafficState]] = [[] for _ in range(config.n_actors)]
         self.episodes = [0] * config.n_actors
         self.rounds = 0
         self.params: list[Params] = []  # one set per intersection
-        # Per intersection, the last round's stacked next states (counts,
-        # bits): the next round's states, but for actors whose episode ended.
-        self._next_stacks: list[tuple[np.ndarray, np.ndarray]] = []
 
     def decide(self, learners: Sequence[Learner]) -> None:
         """One decision of every actor; ``learners[k]`` gets one Batch of the
@@ -313,40 +313,30 @@ class Actors:
         for up to 64 actors) score every actor's state, explorers included.
         Row i of a batched forward is bitwise the Q-values of state i alone,
         so the actions, rows and rng states do not depend on how many actors
-        decide together. The rows reuse the stacked states of the forward,
-        and the next round's forward the stacked next states of the rows,
-        with the first states of new episodes spliced in.
+        decide together. The rows take the stacked states of the forward, and
+        the actors' states after the step, stacked again.
         """
         if self.rounds % self.snapshot_period == 0:
             self.params = [learner.snapshot() for learner in learners]
-        fresh = {}  # the first states of the episodes starting now, by actor
         for i, sim in enumerate(self.sims):
             if sim is None:
                 self.sims[i] = sim = self.env_factory(i, self.episodes[i])
-                fresh[i] = sim.states()
-        stacked, q_by_intersection = [], []
-        for k, params in enumerate(self.params):
-            if not self._next_stacks:  # the first round: every actor starts
-                counts, bits = _stack(list(fresh.values()), k)
-            elif fresh:  # the last round's rows keep their terminal states
-                counts, bits = (a.copy() for a in self._next_stacks[k])
-                for i, states in fresh.items():
-                    counts[i], bits[i] = states[k].counts, states[k].signal_bits
-            else:
-                counts, bits = self._next_stacks[k]
-            stacked.append((counts, bits))
-            q_by_intersection.append(np.concatenate([
+                self.states[i] = sim.states()
+        stacked = [_stack(self.states, k) for k in range(len(self.params))]
+        q_by_intersection = [
+            np.concatenate([
                 self.network.forward(
                     params, counts[b : b + ROUND_BLOCK], bits[b : b + ROUND_BLOCK]
                 )
                 for b in range(0, len(counts), ROUND_BLOCK)
-            ]))
-        actions, rewards, next_states, not_done = [], [], [], []
+            ])
+            for params, (counts, bits) in zip(self.params, stacked)
+        ]
+        actions, rewards, not_done = [], [], []
         for i, policy in enumerate(self.policies):
             actions.append([policy(q[i]) for q in q_by_intersection])
-            after, step_rewards, done = self.sims[i].step(actions[i])
+            self.states[i], step_rewards, done = self.sims[i].step(actions[i])
             rewards.append(step_rewards)
-            next_states.append(after)
             not_done.append(0.0 if done else 1.0)
             if done:
                 self.episodes[i] += 1
@@ -354,9 +344,8 @@ class Actors:
         actions = np.array(actions, dtype=np.int64)  # [actor, intersection]
         rewards = np.array(rewards, dtype=np.float64)
         not_done = np.array(not_done)
-        self._next_stacks = [_stack(next_states, k) for k in range(len(self.params))]
         for k, (learner, (counts, bits)) in enumerate(zip(learners, stacked)):
-            next_counts, next_bits = self._next_stacks[k]
+            next_counts, next_bits = _stack(self.states, k)
             learner.buffer.add(Batch(
                 counts=counts,
                 bits=bits,

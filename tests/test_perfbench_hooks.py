@@ -1,8 +1,11 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps phaselab functions by
-name. A rename or deletion of one of them must fail here, not crash a traced
-benchmark run."""
+name, and its workloads (perfbench/workloads.py, run.py) call them by name.
+A rename or deletion of one of them must fail here, not crash a benchmark
+run."""
 
+import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -16,13 +19,17 @@ from conftest import random_rows
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def _perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _perfbench_module("tracing")
 
 
 def test_every_wrapped_name_exists(tracing):
@@ -33,6 +40,36 @@ def test_every_wrapped_name_exists(tracing):
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_every_name_the_workloads_call_exists():
+    # Importing workloads runs its phaselab imports and its class-level
+    # configs, such as TrainConfig(..., sync=True). Its H.<name> and
+    # T.<name> calls run only inside a benchmark run, so they are read
+    # from the source, as are the modules run.py times the import of.
+    workloads = _perfbench_module("workloads")
+    source = (PERFBENCH / "workloads.py").read_text()
+    missing = [
+        f"{alias}.{name}"
+        for alias in ("H", "T")
+        for name in sorted(set(re.findall(rf"\b{alias}\.(\w+)", source)))
+        if not hasattr(getattr(workloads, alias), name)
+    ]
+    assert missing == []
+    (probe,) = [
+        node.value
+        for node in ast.parse((PERFBENCH / "run.py").read_text()).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_IMPORT_PROBE"
+    ]
+    modules = [
+        alias.name
+        for node in ast.walk(ast.parse(ast.literal_eval(probe)))
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    assert "phaselab.harness" in modules
+    for module in modules:
+        importlib.import_module(module)
 
 
 def test_eval_span_closer_exists():

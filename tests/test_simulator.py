@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -147,18 +148,14 @@ class TestStep:
             max_count = max(max_count, int(s.counts[4]))
         assert max_count == 5  # capacity bound holds
 
-    def test_capacity_one_departs_once_a_second(self, table4):
-        # Five vehicles reach a one-place stop line at 30 s. A 0.5 s headway
-        # would serve two a second, but only the vehicle at the stop line can
-        # leave in a second; the next moves up as it goes.
-        config = pl.SimConfig(lane_capacity=1, saturation_headway=0.5, episode_length=60)
-        sim = pl.IntersectionSim(config, table4, single_hop([0.0] * 5, 0))
-        for _ in range(6):
-            [s], _, _ = sim.step([0])
-            assert s.counts[0] <= 1
-        m = sim.metrics()
-        assert m.exit_times == (31.0, 32.0, 33.0, 34.0, 35.0)
-        assert m.queue_join_times == (30.0, 30.0, 31.0, 32.0, 33.0)
+    def test_stop_line_must_reach_its_saturation_rate(self):
+        # A green second departs at most lane_capacity vehicles: capacity 1
+        # with a 0.5 s headway served one vehicle a second, not two, and the
+        # unused service piled up in the credit.
+        for capacity, headway in ((1, 0.5), (3, 0.3), (1, 0.99)):
+            with pytest.raises(ValueError, match=r"lane_capacity \* saturation_headway"):
+                pl.SimConfig(lane_capacity=capacity, saturation_headway=headway)
+            pl.SimConfig(lane_capacity=capacity, saturation_headway=1.0 / capacity)
 
     @pytest.mark.parametrize(
         "yellow,all_red,exits",
@@ -280,10 +277,12 @@ class TestConservation:
 def differential_cases(draw):
     decision_interval = draw(st.integers(3, 10))
     yellow = draw(st.integers(0, min(3, decision_interval - 1)))
+    headway = draw(st.sampled_from((0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.1, 2.5)))
     config = pl.SimConfig(
         approach_length=draw(st.floats(3.0, 300.0)),
-        saturation_headway=draw(st.sampled_from((0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.1, 2.5))),
-        lane_capacity=draw(st.integers(1, 5)),
+        saturation_headway=headway,
+        # SimConfig accepts only capacity * headway >= 1 s
+        lane_capacity=draw(st.integers(math.ceil(1.0 / headway), 5)),
         yellow=yellow,
         all_red=draw(st.integers(0, min(3, decision_interval - 1 - yellow))),
         decision_interval=decision_interval,

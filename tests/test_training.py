@@ -397,6 +397,49 @@ class TestLockstep:
         assert [l.snapshots for l in learners] == [1, 1, 1, 1]
         assert forwards == [8]
 
+    def test_states_hand_off_across_staggered_episodes(self, table4):
+        # Actor i's episodes last 3 + i rounds, so in most rounds one actor
+        # restarts while the others go on. Every state spells (actor,
+        # episode, second, intersection) in its counts.
+        class _Spelled:
+            def __init__(self, actor_id, episode):
+                self.actor_id, self.episode, self.clock = actor_id, episode, 0
+
+            def states(self):
+                return [
+                    pl.TrafficState(
+                        counts=np.array([self.actor_id, self.episode, self.clock, k, 0, 0, 0, 0]),
+                        signal_bits=np.array(table4.phases[k].bits),
+                        phase_index=k,
+                    )
+                    for k in range(2)
+                ]
+
+            def step(self, actions):
+                self.clock += 10
+                return self.states(), [0.0, 0.0], self.clock == 10 * (3 + self.actor_id)
+
+        net = _small_net(table4)
+        learners = [_StubLearner(lambda k=k: net.init_params(k)) for k in range(2)]
+        actors = Actors(net, TrainConfig(n_actors=3), _Spelled, seed=0)
+        for _ in range(13):
+            actors.decide(learners)
+        assert actors.episodes == [4, 3, 2]
+        for k, learner in enumerate(learners):
+            rows = learner.buffer.rows()
+            for i in range(3):
+                mine = slice(i, None, 3)  # actor i's row of every round
+                counts, bits, not_done = rows.counts[mine], rows.bits[mine], rows.not_done[mine]
+                assert np.flatnonzero(not_done == 0.0).tolist() == list(range(2 + i, 13, 3 + i))
+                for r in range(12):
+                    if not_done[r]:
+                        after = rows.next_counts[mine][r], rows.next_bits[mine][r]
+                    else:
+                        first = _Spelled(i, int(counts[r][1]) + 1).states()[k]
+                        after = first.counts, first.signal_bits
+                    assert np.array_equal(counts[r + 1], after[0])
+                    assert np.array_equal(bits[r + 1], after[1])
+
     def test_round_of_512_actors_scores_each_state_alone(self, table4):
         # One forward over 512 FRAP states rounds most rows differently from
         # the single-state Q (OpenBLAS 0.3.31, init_params(1)), so a round
