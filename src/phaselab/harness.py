@@ -286,15 +286,24 @@ def _metrics_summary(metrics: EpisodeMetrics) -> str:
 
 
 def evaluate_checkpoint(
-    config: ExperimentConfig, checkpoint: str | Path, flow: fl.FlowSchedule
+    config: ExperimentConfig,
+    checkpoint: str | Path,
+    flow: fl.FlowSchedule,
+    kind: str | None = None,
 ) -> EpisodeMetrics:
     """Greedy episode with one parameter set per intersection: a grid manifest
-    (``.json``) lists them, a single checkpoint serves every intersection."""
+    (``.json``) lists them, a single checkpoint serves every intersection.
+
+    With ``kind``, a checkpoint of another kind (the manifest's ``agent``, or
+    the single checkpoint's own) raises ValueError.
+    """
     table = config.build_table()
     checkpoint = Path(checkpoint)
     n = config.n_intersections
     if checkpoint.suffix == ".json":
-        names = json.loads(checkpoint.read_text())["checkpoints"]
+        manifest = json.loads(checkpoint.read_text())
+        found = manifest["agent"]
+        names = manifest["checkpoints"]
         if len(names) != n:
             raise ValueError(
                 f"grid manifest lists {len(names)} checkpoints, config has {n} intersections"
@@ -302,6 +311,9 @@ def evaluate_checkpoint(
         loaded = [load_checkpoint(checkpoint.parent / name, table) for name in names]
     else:
         loaded = [load_checkpoint(checkpoint, table)] * n
+        found = loaded[0][0]
+    if kind is not None and found != kind:
+        raise ValueError(f"{checkpoint} holds a {found} checkpoint, not {kind}")
     controllers = [GreedyPolicy(network, params) for _, network, params in loaded]
     return run_grid_controller(controllers, config.sim, table, flow, config.seed)
 
@@ -339,7 +351,7 @@ def cmd_compare(
         if method in ("frap", "vanilla"):
             if method not in checkpoints:
                 raise ValueError(f"method {method} needs a checkpoint (use {method}=PATH)")
-            metrics = evaluate_checkpoint(config, checkpoints[method], flow)
+            metrics = evaluate_checkpoint(config, checkpoints[method], flow, kind=method)
         elif method in METHODS:
             if calibration_flow is None:
                 calibration_flow = build_flow(config, calibration_flow_seed(config))
@@ -390,11 +402,11 @@ def cmd_transfer(
         retrain_out = out / "retrain"
         if config.flow.path is None:
             spec = flow_spec(config)
-            mirrored_rates = tuple(
-                float(spec.rates[int(np.argwhere(op.movement_perm == m)[0, 0])])
-                for m in range(table.n_movements)
+            mirrored_rates = np.empty(table.n_movements)
+            mirrored_rates[op.movement_perm] = spec.rates
+            retrain_flow = dataclasses.replace(
+                config.flow, name=None, rates=tuple(mirrored_rates.tolist())
             )
-            retrain_flow = dataclasses.replace(config.flow, name=None, rates=mirrored_rates)
         else:
             # A file flow is one fixed schedule: retrain on its mirrored copy.
             retrain_out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Prioritized experience replay: a FIFO ring of rows, sampled through a sum tree.
+"""Prioritized experience replay: a FIFO ring of rows, sampled by inverse CDF.
 
 The buffer keeps one transition per row of the :class:`Batch` arrays, with
 each row's raw priority and sampling mass in columns beside them, and takes
@@ -15,59 +15,18 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 
-class SumTree:
-    """Binary tree over a leaf array, built bottom up: every internal node is
-    the sum of its two children.
-
-    The leaves are padded with zeros to a power of two. More zero leaves
-    would change nothing: the extra top levels hold the whole sum on their
-    left, so the root and the descent of every mass in [0, root) stay the
-    same.
+def _pairwise_total(mass: np.ndarray) -> float:
+    """The root a sum tree over ``mass`` would hold, bit for bit: the masses
+    added pairwise up the levels, with a zero after each level of odd length
+    (zeros padding the leaves to a power of two give the same sum). The draws
+    and IS weights scale with it, so a sum rounded another way changes them.
     """
-
-    def __init__(self, leaves: np.ndarray):
-        size = 1
-        while size < len(leaves):
-            size *= 2
-        tree = np.empty(2 * size)  # node 0 is unused; the loop writes nodes 1..size-1
-        tree[size : size + len(leaves)] = leaves
-        tree[size + len(leaves) :] = 0.0
-        level = size
-        while level > 1:
-            level //= 2
-            children = tree[2 * level : 4 * level]
-            np.add(children[0::2], children[1::2], out=tree[level : 2 * level])
-        self._size = size
-        self._tree = tree
-
-    @property
-    def root(self) -> float:
-        return float(self._tree[1])
-
-    def prefix_index(self, mass: float) -> int:
-        """Largest slot whose prefix sum exceeds ``mass`` (tree descent)."""
-        i = 1
-        tree = self._tree
-        while i < self._size:
-            left = 2 * i
-            if tree[left] > mass:
-                i = left
-            else:
-                mass -= tree[left]
-                i = left + 1
-        return i - self._size
-
-    def prefix_indices(self, masses: np.ndarray) -> np.ndarray:
-        """:meth:`prefix_index` for every mass, descending in lockstep."""
-        left_of = self._tree[0::2]  # left_of[i] is node i's left child, node 2i
-        mass = np.array(masses, dtype=np.float64)
-        i = np.ones(mass.shape, dtype=np.int64)
-        for _ in range(self._size.bit_length() - 1):
-            left_mass = left_of[i]
-            right = left_mass <= mass
-            mass -= np.where(right, left_mass, 0.0)
-            i = 2 * i + right
-        return i - self._size
+    level = mass
+    while len(level) > 1:
+        if len(level) % 2:
+            level = np.append(level, 0.0)
+        level = level[0::2] + level[1::2]
+    return float(level.sum())
 
 
 _FIRST_SLOTS = 1024  # slots a buffer allocates up front; doubled as the fill reaches them
@@ -98,10 +57,10 @@ class PrioritizedReplayBuffer:
     update that lowers that slot rescans the column.
 
     The rows and both columns grow with the fill, doubling up to
-    ``capacity``. ``sample`` builds a :class:`SumTree` over the stored masses
-    for each batch: it samples exactly as a tree over all ``capacity`` slots
-    would (the rest have zero mass), with fewer levels to walk. It gathers
-    its batch with one fancy index per array.
+    ``capacity``. ``sample`` looks each draw up in the cumulative stored
+    masses: slot i takes the draws in [prefix_i, prefix_i + mass_i), as in a
+    sum tree's descent, and slots past the fill have zero mass, so they take
+    none. It gathers its batch with one fancy index per array.
     """
 
     def __init__(self, capacity: int, alpha: float = 0.6):
@@ -189,13 +148,13 @@ class PrioritizedReplayBuffer:
         """Draw iid proportional samples; returns (indices, rows, is_weights)."""
         if self._size < batch_size:
             raise ValueError(f"buffer holds {self._size} rows, need {batch_size}")
-        tree = SumTree(self._mass[: self._size])
-        total = tree.root
-        # Descent can fall on a zero-mass slot when a draw hits a prefix-sum
-        # boundary exactly; occupied slots are always 0.._size-1, so clamp.
-        masses = rng.uniform(0.0, total, size=batch_size)
-        indices = np.minimum(tree.prefix_indices(masses), self._size - 1)
-        probs = self._mass[indices] / total
+        mass = self._mass[: self._size]
+        total = _pairwise_total(mass)
+        # A draw at or past the last prefix sum (rounded apart from the
+        # pairwise total) would index one past the fill, so clamp.
+        draws = rng.uniform(0.0, total, size=batch_size)
+        indices = np.minimum(np.searchsorted(np.cumsum(mass), draws, side="right"), self._size - 1)
+        probs = mass[indices] / total
         weights = (self._size * probs) ** (-beta)
         weights = weights / weights.max()
         return indices, Batch(*(column[indices] for column in self._rows)), weights

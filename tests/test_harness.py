@@ -202,6 +202,13 @@ class TestCommands:
         assert calibration.entry_times == drawn.entry_times
         assert calibration.routes == drawn.routes
 
+    def test_compare_rejects_a_checkpoint_of_another_method(self, tmp_path):
+        paths = cmd_train(tiny_config(tmp_path, agent="vanilla", train={"max_learner_steps": 5}))
+        cfg = tiny_config(tmp_path, out_dir=str(tmp_path / "compare"))
+        with pytest.raises(ValueError, match="vanilla checkpoint, not frap"):
+            cmd_compare(cfg, ["frap"], {"frap": str(paths["checkpoint"])})
+        assert not (tmp_path / "compare" / "compare.csv").exists()
+
     def test_transfer_identity_matches_eval(self, tmp_path):
         cfg = tiny_config(tmp_path)
         paths = cmd_train(cfg)
@@ -229,6 +236,16 @@ class TestCommands:
         assert trained_on.vehicle_ids == mirrored.vehicle_ids
         assert trained_on.entry_times == mirrored.entry_times
         assert trained_on.routes == mirrored.routes == (((0, 2),),) * 25
+
+    def test_transfer_retrains_on_the_mirrored_named_flow(self, tmp_path):
+        cfg = tiny_config(tmp_path, flow={"name": "unbalanced-WE", "rates": None})
+        paths = cmd_train(cfg)
+        cmd_transfer(cfg, paths["checkpoint"], "flip", retrain=True)
+        retrain = load_config(tmp_path / "out" / "retrain" / "config.json")
+        assert retrain.flow.name is None
+        rates = dict(zip((m.name for m in cfg.build_table().movements), retrain.flow.rates))
+        assert (rates["E-T"], rates["W-T"]) == (600.0, 120.0)
+        assert retrain.flow.rates == (180.0, 180.0, 600.0, 180.0, 180.0, 180.0, 120.0, 180.0)
 
     def test_train_parses_a_file_flow_once(self, tmp_path, monkeypatch):
         # Every actor episode and every eval used to re-read the same file.
@@ -294,6 +311,12 @@ class TestGrid:
         short.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="3 checkpoints"):
             cmd_eval(dataclasses.replace(cfg, out_dir=str(tmp_path / "eval")), short)
+
+    def test_compare_rejects_a_manifest_of_another_method(self, trained, tmp_path):
+        cfg, paths = trained
+        cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "compare"))
+        with pytest.raises(ValueError, match="frap checkpoint, not vanilla"):
+            cmd_compare(cfg, ["vanilla"], {"vanilla": str(paths["checkpoint"])})
 
     def test_threaded_grid_training_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path, grid_rows=2, grid_cols=2, train={"sync": False})

@@ -5,46 +5,10 @@ import pytest
 from scipy import stats
 
 from phaselab import replay
-from phaselab.replay import Batch, PrioritizedReplayBuffer, SumTree
+from phaselab.replay import Batch, PrioritizedReplayBuffer
 
 from conftest import random_rows
 from oracles import SequentialReplayOracle
-
-
-class TestSegmentTrees:
-    def test_sum_tree_root_and_prefix(self):
-        values = [3.0, 1.0, 4.0, 1.0, 5.0]
-        tree = SumTree(np.array(values))
-        assert tree.root == sum(values)
-        assert tree.prefix_index(0.0) == 0
-        assert tree.prefix_index(2.999) == 0
-        assert tree.prefix_index(3.0) == 1
-        assert tree.prefix_index(3.999) == 1
-        assert tree.prefix_index(13.999) == 4
-
-    def test_lockstep_descent_matches_prefix_index(self):
-        rng = np.random.default_rng(1)
-        for capacity in (1, 2, 7, 64, 1000):
-            leaves = rng.uniform(0.0, 3.0, size=capacity)
-            tree = SumTree(leaves)
-            boundaries = np.concatenate([[0.0], np.cumsum(leaves)[:-1]])
-            masses = np.concatenate([rng.uniform(0.0, tree.root, size=200), boundaries])
-            expected = [tree.prefix_index(m) for m in masses]
-            assert tree.prefix_indices(masses).tolist() == expected
-
-    def test_zero_padding_keeps_root_and_descent(self):
-        # A buffer's tree covers its stored rows, not its capacity: the same
-        # leaves with zeros after them must sample the same slots.
-        rng = np.random.default_rng(3)
-        for n, padded in ((1, 2), (5, 37), (1000, 3000)):
-            leaves = rng.uniform(0.0, 3.0, size=n)
-            tree = SumTree(leaves)
-            wide = SumTree(np.concatenate([leaves, np.zeros(padded - n)]))
-            assert wide._size > tree._size
-            boundaries = np.concatenate([[0.0], np.cumsum(leaves)[:-1]])
-            masses = np.concatenate([rng.uniform(0.0, tree.root, size=500), boundaries])
-            assert wide.root == tree.root
-            assert np.array_equal(wide.prefix_indices(masses), tree.prefix_indices(masses))
 
 
 def _rows(*ids: int) -> Batch:
@@ -211,6 +175,54 @@ class TestBuffer:
         buf = self._filled([1.0, 4.0, 9.0], alpha=0.5)
         buf.update_priorities([1], [2.5])
         assert buf.priorities().tolist() == [1.0, 2.5, 9.0]
+
+
+class _ChosenDraws:
+    """Stands in for a Generator: ``uniform`` returns the chosen draws and
+    records the bounds it was asked for."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=np.float64)
+        self.bounds = []
+
+    def uniform(self, low, high, size):
+        assert size == len(self.draws)
+        self.bounds.append((low, high))
+        return self.draws.copy()
+
+
+class TestSamplingRule:
+    """Slot i takes the draws in [prefix_i, prefix_i + mass_i)."""
+
+    @pytest.mark.parametrize(
+        "draws, slots",
+        [
+            ([0.0, 2.999, 3.0, 3.999, 4.0], [0, 0, 1, 1, 2]),  # a prefix sum goes to the next slot
+            ([8.0, 9.0, np.nextafter(14.0, 0.0)], [3, 4, 4]),  # just below the total: the last slot
+        ],
+    )
+    def test_prefix_boundaries(self, draws, slots):
+        # alpha 1: the masses are the priorities, with prefix sums 0, 3, 4, 8, 9 and total 14
+        buf = TestBuffer._filled([3.0, 1.0, 4.0, 1.0, 5.0], alpha=1.0)
+        rng = _ChosenDraws(draws)
+        indices, rows, weights = buf.sample(len(draws), beta=1.0, rng=rng)
+        assert rng.bounds == [(0.0, 14.0)]
+        assert indices.tolist() == slots
+        assert rows.action.tolist() == slots
+        mass = buf._mass[indices]
+        np.testing.assert_allclose(weights, mass.min() / mass, rtol=1e-15)  # beta 1: (N P(i))**-1
+
+    def test_total_is_the_pairwise_sum_and_overshoot_is_clamped(self):
+        # Added left to right the tiny masses round away and the total is 1;
+        # added pairwise, as a sum tree's root holds it, it is 1 + 2**-52.
+        # Every cumulative mass is then 1, so a draw in [1, total) lies past
+        # the last one and must fall to the last stored slot.
+        tiny = 2.0**-53
+        buf = TestBuffer._filled([1.0, tiny, tiny, tiny], alpha=1.0)
+        rng = _ChosenDraws([0.0, 1.0, np.nextafter(1.0 + 2.0**-52, 0.0)])
+        indices, _, _ = buf.sample(3, beta=0.5, rng=rng)
+        assert rng.bounds == [(0.0, 1.0 + 2.0**-52)]
+        assert indices.tolist() == [0, 3, 3]
 
 
 class TestBlockAdd:
