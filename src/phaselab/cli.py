@@ -11,7 +11,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .harness import (
-    TRANSFER_OPS,
     cmd_compare,
     cmd_eval,
     cmd_gen_flow,
@@ -49,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transfer", help="evaluate a checkpoint on a mirrored flow")
     _common_flags(p_tr)
     p_tr.add_argument("--checkpoint", required=True)
-    p_tr.add_argument("--op", required=True, choices=TRANSFER_OPS)
+    p_tr.add_argument("--op", required=True, help="a symmetry op of the table, e.g. flip or rot180")
     p_tr.add_argument("--retrain", action="store_true", help="also retrain on the mirrored flow")
 
     p_gen = sub.add_parser("gen-flow", help="synthesize a flow CSV from the config")

@@ -43,7 +43,6 @@ EVAL_SEED_OFFSET = 9973  # held-out evaluation flows live in their own seed stre
 # (actor_id * 1009 + episode) reaches it only at 99 actors or after more
 # than 1100 episodes of one actor.
 CALIBRATION_SEED_OFFSET = 99_991
-TRANSFER_OPS = ("flip", "rot90", "rot180", "rot270")
 METHODS = ("frap", "vanilla", "fixedtime", "formula", "sotl")
 GRID_MANIFEST = "grid.json"  # lists a grid's per-intersection checkpoints
 

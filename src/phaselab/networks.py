@@ -5,10 +5,10 @@ two-layer block turns each movement's (vehicle count, signal bit) pair into a
 demand vector; a phase's demand is the sum of its two members' demands. Then
 every ordered phase pair (p, q), q != p, is embedded twice: a demand volume D
 holding [d(p), d(q)] and a relation volume E holding a learned embedding of
-the pair relation (partial vs fully competing). Both volumes pass through
-stacks of 1x1 convolutions, are multiplied element-wise, and a final 1x1
-convolution produces one competition score per pair; Q(p) is the sum of p's
-scores over all opponents.
+the pair relation (partial vs fully competing). Each volume passes through
+one 1x1 convolution with a ReLU, the two are multiplied element-wise, and a
+final linear 1x1 convolution produces one competition score per pair; Q(p)
+is the sum of p's scores over all opponents.
 
 Because every layer is shared across movements and phase pairs, relabelling
 the intersection by any symmetry op permutes the Q-vector by the induced
@@ -42,9 +42,7 @@ class FrapConfig:
     movement_hidden: int = 4  # width of each movement feature branch
     demand_dim: int = 16  # movement/phase demand vector length
     relation_dim: int = 4  # relation embedding length
-    conv_channels: int = 20
-    conv_layers: int = 1
-    output_relu: bool = False  # clip pair scores at zero before summing
+    conv_channels: int = 20  # width of each branch's pair convolution
     norm_capacity: float = 40.0  # vehicle counts are divided by this
 
 
@@ -67,12 +65,17 @@ def _as_batch(counts: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _rows_at(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w over the rows of a 2-d array. numpy sends a one-row product to
-    gemv, which rounds differently from gemm, so a single row goes through
-    gemm as the first of two: a state's Q-values then do not depend on how
-    many states share its batch."""
-    if x.shape[0] == 1:
-        return (np.concatenate([x, x]) @ w)[:1]
+    """x @ w over the rows of a 2-d array, padded with zero rows to a multiple
+    of 4. numpy sends a one-row product to gemv, which rounds differently
+    from gemm, and OpenBLAS's gemm rounds the rows of a product with fewer
+    than 4 rows, and its last M % 4 rows, apart from the others at some
+    output widths (1, 2, 3 and 10 among them). Padded, a state's Q-values do
+    not depend on how many states share its batch."""
+    n = x.shape[0]
+    if n % 4:
+        padded = np.zeros((n - n % 4 + 4, x.shape[1]))
+        padded[:n] = x
+        return (padded @ w)[:n]
     return x @ w
 
 
@@ -135,7 +138,7 @@ class FrapNetwork:
     The kernel keeps rows movement- or cell-major, with the batch inside, so
     gathers and scatters move whole contiguous [B, C] blocks:
 
-    - Split projection. The first pair convolution acts on [d(p), d(q)], so
+    - Split projection. The pair convolution acts on [d(p), d(q)], so
       it is A(p) + Bq(q) with A = d W0[:D] + b and Bq = d W0[D:], computed per
       phase and added over the opponent slots: no [.., 2D] pair volume, and
       the gemm runs over B*P rows, not B*P*(P-1).
@@ -188,7 +191,7 @@ class FrapNetwork:
         def dense(fan_in: int, fan_out: int) -> np.ndarray:
             return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
 
-        params: dict[str, np.ndarray] = {
+        return {
             "w_v": dense(1, cfg.movement_hidden),
             "b_v": np.zeros(cfg.movement_hidden),
             "w_s": dense(1, cfg.movement_hidden),
@@ -196,17 +199,13 @@ class FrapNetwork:
             "w_h": dense(2 * cfg.movement_hidden, cfg.demand_dim),
             "b_h": np.zeros(cfg.demand_dim),
             "rel_emb": rng.normal(0.0, 1.0, size=(2, cfg.relation_dim)),
+            "w_d0": dense(2 * cfg.demand_dim, cfg.conv_channels),
+            "b_d0": np.zeros(cfg.conv_channels),
+            "w_r0": dense(cfg.relation_dim, cfg.conv_channels),
+            "b_r0": np.zeros(cfg.conv_channels),
+            "w_out": dense(cfg.conv_channels, 1),
+            "b_out": np.zeros(1),
         }
-        d_in, r_in = 2 * cfg.demand_dim, cfg.relation_dim
-        for k in range(cfg.conv_layers):
-            params[f"w_d{k}"] = dense(d_in, cfg.conv_channels)
-            params[f"b_d{k}"] = np.zeros(cfg.conv_channels)
-            params[f"w_r{k}"] = dense(r_in, cfg.conv_channels)
-            params[f"b_r{k}"] = np.zeros(cfg.conv_channels)
-            d_in = r_in = cfg.conv_channels
-        params["w_out"] = dense(cfg.conv_channels, 1)
-        params["b_out"] = np.zeros(1)
-        return params
 
     def _demand(self, p: dict[str, np.ndarray], xv: np.ndarray, xs: np.ndarray):
         """(h, d) of movement rows with scaled counts xv [N, 1] and signal bits
@@ -227,12 +226,10 @@ class FrapNetwork:
         return (xv, xs, *self._demand(p, xv, xs))
 
     def _relation_rows(self, p: dict[str, np.ndarray]):
-        """(hr, w_rel): the relation branch's activations, one row per
-        relation kind, and w_rel [2, C], its last layer times ``w_out``."""
-        hr = [p["rel_emb"]]
-        for k in range(self.config.conv_layers):
-            hr.append(_relu_rows(hr[-1], p[f"w_r{k}"], p[f"b_r{k}"]))
-        return hr, hr[-1] * p["w_out"][:, 0]
+        """(hr, w_rel): the relation branch's activations [2, C], one row per
+        relation kind, and w_rel [2, C], those times ``w_out``."""
+        hr = _relu_rows(p["rel_emb"], p["w_r0"], p["b_r0"])
+        return hr, hr * p["w_out"][:, 0]
 
     def movement_demand(self, params: Params, counts, bits) -> np.ndarray:
         """Per-movement demand vectors, shape [B, M, demand_dim]."""
@@ -246,31 +243,17 @@ class FrapNetwork:
 
     def _layer0(self, p: dict[str, np.ndarray], dp: np.ndarray):
         """(A, Bq) [P*B, C] of phase demands dp [P*B, D], rows phase-major:
-        the first pair convolution is pre(p, q) = A(p) + Bq(q)."""
+        the pair convolution is pre(p, q) = A(p) + Bq(q)."""
         w0 = p["w_d0"]
         n_dem = self.config.demand_dim
         a = dp @ w0[:n_dem]
         a += p["b_d0"]
         return a, dp @ w0[n_dem:]
 
-    def _conv_stack(self, p: dict[str, np.ndarray], h0: np.ndarray, n_blocks: int):
-        """[h0, h1, ..]: layer 0's cell activations h0 [n_blocks*(P-1)*B, C]
-        and those of every later pair convolution. They take one gemm per
-        block of (P-1)B rows: OpenBLAS rounds a product over all P(P-1)B rows
-        differently once B reaches a few dozen, and a state's Q would then
-        depend on the batch size."""
-        hd = [h0]
-        for k in range(1, self.config.conv_layers):
-            blocks = np.split(hd[-1], n_blocks)
-            hd.append(np.concatenate([_relu_rows(x, p[f"w_d{k}"], p[f"b_d{k}"]) for x in blocks]))
-        return hd
-
     def _opponent_sum(self, scores: np.ndarray) -> np.ndarray:
-        """Q from pair scores [..., P-1]: the scores the output ReLU keeps,
-        summed over the last axis in ascending order."""
-        kept = np.maximum(scores, 0.0) if self.config.output_relu else scores
+        """Q from pair scores [..., P-1], summed over the last axis in ascending order."""
         # np.add.reduce is the reduction .sum runs, without its Python wrapper.
-        return np.add.reduce(np.sort(kept, axis=-1), axis=-1)
+        return np.add.reduce(np.sort(scores, axis=-1), axis=-1)
 
     def _pair_stage(self, p: dict[str, np.ndarray], dp: np.ndarray, batch: int, w_rel: np.ndarray):
         """Q [B, P] from phase demands dp [P*B, D] (rows phase-major) and
@@ -281,33 +264,32 @@ class FrapNetwork:
         cells = bq.reshape(n_ph, -1).take(self._opponents_flat, axis=0)
         cells = cells.reshape(n_ph, -1, batch * n_ch)
         cells += a.reshape(n_ph, 1, batch * n_ch)
-        hd = self._conv_stack(p, np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch), n_ph)
+        hd = np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)
         # Score every cell against both relation kinds (one gemm, so a row's
         # score does not depend on the batch size), then keep its own kind.
         # w_rel.T stays a transposed view: a contiguous copy takes another
         # BLAS path and changes the rounding.
-        by_kind = (hd[-1] @ w_rel.T).reshape(self._cells.size, batch, 2)
+        by_kind = (hd @ w_rel.T).reshape(self._cells.size, batch, 2)
         scores = by_kind[self._cells, :, self._relation_flat].reshape(n_ph, -1, batch)
         scores += p["b_out"][0]
         return self._opponent_sum(scores.transpose(0, 2, 1)).T
 
     def _taken_stage(self, p: dict[str, np.ndarray], dp: np.ndarray, actions: np.ndarray, w_rel):
-        """(q, hd, scores): Q [B] at ``actions`` from phase demands dp
-        [P*B, D], the activations [(P-1)*B, C] of every conv layer on the P-1
-        cells of each row's own action (rows opponent-major) and their pair
-        scores [P-1, B] before any output ReLU. Every value is bitwise the
-        one ``_pair_stage`` computes for that cell."""
+        """(q, hd): Q [B] at ``actions`` from phase demands dp [P*B, D] and
+        the pair convolution's activations [(P-1)*B, C] on the P-1 cells of
+        each row's own action (rows opponent-major). Every value is bitwise
+        the one ``_pair_stage`` computes for that cell."""
         n_ph, n_ch = self.table.n_phases, self.config.conv_channels
         batch = len(actions)
         rows = np.arange(batch)
         a, bq = self._layer0(p, dp)
         cells = bq.reshape(n_ph, batch, n_ch)[self.opponents[actions].T, rows]  # [P-1, B, C]
         cells += a.reshape(n_ph, batch, n_ch)[actions, rows]
-        hd = self._conv_stack(p, np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch), 1)
-        by_kind = (hd[-1] @ w_rel.T).reshape(n_ph - 1, batch, 2)
+        hd = np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)
+        by_kind = (hd @ w_rel.T).reshape(n_ph - 1, batch, 2)
         scores = by_kind[np.arange(n_ph - 1)[:, None], rows, self.pair_relation[actions].T]
         scores += p["b_out"][0]
-        return self._opponent_sum(scores.T), hd, scores
+        return self._opponent_sum(scores.T), hd
 
     def forward(
         self, params: Params, counts, bits, actions=None, vjp: bool = False
@@ -332,7 +314,7 @@ class FrapNetwork:
                 raise ValueError("the VJP is of the taken Q-values: pass actions")
             return self._pair_stage(p, dp, batch, w_rel)
         actions = _taken(actions, batch, n_ph)
-        q, hd, scores = self._taken_stage(p, dp, actions, w_rel)
+        q, hd = self._taken_stage(p, dp, actions, w_rel)
         if not vjp:
             return q
 
@@ -343,41 +325,33 @@ class FrapNetwork:
 
         def grads_of(gq: np.ndarray) -> Params:
             g: Params = {}
-            gs = gq * (scores > 0.0) if cfg.output_relu else np.broadcast_to(gq, scores.shape)
             # The sums over cells and rows run over the dense [P, P-1, B]
             # layout, zeros where a row did not take the phase: a sum over the
             # taken cells alone rounds differently.
             gs_cells = np.zeros((n_ph, n_opp, batch))
-            gs_cells[actions, :, rows] = gs.T
+            gs_cells[actions, :, rows] = gq[:, None]
             gs_cells = gs_cells.reshape(-1, batch)
             g["b_out"] = np.array([gs_cells.sum()])
-            # Last conv: per cell, sum_b gs * h; then by relation kind.
+            # Pair convolution: per cell, sum_b gq * h; then by relation kind.
             cell_of = actions * n_opp + np.arange(n_opp)[:, None]  # [P-1, B]
             size = n_ph * n_opp * batch * n_ch
             if self._scratch.size < size:
                 self._scratch = np.zeros(size)
             h3 = self._scratch[:size].reshape(-1, batch, n_ch)
-            h3[cell_of, rows] = hd[-1].reshape(n_opp, batch, n_ch)
+            h3[cell_of, rows] = hd.reshape(n_opp, batch, n_ch)
             try:
                 gh_cells = np.matmul(gs_cells[:, None, :], h3).reshape(-1, n_ch)
             finally:  # the buffer is all zeros between calls
                 h3[cell_of, rows] = 0.0
             g_rel = _selector(self.pair_relation, 2).T @ gh_cells  # [2, C]
-            g["w_out"] = (g_rel * hr[-1]).sum(axis=0)[:, None]
-            g_r = g_rel * p["w_out"][:, 0]
-            for k in reversed(range(cfg.conv_layers)):
-                g_r, g[f"w_r{k}"], g[f"b_r{k}"] = _relu_grads(g_r, hr[k], hr[k + 1], p[f"w_r{k}"])
-            g["rel_emb"] = g_r
+            g["w_out"] = (g_rel * hr).sum(axis=0)[:, None]
+            g["rel_emb"], g["w_r0"], g["b_r0"] = _relu_grads(
+                g_rel * p["w_out"][:, 0], p["rel_emb"], hr, p["w_r0"]
+            )
 
-            # The taken cells, rows (j, b).
-            g_h = (gs[:, :, None] * w_rel[relation]).reshape(-1, n_ch)
-            for k in reversed(range(1, cfg.conv_layers)):
-                g_out = g_h * (hd[k] > 0.0)
-                g_h = g_out @ p[f"w_d{k}"].T
-                g[f"w_d{k}"], g[f"b_d{k}"] = self._phase_block_sums(hd[k - 1], g_out, actions)
-            g_h *= hd[0] > 0.0
-            # Layer 0: A(p) collects p's cells, Bq(q) every cell q opposes.
-            g_h = g_h.reshape(n_opp, batch, n_ch)
+            # The taken cells [P-1, B, C]. A(p) collects p's cells, Bq(q)
+            # every cell q opposes.
+            g_h = gq[:, None] * w_rel[relation] * (hd > 0.0).reshape(n_opp, batch, n_ch)
             g_a = np.zeros((n_ph, batch, n_ch))
             g_a[actions, rows] = g_h.sum(axis=0)
             g_bq = np.zeros((n_ph, batch, n_ch))
@@ -398,23 +372,6 @@ class FrapNetwork:
             return g
 
         return q, grads_of
-
-    def _phase_block_sums(self, x: np.ndarray, g: np.ndarray, actions: np.ndarray):
-        """(g_w, g_b) of a deeper pair convolution from its taken-cell inputs
-        x and output gradients g [(P-1)*B, .]: x.T @ g and g summed over rows,
-        one phase's block of (P-1)B rows at a time, zeros where a row took
-        another phase. Those are the sums the full layout rounds."""
-        n_opp, batch = self.table.n_phases - 1, len(actions)
-        x3, g3 = x.reshape(n_opp, batch, -1), g.reshape(n_opp, batch, -1)
-        g_w = np.zeros((x.shape[1], g.shape[1]))
-        g_b = np.zeros(g.shape[1])
-        for ph in range(self.table.n_phases):
-            took = (actions == ph)[:, None]
-            if took.any():
-                g_block = (g3 * took).reshape(-1, g.shape[1])
-                g_w += (x3 * took).reshape(-1, x.shape[1]).T @ g_block
-                g_b += g_block.sum(axis=0)
-        return g_w, g_b
 
     def prepare(self, params: Params) -> Prepared:
         """Single-state constants of ``params``: the relation weights and an
@@ -556,13 +513,26 @@ def save_checkpoint(path: str | Path, kind: str, network, params: Params) -> Pat
     return path
 
 
+# Keys older FRAP sidecars carry, with the only values the network has: one
+# pair convolution per branch and a linear pair score.
+_FIXED_FRAP_KEYS = {"conv_layers": 1, "output_relu": False}
+
+
 def load_checkpoint(path: str | Path, table: PhaseTable):
     """Load (kind, network, params); raises ValueError on a table mismatch,
     on a sidecar config value of the wrong type (the checks of a JSON config)
-    or on arrays whose names or shapes the described network does not have."""
+    or on arrays whose names or shapes the described network does not have.
+    A FRAP sidecar may still hold ``conv_layers`` 1 and ``output_relu``
+    false, which are dropped; any other value of either raises."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".meta.json").read_text())
     kind = meta["kind"]
+    config = meta["config"]
+    if kind == "frap" and isinstance(config, dict):
+        for key, fixed in _FIXED_FRAP_KEYS.items():
+            value = config.pop(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ValueError(f"config.{key} must be {json.dumps(fixed)}, got {value!r}")
     if meta["n_movements"] != table.n_movements or meta["n_phases"] != table.n_phases:
         raise ValueError(
             f"checkpoint was trained for {meta['n_movements']} movements / "
@@ -571,7 +541,7 @@ def load_checkpoint(path: str | Path, table: PhaseTable):
     configs = {"frap": FrapConfig, "vanilla": VanillaConfig}
     if kind not in configs:
         raise ValueError(f"unknown checkpoint kind {kind!r}")
-    network = build_network(kind, table, nm.dataclass_from(configs[kind], meta["config"], "config"))
+    network = build_network(kind, table, nm.dataclass_from(configs[kind], config, "config"))
     arrays = nm.load_arrays(path)
     expected = {k: a.shape for k, a in network.init_params(0).items()}
     for name in sorted(expected.keys() | arrays.keys()):

@@ -262,9 +262,12 @@ def _stack(states: Sequence[Sequence[TrafficState]], k: int) -> tuple[np.ndarray
 
 
 # States per forward in a decision round. Row i of a forward is bitwise the
-# single-state Q of state i only up to some batch size, which depends on the
-# BLAS kernels (FRAP rows diverge at B = 512 on OpenBLAS 0.3.31);
-# test_batched_row_is_the_single_state_q pins B <= 64.
+# single-state Q of state i only up to some batch size, and only because the
+# networks pad each product's rows to a multiple of 4 (``networks._rows_at``).
+# Both limits depend on the BLAS kernels and the layer shapes: on OpenBLAS
+# 0.3.31, FRAP rows diverge at B = 512, and unpadded products of output width
+# 1, 2, 3 or 10 round their last M % 4 rows apart from the others.
+# test_batched_row_is_the_single_state_q pins B <= 64 on every table.
 ROUND_BLOCK = 64
 
 

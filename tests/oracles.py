@@ -66,13 +66,10 @@ def frap_reference(counts, bits, table, params, config) -> np.ndarray:
             if opp == p:
                 continue
             hd = np.concatenate([phase_demand[p], phase_demand[opp]])
+            hd = _relu(hd @ p_np["w_d0"] + p_np["b_d0"])
             hr = p_np["rel_emb"][int(table.relation[p, opp])]
-            for k in range(config.conv_layers):
-                hd = _relu(hd @ p_np[f"w_d{k}"] + p_np[f"b_d{k}"])
-                hr = _relu(hr @ p_np[f"w_r{k}"] + p_np[f"b_r{k}"])
+            hr = _relu(hr @ p_np["w_r0"] + p_np["b_r0"])
             score = (hd * hr) @ p_np["w_out"] + p_np["b_out"]
-            if config.output_relu:
-                score = _relu(score)
             total += score[0]
         q[p] = total
     return q
@@ -89,7 +86,8 @@ def vanilla_reference(counts, bits, table, params, config) -> np.ndarray:
 
 
 def _rows_at(x, w):
-    return (np.concatenate([x, x]) @ w)[:1] if x.shape[0] == 1 else x @ w
+    pad = -x.shape[0] % 4
+    return (np.concatenate([x, np.zeros((pad, x.shape[1]))]) @ w)[: x.shape[0]] if pad else x @ w
 
 
 def _relu_rows(x, w, b):
@@ -132,10 +130,8 @@ def frap_dense_vjp(net, params, counts, bits):
     d = _relu_rows(h, p["w_h"], p["b_h"])
     d3 = d.reshape(-1, batch, n_dem)
     dp = (d3[members[:, 0]] + d3[members[:, 1]]).reshape(-1, n_dem)
-    hr = [p["rel_emb"]]
-    for k in range(cfg.conv_layers):
-        hr.append(_relu_rows(hr[-1], p[f"w_r{k}"], p[f"b_r{k}"]))
-    w_rel = hr[-1] * p["w_out"][:, 0]
+    hr = _relu_rows(p["rel_emb"], p["w_r0"], p["b_r0"])
+    w_rel = hr * p["w_out"][:, 0]
 
     w0 = p["w_d0"]
     a = dp @ w0[:n_dem]
@@ -143,46 +139,31 @@ def frap_dense_vjp(net, params, counts, bits):
     bq = (dp @ w0[n_dem:]).reshape(n_ph, batch * n_ch)
     cells = bq.take(opponents.ravel(), axis=0).reshape(n_ph, -1, batch * n_ch)
     cells += a.reshape(n_ph, 1, batch * n_ch)
-    hd = [np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)]
-    for k in range(1, cfg.conv_layers):
-        blocks = np.split(hd[-1], n_ph)
-        hd.append(np.concatenate([_relu_rows(x, p[f"w_d{k}"], p[f"b_d{k}"]) for x in blocks]))
-    by_kind = (hd[-1] @ w_rel.T).reshape(n_cells, batch, 2)
+    hd = np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)
+    by_kind = (hd @ w_rel.T).reshape(n_cells, batch, 2)
     scores = by_kind[np.arange(n_cells), :, relation.ravel()].reshape(n_ph, -1, batch)
     scores += p["b_out"][0]
-    kept = np.maximum(scores, 0.0) if cfg.output_relu else scores
-    q = np.add.reduce(np.sort(kept.transpose(0, 2, 1), axis=2), axis=2).T
+    q = np.add.reduce(np.sort(scores.transpose(0, 2, 1), axis=2), axis=2).T
 
     def grads_of(gq):
         g = {}
-        gs = np.broadcast_to(gq.T[:, None, :], scores.shape)
-        if cfg.output_relu:
-            gs = gs * (scores > 0.0)
-        gs = gs.reshape(n_cells, batch)
+        gs = np.broadcast_to(gq.T[:, None, :], scores.shape).reshape(n_cells, batch)
         g["b_out"] = np.array([gs.sum()])
-        h3 = hd[-1].reshape(n_cells, batch, n_ch)
+        h3 = hd.reshape(n_cells, batch, n_ch)
         gh_cells = np.matmul(gs[:, None, :], h3).reshape(n_cells, n_ch)
         g_rel = _selector(relation, 2).T @ gh_cells
-        g["w_out"] = (g_rel * hr[-1]).sum(axis=0)[:, None]
-        g_r = g_rel * p["w_out"][:, 0]
-        for k in reversed(range(cfg.conv_layers)):
-            g_r, g[f"w_r{k}"], g[f"b_r{k}"] = _relu_grads(g_r, hr[k], hr[k + 1], p[f"w_r{k}"])
-        g["rel_emb"] = g_r
+        g["w_out"] = (g_rel * hr).sum(axis=0)[:, None]
+        g["rel_emb"], g["w_r0"], g["b_r0"] = _relu_grads(
+            g_rel * p["w_out"][:, 0], p["rel_emb"], hr, p["w_r0"]
+        )
         n_opp = n_cells // n_ph
-        for k in range(1, cfg.conv_layers):
-            g[f"w_d{k}"] = np.zeros_like(p[f"w_d{k}"])
-            g[f"b_d{k}"] = np.zeros_like(p[f"b_d{k}"])
         g_a = np.empty((n_ph, batch * n_ch))
         g_bq = np.zeros((n_ph, batch * n_ch))
         for ph in range(n_ph):
             own = slice(ph * n_opp, (ph + 1) * n_opp)
             rows = slice(own.start * batch, own.stop * batch)
             g_h = np.einsum("kb,kc->kbc", gs[own], w_rel[relation[ph]]).reshape(-1, n_ch)
-            for k in reversed(range(1, cfg.conv_layers)):
-                g_h, g_w, g_b = _relu_grads(g_h, hd[k - 1][rows], hd[k][rows], p[f"w_d{k}"])
-                g[f"w_d{k}"] += g_w
-                g[f"b_d{k}"] += g_b
-            g_h *= hd[0][rows] > 0.0
+            g_h *= hd[rows] > 0.0
             g_cells = g_h.reshape(n_opp, batch * n_ch)
             g_a[ph] = g_cells.sum(axis=0)
             g_bq[opponents[ph]] += g_cells

@@ -17,6 +17,7 @@ from phaselab.harness import (
     config_from_dict,
     load_config,
 )
+from phaselab.networks import build_network, save_checkpoint
 from phaselab.topology import find_op
 
 
@@ -70,12 +71,16 @@ class TestConfig:
             config_from_dict({"bogus": 1})
         with pytest.raises(ValueError, match="unknown"):
             config_from_dict({"train": {"bogus": 1}})
+        # A config.json echoed before FRAP lost these two options holds them.
+        for key, value in (("conv_layers", 1), ("output_relu", False)):
+            with pytest.raises(ValueError, match="unknown FrapConfig keys"):
+                config_from_dict({"frap": {key: value}})
 
     @pytest.mark.parametrize(
         "data, name",
         [
             ({"train": {"double_dqn": "false"}}, "train.double_dqn"),
-            ({"frap": {"output_relu": "false"}}, "frap.output_relu"),
+            ({"frap": {"conv_channels": 20.0}}, "frap.conv_channels"),
             ({"train": {"sync": 1}}, "train.sync"),
             ({"train": {"batch_size": True}}, "train.batch_size"),
             ({"train": {"batch_size": 64.0}}, "train.batch_size"),
@@ -387,6 +392,22 @@ class TestCli:
         assert cli_main(["gen-flow", "--config", str(config_path), "--flow-out", str(tmp_path / "f.csv")]) == 0
         out = capsys.readouterr().out
         assert "checkpoint:" in out
+
+    def test_transfer_takes_every_op_of_the_table(self, tmp_path, capsys):
+        # Each table has its own symmetry ops: 3 approaches rotate by 120 degrees.
+        cfg = tiny_config(
+            tmp_path, approaches=3, flow={"rates": [240.0] * 6}, out_dir=str(tmp_path / "t")
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        net = build_network("frap", cfg.build_table(), harness.network_config(cfg, "frap"))
+        ckpt = str(save_checkpoint(tmp_path / "ckpt.bin", "frap", net, net.init_params(0)))
+        argv = ["transfer", "--config", str(config_path), "--checkpoint", ckpt, "--op"]
+        assert cli_main([*argv, "rot120"]) == 0
+        assert (tmp_path / "t" / "transfer.csv").exists()
+        capsys.readouterr()
+        assert cli_main([*argv, "rot90"]) == 1
+        assert "valid: ['identity', 'rot120'" in capsys.readouterr().err
 
     def test_cli_error_exit_codes(self, tmp_path):
         bad = tmp_path / "bad.json"

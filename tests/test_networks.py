@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,10 @@ from oracles import (
     vanilla_dense_vjp,
     vanilla_reference,
 )
+
+
+# A default FRAP checkpoint of init_params(5): .bin, .json and .meta.json.
+CHECKPOINT_FIXTURE = Path(__file__).parent / "data" / "frap_init5.bin"
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +167,8 @@ class TestQForward:
         q = frap4.forward(params, np.full(8, 9.0), np.zeros(8))[0]
         assert np.allclose(q, q[0], atol=1e-9)
 
-    @pytest.mark.parametrize("output_relu", [False, True])
-    def test_matches_duplicate_implementation(self, table4, output_relu):
-        cfg = FrapConfig(output_relu=output_relu)
+    def test_matches_duplicate_implementation(self, table4):
+        cfg = FrapConfig()
         net = FrapNetwork(table4, cfg)
         rng = np.random.default_rng(13)
         for trial in range(10):
@@ -211,14 +215,6 @@ class TestQForward:
     def test_full_graph_gradient_finite_differences(self, table4):
         _check_full_graph_gradient(FrapNetwork(table4, FrapConfig()), table4, seed=29)
 
-    def test_full_graph_gradient_output_relu(self, table4):
-        net = FrapNetwork(table4, FrapConfig(output_relu=True))
-        _check_full_graph_gradient(net, table4, seed=30, trials=2)
-
-    def test_full_graph_gradient_two_conv_layers(self, table4):
-        net = FrapNetwork(table4, FrapConfig(conv_layers=2))
-        _check_full_graph_gradient(net, table4, seed=31, trials=2)
-
     def test_three_approach_table_works_unpadded(self):
         table3 = pl.build_phase_table(3)
         net = FrapNetwork(table3, FrapConfig())
@@ -228,28 +224,40 @@ class TestQForward:
         assert np.all(np.isfinite(q))
 
 
+# Every table the lab builds: the default 8 phases, the 4-phase set, and 3 and
+# 5 approaches. Vanilla's 3 outputs on 3 approaches and its widths 10 and 3
+# are output widths at which OpenBLAS rounds the last M % 4 rows of a
+# product apart from the others.
+_T4 = pl.build_phase_table(4)
+_T4_PHASE = _T4.restrict(_T4.opposite_pair_phases())
+_T3, _T5 = pl.build_phase_table(3), pl.build_phase_table(5)
 EVERY_KERNEL = pytest.mark.parametrize(
-    "kind, config",
+    "kind, config, table",
     [
-        ("frap", FrapConfig()),
-        ("frap", FrapConfig(output_relu=True)),
-        ("frap", FrapConfig(conv_layers=2)),
-        ("vanilla", VanillaConfig()),
+        pytest.param("frap", FrapConfig(), _T4, id="frap"),
+        pytest.param("vanilla", VanillaConfig(), _T4, id="vanilla"),
+        pytest.param("frap", FrapConfig(), _T4_PHASE, id="frap-4-phase"),
+        pytest.param("vanilla", VanillaConfig(), _T4_PHASE, id="vanilla-4-phase"),
+        pytest.param("frap", FrapConfig(), _T3, id="frap-3-approach"),
+        pytest.param("vanilla", VanillaConfig(), _T3, id="vanilla-3-approach"),
+        pytest.param("frap", FrapConfig(), _T5, id="frap-5-approach"),
+        pytest.param("vanilla", VanillaConfig(), _T5, id="vanilla-5-approach"),
+        pytest.param("vanilla", VanillaConfig(hidden=(10,)), _T4, id="vanilla-hidden-10"),
+        pytest.param("vanilla", VanillaConfig(hidden=(3, 3)), _T4, id="vanilla-hidden-3-3"),
     ],
-    ids=["frap", "frap-output-relu", "frap-two-conv-layers", "vanilla"],
 )
 
 
 @EVERY_KERNEL
-@pytest.mark.parametrize("batch", [1, 4, 64])
-def test_batched_row_is_the_single_state_q(table4, kind, config, batch):
+@pytest.mark.parametrize("batch", [1, 2, 4, 7, 33, 64])
+def test_batched_row_is_the_single_state_q(kind, config, table, batch):
     # Lockstep acting scores N actors' states in one forward; it matches
     # actors deciding alone only if row i is bitwise q_values on state i.
-    net = build_network(kind, table4, config)
+    net = build_network(kind, table, config)
     rng = np.random.default_rng(batch)
     for seed in range(3):
         params = net.init_params(seed)
-        states = [random_state(table4, rng) for _ in range(batch)]
+        states = [random_state(table, rng) for _ in range(batch)]
         q = net.forward(
             params,
             np.stack([s.counts for s in states]),
@@ -276,11 +284,11 @@ def test_every_batch_size_keeps_the_single_state_rows(table4, frap4):
 
 
 @EVERY_KERNEL
-def test_taken_q_and_vjp_are_the_dense_kernels(table4, kind, config):
+def test_taken_q_and_vjp_are_the_dense_kernels(kind, config, table):
     # The taken-action mode must be the dense kernel read at the actions:
     # its Q the dense Q's entries and its VJP the dense VJP of the one-hot
     # gradient, bitwise, at every batch size a learner or a round uses.
-    net = build_network(kind, table4, config)
+    net = build_network(kind, table, config)
     dense_vjp = frap_dense_vjp if kind == "frap" else vanilla_dense_vjp
     rng = np.random.default_rng(19)
     for seed in range(2):
@@ -288,7 +296,7 @@ def test_taken_q_and_vjp_are_the_dense_kernels(table4, kind, config):
             k: v + rng.normal(0.0, 0.3, size=v.shape) for k, v in net.init_params(seed).items()
         }
         for batch in range(1, 65):
-            counts, bits = _random_batch(table4, rng, batch)
+            counts, bits = _random_batch(table, rng, batch)
             actions = rng.integers(0, net.n_actions, size=batch)
             q_dense, vjp_dense = dense_vjp(net, params, counts, bits)
             assert np.array_equal(q_dense, net.forward(params, counts, bits))
@@ -321,19 +329,20 @@ def test_taken_mode_checks_its_actions(table4, kind):
 
 
 @EVERY_KERNEL
-def test_prepared_q_is_the_forward_row(table4, kind, config):
+def test_prepared_q_is_the_forward_row(kind, config, table):
     # Greedy policies score one state at a time from one prepared object per
     # parameter set. Rising counts, up to three times the norm capacity,
     # make FRAP's demand table grow many times under that one object.
-    net = build_network(kind, table4, config)
+    net = build_network(kind, table, config)
     top = 3 * int(config.norm_capacity)
     rng = np.random.default_rng(11)
+    n_mov = table.n_movements
     for seed in range(2):
         params = net.init_params(seed)
         prepared = net.prepare(params)
-        states = [random_state(table4, rng, max_count=int(c)) for c in np.linspace(0, top, 150)]
-        states.append(pl.TrafficState(np.full(8, top), np.zeros(8), 0))
-        states += [random_state(table4, rng) for _ in range(50)]
+        states = [random_state(table, rng, max_count=int(c)) for c in np.linspace(0, top, 150)]
+        states.append(pl.TrafficState(np.full(n_mov, top), np.zeros(n_mov), 0))
+        states += [random_state(table, rng) for _ in range(50)]
         for state in states:
             row = net.forward(params, state.counts, state.signal_bits)[0]
             assert np.array_equal(net.q_values(params, state, prepared), row)
@@ -394,7 +403,7 @@ class TestVanilla:
 
 class TestCheckpointSidecar:
     def test_roundtrip_and_mismatch(self, table4, tmp_path):
-        net = FrapNetwork(table4, FrapConfig(conv_layers=2))
+        net = FrapNetwork(table4, FrapConfig(conv_channels=12))
         params = net.init_params(0)
         path = save_checkpoint(tmp_path / "model.bin", "frap", net, params)
         kind, loaded_net, loaded = load_checkpoint(path, table4)
@@ -411,7 +420,7 @@ class TestCheckpointSidecar:
 
     def test_arrays_must_match_the_described_network(self, table4, tmp_path):
         small = FrapNetwork(table4, FrapConfig(demand_dim=8, conv_channels=8))
-        large = FrapNetwork(table4, FrapConfig(conv_layers=2))
+        large = FrapNetwork(table4, FrapConfig(conv_channels=32))
         # .meta.json describes the large network; the arrays are the small one's
         path = save_checkpoint(tmp_path / "model.bin", "frap", large, small.init_params(0))
         with pytest.raises(ValueError, match="'b_d0' has shape"):
@@ -421,12 +430,10 @@ class TestCheckpointSidecar:
         with pytest.raises(ValueError, match="stray"):
             load_checkpoint(path, table4)
 
-    @pytest.mark.parametrize(
-        "key, value", [("output_relu", "false"), ("conv_layers", 1.0), ("hidden", [32, "32"])]
-    )
+    @pytest.mark.parametrize("key, value", [("conv_layers", 1.0), ("hidden", [32, "32"])])
     def test_sidecar_config_takes_the_config_type_checks(self, table4, tmp_path, key, value):
-        # A sidecar written from a config holding "false" for output_relu
-        # used to load with output_relu == "false", which is truthy.
+        # A sidecar written from a config holding "false" for a bool field
+        # used to load with that field == "false", which is truthy.
         kind = "vanilla" if key == "hidden" else "frap"
         net = build_network(kind, table4)
         path = save_checkpoint(tmp_path / "model.bin", kind, net, net.init_params(0))
@@ -436,6 +443,34 @@ class TestCheckpointSidecar:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=f"config.{key} must be"):
             load_checkpoint(path, table4)
+
+    def test_checked_in_checkpoint_loads(self, table4):
+        # Pins the checkpoint format: any change to the sidecar or the array
+        # layout fails here rather than in a user's eval. The files were
+        # written by a save_checkpoint whose FRAP still had the conv_layers
+        # and output_relu options, so the sidecar holds both.
+        kind, net, arrays = load_checkpoint(CHECKPOINT_FIXTURE, table4)
+        assert kind == "frap"
+        assert net.config == FrapConfig()
+        fresh = net.init_params(5)
+        assert arrays.keys() == fresh.keys()
+        for name, array in fresh.items():
+            assert arrays[name].dtype == array.dtype and arrays[name].shape == array.shape
+            assert arrays[name].tobytes() == array.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("conv_layers", 2), ("conv_layers", True), ("output_relu", True), ("output_relu", "false")],
+    )
+    def test_old_sidecar_keys_take_only_the_fixed_graph(self, table4, tmp_path, key, value):
+        for suffix in (".bin", ".json", ".meta.json"):
+            shutil.copy(CHECKPOINT_FIXTURE.with_suffix(suffix), tmp_path / f"model{suffix}")
+        meta_path = tmp_path / "model.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"][key] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"config.{key} must be"):
+            load_checkpoint(tmp_path / "model.bin", table4)
 
     def test_vanilla_sidecar_roundtrip(self, table4, tmp_path):
         net = VanillaNetwork(table4, VanillaConfig(hidden=(16,)))

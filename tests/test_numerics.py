@@ -125,9 +125,9 @@ class TestForwardSemantics:
         assert np.abs(q - expected).max() < 1e-10 * np.abs(expected).max()
 
     def test_conv1x1_equals_per_cell_affine_loop(self, table4):
-        # Two stacked pair convolutions over a batch against the per-pair-cell
-        # loop of affine maps in frap_reference, one state at a time.
-        cfg = FrapConfig(conv_layers=2)
+        # The pair convolution over a batch against the per-pair-cell loop of
+        # affine maps in frap_reference, one state at a time.
+        cfg = FrapConfig()
         net = FrapNetwork(table4, cfg)
         rng = np.random.default_rng(2)
         params = {
