@@ -17,7 +17,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -79,18 +78,29 @@ class IntervalRecord(NamedTuple):
     counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+class IntervalColumns(NamedTuple):
+    """One intersection's per-interval series, one row per decision interval."""
+
+    t: np.ndarray  # float64 [I], clock at the end of each interval
+    phase: np.ndarray  # int64 [I]
+    reward: np.ndarray  # float64 [I]
+    counts: np.ndarray  # int64 [I, M], stop-line counts per movement
+
+
+@dataclass(frozen=True, eq=False)
 class EpisodeMetrics:
     """Travel-time summary plus the raw per-vehicle and per-interval series.
 
     ``avg_travel_time`` averages exit minus approach-entry over vehicles that
     exited; vehicles still in the network at episode end are only counted.
 
-    The series are kept as columns, in the flow's vehicle order, and as one
-    ``(t, phase, reward, counts)`` tuple per interval and intersection;
-    ``vehicles`` and ``intervals`` build the records from them on first
-    access, so a caller that reads only the summary never pays for them.
-    Equality compares the summary and every column.
+    The series are read-only numpy columns: per vehicle, in the flow's order,
+    the queue-join and exit times (float64, NaN for "not yet"), and per
+    intersection an ``IntervalColumns``. ``vehicle_ids`` and ``entry_times``
+    are the flow's own tuples. ``vehicles`` and ``intervals`` build records
+    of Python values from the columns on every read (None for NaN) and keep
+    none of them. Equality compares the summary and every column exactly,
+    NaN equal to NaN.
     """
 
     avg_travel_time: float
@@ -98,18 +108,71 @@ class EpisodeMetrics:
     in_network_count: int
     vehicle_ids: tuple[int, ...]
     entry_times: tuple[float, ...]
-    queue_join_times: tuple[float | None, ...]
-    exit_times: tuple[float | None, ...]
-    interval_rows: tuple[tuple[tuple[float, int, float, tuple[int, ...]], ...], ...]
+    queue_join_times: np.ndarray
+    exit_times: np.ndarray
+    interval_columns: tuple[IntervalColumns, ...]  # per intersection
 
-    @cached_property
+    @property
     def vehicles(self) -> tuple[VehicleRecord, ...]:
-        columns = (self.vehicle_ids, self.entry_times, self.queue_join_times, self.exit_times)
+        columns = (
+            self.vehicle_ids, self.entry_times,
+            _none_for_nan(self.queue_join_times), _none_for_nan(self.exit_times),
+        )
         return tuple(map(VehicleRecord, *columns))
 
-    @cached_property
+    @property
     def intervals(self) -> tuple[tuple[IntervalRecord, ...], ...]:  # per intersection
-        return tuple(tuple(map(IntervalRecord._make, rows)) for rows in self.interval_rows)
+        return tuple(
+            tuple(map(
+                IntervalRecord, c.t.tolist(), c.phase.tolist(), c.reward.tolist(),
+                map(tuple, c.counts.tolist()),
+            ))
+            for c in self.interval_columns
+        )
+
+    def _columns(self) -> list[np.ndarray]:
+        columns = [self.queue_join_times, self.exit_times]
+        for c in self.interval_columns:
+            columns.extend(c)
+        return columns
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EpisodeMetrics):
+            return NotImplemented
+        summary = (
+            self.avg_travel_time, self.exited_count, self.in_network_count,
+            self.vehicle_ids, self.entry_times, len(self.interval_columns),
+        )
+        return summary == (
+            other.avg_travel_time, other.exited_count, other.in_network_count,
+            other.vehicle_ids, other.entry_times, len(other.interval_columns),
+        ) and all(
+            np.array_equal(a, b, equal_nan=True)
+            for a, b in zip(self._columns(), other._columns())
+        )
+
+
+def _none_for_nan(column: np.ndarray) -> list[float | None]:
+    return [None if x != x else x for x in column.tolist()]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _by_intersection(log: list, dtype, n: int, k: int, *row: int) -> np.ndarray:
+    """A flat log kept per interval, then intersection, as a read-only
+    ``[k, n, *row]`` array whose rows are contiguous."""
+    array = np.array(log, dtype=dtype).reshape(n, k, *row).swapaxes(0, 1)
+    return _read_only(np.ascontiguousarray(array))
+
+
+# A vehicle's queue-join or exit time before it has one. The per-episode
+# lists are prefilled with this one object, so ``is _NOT_YET`` tests for it
+# as cheaply as ``is None``, and the lists become float64 columns (NaN for
+# "not yet") in one ``np.array`` call.
+_NOT_YET = float("nan")
 
 
 class GridSim:
@@ -121,6 +184,8 @@ class GridSim:
     one intersection to the next hold these ints, and its progress lives in
     per-episode lists (``_hop``, ``_queue_join``, ``_exit``) indexed the same
     way. Each (intersection, movement) has one line and one service credit.
+    Each step appends every intersection's phase, reward and counts to flat
+    logs that ``metrics`` turns into columns.
 
     Vehicles reach a stop line from two streams, both already in time order:
     flow entries, read with a pointer into ``_arrivals`` (the flow is sorted
@@ -154,6 +219,7 @@ class GridSim:
             bits.flags.writeable = False
         approach_time = config.approach_time
         self._arrivals = [float(t) + approach_time for t in flow.entry_times]
+        self._entries = np.array(flow.entry_times, dtype=np.float64)
         self.reset()
 
     def reset(self) -> list[TrafficState]:
@@ -165,12 +231,14 @@ class GridSim:
         self._credit = [[0.0] * m for _ in range(k)]
         n = len(self.flow)
         self._hop = [0] * n
-        self._queue_join: list[float | None] = [None] * n
-        self._exit: list[float | None] = [None] * n
+        self._queue_join = [_NOT_YET] * n
+        self._exit = [_NOT_YET] * n
         self._next_entry = 0  # first flow entry not yet at its stop line
         self._forwarded: deque[tuple[float, int]] = deque()  # (arrival, vehicle)
         self.exited_count = 0
-        self._intervals: list[list[tuple]] = [[] for _ in range(k)]  # IntervalRecord fields
+        self._phases: list[int] = []  # per interval, then intersection
+        self._rewards: list[float] = []  # the same order
+        self._counts: list[int] = []  # per interval, intersection, then movement
         return self.states()
 
     # -- micro dynamics --------------------------------------------------------
@@ -211,7 +279,7 @@ class GridSim:
         routes, route_lens = self.flow.routes, self.flow.route_lengths
         hop, queue_join, exit_time = self._hop, self._queue_join, self._exit
         next_entry, exited = self._next_entry, self.exited_count
-        on_microstep = self.on_microstep
+        on_microstep, not_yet = self.on_microstep, _NOT_YET
         for i in range(cfg.decision_interval):
             s = self.clock + i
             while True:  # the earlier of the two streams' heads; an entry on a tie
@@ -227,7 +295,7 @@ class GridSim:
                     break
                 k, m = routes[v][hop[v]]
                 line = lines[k][m]
-                if len(line) < cap and queue_join[v] is None:
+                if len(line) < cap and queue_join[v] is not_yet:
                     queue_join[v] = float(s)
                 line.append(v)
             for ls, credit, members, first_green in green:
@@ -260,7 +328,7 @@ class GridSim:
                     if n > cap:  # vehicles move up from upstream into the freed places
                         for j in range(cap - (n - len(line)), min(cap, len(line))):
                             v = line[j]
-                            if queue_join[v] is None:
+                            if queue_join[v] is not_yet:
                                 queue_join[v] = float(s)
             if on_microstep is not None:
                 self._next_entry, self.exited_count = next_entry, exited
@@ -273,9 +341,11 @@ class GridSim:
             lens = self._stop_line_counts(k)
             reward = -(sum(lens) / len(lens))  # integer sums are exact: bitwise the float mean
             rewards.append(reward)
-            self._intervals[k].append((float(self.clock), phase, reward, tuple(lens)))
+            self._counts.extend(lens)
             counts = np.array(lens, dtype=np.int64)
             states.append(TrafficState.trusted(counts, self._phase_bits[phase], phase))
+        self._phases.extend(self.current)
+        self._rewards.extend(rewards)
         return states, rewards, self.done
 
     # -- observation and accounting --------------------------------------------
@@ -314,20 +384,29 @@ class GridSim:
     def metrics(self) -> EpisodeMetrics:
         """The summary, and a snapshot of the per-vehicle and per-interval
         columns: later steps do not change it."""
-        entry_times = self.flow.entry_times
-        travel = [x - t for x, t in zip(self._exit, entry_times) if x is not None]
-        entered = bisect_left(entry_times, float(self.clock))
+        k, m = self.n_intersections, self.table.n_movements
+        queue_join = _read_only(np.array(self._queue_join, dtype=np.float64))
+        exits = _read_only(np.array(self._exit, dtype=np.float64))
+        exited = ~np.isnan(exits)
+        travel = exits[exited] - self._entries[exited]
+        n = len(self._rewards) // k
+        # The clock advances by one decision interval per step.
+        t = _read_only(np.arange(1, n + 1, dtype=np.float64) * self.config.decision_interval)
+        phase = _by_intersection(self._phases, np.int64, n, k)
+        reward = _by_intersection(self._rewards, np.float64, n, k)
+        counts = _by_intersection(self._counts, np.int64, n, k, m)
+        entered = bisect_left(self.flow.entry_times, float(self.clock))
         return EpisodeMetrics(
-            avg_travel_time=(
-                float(np.fromiter(travel, float, len(travel)).mean()) if travel else 0.0
-            ),
+            avg_travel_time=float(travel.mean()) if len(travel) else 0.0,
             exited_count=self.exited_count,
             in_network_count=entered - self.exited_count,
             vehicle_ids=self.flow.vehicle_ids,
-            entry_times=entry_times,
-            queue_join_times=tuple(self._queue_join),
-            exit_times=tuple(self._exit),
-            interval_rows=tuple(tuple(rows) for rows in self._intervals),
+            entry_times=self.flow.entry_times,
+            queue_join_times=queue_join,
+            exit_times=exits,
+            interval_columns=tuple(
+                IntervalColumns(t, phase[i], reward[i], counts[i]) for i in range(k)
+            ),
         )
 
 
@@ -390,27 +469,32 @@ def run_episode(sim: GridSim, controllers: Sequence) -> EpisodeMetrics:
 
 # --- CSV emission ---------------------------------------------------------------
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else format(x, ".6g")
+def _fmt(x: float) -> str:
+    return "" if x != x else format(x, ".6g")  # NaN: none
 
 
 def write_vehicle_csv(metrics: EpisodeMetrics, path: str | Path) -> Path:
     path = Path(path)
     lines = ["vehicle_id,entry,queue_join,exit"]
-    for r in metrics.vehicles:
-        lines.append(f"{r.vehicle_id},{_fmt(r.entry)},{_fmt(r.queue_join)},{_fmt(r.exit)}")
+    columns = (
+        metrics.vehicle_ids, metrics.entry_times,
+        metrics.queue_join_times.tolist(), metrics.exit_times.tolist(),
+    )
+    for vid, entry, queue_join, exit_time in zip(*columns):
+        lines.append(f"{vid},{_fmt(entry)},{_fmt(queue_join)},{_fmt(exit_time)}")
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def write_interval_csv(metrics: EpisodeMetrics, path: str | Path, intersection: int = 0) -> Path:
     path = Path(path)
-    rows = metrics.intervals[intersection]
-    n_mov = len(rows[0].counts) if rows else 0
-    header = "t,phase,reward," + ",".join(f"q{i}" for i in range(n_mov))
+    c = metrics.interval_columns[intersection]
+    header = "t,phase,reward," + ",".join(f"q{i}" for i in range(c.counts.shape[1]))
     lines = [header]
-    for r in rows:
-        qs = ",".join(str(c) for c in r.counts)
-        lines.append(f"{_fmt(r.t)},{r.phase},{_fmt(r.reward)},{qs}")
+    for t, phase, reward, counts in zip(
+        c.t.tolist(), c.phase.tolist(), c.reward.tolist(), c.counts.tolist()
+    ):
+        qs = ",".join(map(str, counts))
+        lines.append(f"{_fmt(t)},{phase},{_fmt(reward)},{qs}")
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -20,6 +20,7 @@ into the loss and the gradients."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -243,12 +244,15 @@ class GreedyPolicy:
         key = (state.counts.tobytes(), state.signal_bits.tobytes(), state.phase_index)
         action = self._memo.get(key)
         if action is None:
-            q = self.network.q_values(self.params, state, self._prepared)
-            best = np.flatnonzero(q == q.max())
-            if len(best) == 1:
-                action = int(best[0])
+            q = self.network.q_values(self.params, state, self._prepared).tolist()
+            if not all(map(math.isfinite, q)):
+                raise ValueError(f"non-finite Q values {q}")
+            top = max(q)
+            if q.count(top) == 1:
+                action = q.index(top)
             else:
-                action = int(min(best, key=lambda p: self._tie_key(int(p), state)))
+                best = [p for p, v in enumerate(q) if v == top]
+                action = min(best, key=lambda p: self._tie_key(p, state))
             self._memo[key] = action
         return action
 
@@ -376,16 +380,13 @@ def censored_travel_time(metrics, episode_length: float) -> float:
     every vehicle at least its time in the network so far removes that loophole
     when ranking checkpoints.
     """
-    total = 0.0
-    count = 0
-    for exit_time, entry in zip(metrics.exit_times, metrics.entry_times):
-        if exit_time is not None:
-            total += exit_time - entry
-            count += 1
-        elif entry < episode_length:
-            total += episode_length - entry
-            count += 1
-    return total / count if count else 0.0
+    exits = metrics.exit_times
+    entries = np.array(metrics.entry_times, dtype=np.float64)
+    waiting = np.isnan(exits)
+    charged = np.where(waiting, episode_length - entries, exits - entries)
+    charged = charged[~waiting | (entries < episode_length)]
+    # cumsum adds left to right, like a running total; np.sum would add pairwise
+    return float(np.cumsum(charged)[-1] / len(charged)) if len(charged) else 0.0
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import json
 import os
+from pathlib import Path
 
 # Pin BLAS threading before numpy loads anywhere: the arrays are tiny and
 # thread dispatch dominates otherwise (also keeps timings stable).
@@ -48,4 +50,50 @@ def random_rows(table, rng, n: int, done_every: int = 0) -> Batch:
         next_counts=np.stack([s.counts for s in next_states]),
         next_bits=np.stack([s.signal_bits for s in next_states]),
         not_done=np.array([0.0 if d else 1.0 for d in done]),
+    )
+
+
+# --- the platform the golden digests were recorded on --------------------------
+
+GOLDEN_PLATFORM = Path(__file__).parent / "data" / "golden_platform.json"
+
+
+def blas_platform() -> dict[str, str | None]:
+    """numpy's version and its BLAS name, version and kernel, from
+    ``np.show_config``. The kernel is the core named in OpenBLAS's build
+    configuration; with DYNAMIC_ARCH that is the build's, and numpy does not
+    report the one picked at run time."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.25 has no mode and reports nothing here
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    words = blas.get("openblas configuration", "").split()
+    kernel = next((w for w, after in zip(words, words[1:]) if after.startswith("MAX_THREADS=")), None)
+    return {
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_kernel": kernel,
+    }
+
+
+def golden_platform_note() -> str:
+    """The failure message of a golden digest test: which of numpy and its
+    BLAS differ from the build the goldens were recorded on, if any."""
+    recorded = json.loads(GOLDEN_PLATFORM.read_text())
+    current = blas_platform()
+    differences = [
+        f"{key} is {current.get(key)!r}, recorded {value!r}"
+        for key, value in recorded.items()
+        if current.get(key) != value
+    ]
+    if not differences:
+        return (
+            f"numpy and its BLAS build match the goldens' record {recorded}; "
+            "the BLAS kernel picked at run time is not known here"
+        )
+    return (
+        "goldens were recorded on another platform, so a different digest may be "
+        "rounding rather than a regression: " + "; ".join(differences)
     )

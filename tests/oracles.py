@@ -424,7 +424,8 @@ class TwoDequeSimOracle:
 
     def summary(self):
         """(avg_travel_time, exited, in_network, queue-join column, exit
-        column, interval rows): ``EpisodeMetrics``'s fields, in its order."""
+        column, interval rows), with None for a time not reached yet: the
+        summary of ``EpisodeMetrics`` and its records' fields."""
         entry_times = self.flow.entry_times
         travel = [x - t for x, t in zip(self.exit, entry_times) if x is not None]
         entered = sum(1 for t in entry_times if t < float(self.clock))

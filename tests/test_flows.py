@@ -20,6 +20,7 @@ from phaselab.flows import (
 )
 from phaselab.topology import find_op
 
+from conftest import golden_platform_note
 from oracles import movement_times_oracle
 
 
@@ -330,7 +331,8 @@ class TestGoldenFlows:
     def test_flow_csv_digest(self, case, tmp_path):
         flow = _golden_flow(case)
         path = write_flow_csv(flow, tmp_path / "flow.csv")
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_FLOW_DIGESTS[case]
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_FLOW_DIGESTS[case], golden_platform_note()
         parsed = parse_flow_csv(path)
         assert parsed.vehicle_ids == flow.vehicle_ids
         assert parsed.entry_times == flow.entry_times

@@ -16,7 +16,7 @@ from phaselab.networks import (
     load_checkpoint,
     save_checkpoint,
 )
-from conftest import random_state
+from conftest import golden_platform_note, random_state
 from oracles import (
     finite_difference_grads_filtered,
     frap_dense_vjp,
@@ -456,7 +456,7 @@ class TestCheckpointSidecar:
         assert arrays.keys() == fresh.keys()
         for name, array in fresh.items():
             assert arrays[name].dtype == array.dtype and arrays[name].shape == array.shape
-            assert arrays[name].tobytes() == array.tobytes(), name
+            assert arrays[name].tobytes() == array.tobytes(), f"{name}: {golden_platform_note()}"
 
     @pytest.mark.parametrize(
         "key, value",

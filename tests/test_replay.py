@@ -7,7 +7,7 @@ from scipy import stats
 from phaselab import replay
 from phaselab.replay import Batch, PrioritizedReplayBuffer
 
-from conftest import random_rows
+from conftest import golden_platform_note, random_rows
 from oracles import SequentialReplayOracle
 
 
@@ -357,4 +357,4 @@ class TestGoldenSampling:
     )
     def test_sampling_digest(self, table4, monkeypatch, capacity, first_slots, expected):
         monkeypatch.setattr(replay, "_FIRST_SLOTS", first_slots)
-        assert _sampling_digest(capacity, table4) == expected
+        assert _sampling_digest(capacity, table4) == expected, golden_platform_note()

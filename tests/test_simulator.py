@@ -1,5 +1,8 @@
+import gc
 import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phaselab as pl
-from phaselab import training
+from phaselab import harness, training
 from phaselab.flows import (
     FlowSchedule,
     FlowSynthesisSpec,
@@ -19,6 +22,8 @@ from phaselab.simulator import write_interval_csv, write_vehicle_csv
 from phaselab.state import states_equal
 from phaselab.topology import find_op, inverse
 
+import conftest
+from conftest import golden_platform_note
 from oracles import TwoDequeSimOracle, always_green_departures, episode_summary_oracle
 
 
@@ -175,7 +180,7 @@ class TestStep:
         before, after = table4.phase_with_members([0, 4]), table4.phase_with_members([0, 1])
         for a in [before] * 4 + [after] * 2:
             sim.step([a])
-        assert sim.metrics().exit_times == exits
+        assert sim.metrics().exit_times.tolist() == list(exits)
 
 
 class TestRunController:
@@ -333,7 +338,8 @@ class TestTwoDequeReference:
         m = sim.metrics()
         assert (
             m.avg_travel_time, m.exited_count, m.in_network_count,
-            m.queue_join_times, m.exit_times, m.interval_rows,
+            tuple(r.queue_join for r in m.vehicles), tuple(r.exit for r in m.vehicles),
+            tuple(tuple(rows) for rows in m.intervals),
         ) == reference.summary()
 
 
@@ -511,6 +517,18 @@ class TestMetricsCsv:
         assert ilines[0] == "t,phase,reward," + ",".join(f"q{i}" for i in range(8))
         assert len(ilines) == 1 + 10
 
+    def test_csv_of_an_episode_with_no_intervals(self, table4, tmp_path):
+        # Taken before any step, the interval file once had the header
+        # "t,phase,reward,": a trailing comma and no movement columns.
+        sim = pl.GridSim(pl.SimConfig(episode_length=100), table4, single_hop([0.0], 0), 2)
+        m = sim.metrics()
+        assert [c.counts.shape for c in m.interval_columns] == [(0, 8), (0, 8)]
+        for k in range(2):
+            lines = write_interval_csv(m, tmp_path / f"i{k}.csv", k).read_text().splitlines()
+            assert lines == ["t,phase,reward," + ",".join(f"q{i}" for i in range(8))]
+        vlines = write_vehicle_csv(m, tmp_path / "vehicles.csv").read_text().splitlines()
+        assert vlines == ["vehicle_id,entry,queue_join,exit", "0,0,,"]
+
 
 # --- golden trajectories ---------------------------------------------------------
 #
@@ -627,12 +645,24 @@ def metrics_values(m):
 
 
 class TestGoldenTrajectories:
+    def test_platform_note_names_what_differs(self, monkeypatch):
+        recorded = json.loads(conftest.GOLDEN_PLATFORM.read_text())
+        assert set(recorded) == {"numpy", "blas_name", "blas_version", "blas_kernel"}
+        monkeypatch.setattr(conftest, "blas_platform", lambda: dict(recorded))
+        assert "match the goldens' record" in conftest.golden_platform_note()
+        other = dict(recorded, numpy="0.0.1", blas_kernel=None)
+        monkeypatch.setattr(conftest, "blas_platform", lambda: other)
+        note = conftest.golden_platform_note()
+        assert f"numpy is '0.0.1', recorded {recorded['numpy']!r}" in note
+        assert f"blas_kernel is None, recorded {recorded['blas_kernel']!r}" in note
+        assert "blas_name" not in note and "blas_version" not in note
+
     @pytest.mark.parametrize("grid,config_name,flow_name,seed", sorted(GOLDEN_DIGESTS))
     def test_trajectory_digest(self, table4, grid, config_name, flow_name, seed):
         flow = golden_flow(grid, flow_name, seed)
         trace, m = golden_episode(grid, GOLDEN_CONFIGS[config_name], flow, seed, table4)
         digest = hashlib.sha256(repr((trace, metrics_values(m))).encode()).hexdigest()
-        assert digest == GOLDEN_DIGESTS[grid, config_name, flow_name, seed]
+        assert digest == GOLDEN_DIGESTS[grid, config_name, flow_name, seed], golden_platform_note()
 
     def test_csv_bytes(self, table4, tmp_path):
         flow = golden_flow("1x1", "unbalanced-WE", 0)
@@ -645,7 +675,15 @@ class TestGoldenTrajectories:
                 ("flow.csv", write_flow_csv, flow),
             )
         }
-        assert digests == GOLDEN_CSV_DIGESTS
+        assert digests == GOLDEN_CSV_DIGESTS, golden_platform_note()
+
+
+def assert_summary_is_the_oracle(m, clock, episode_length):
+    avg, exited, in_network, censored = episode_summary_oracle(m.vehicles, clock, episode_length)
+    assert m.avg_travel_time == avg
+    assert m.exited_count == exited
+    assert m.in_network_count == in_network
+    assert training.censored_travel_time(m, episode_length) == censored
 
 
 class TestSummaryPath:
@@ -661,13 +699,13 @@ class TestSummaryPath:
         _, m = golden_episode(grid, config, flow, seed, table4)
         di = config.decision_interval
         clock = -(-config.episode_length // di) * di  # the last interval may overrun
-        avg, exited, in_network, censored = episode_summary_oracle(
-            m.vehicles, clock, config.episode_length
-        )
-        assert m.avg_travel_time == avg
-        assert m.exited_count == exited
-        assert m.in_network_count == in_network
-        assert training.censored_travel_time(m, config.episode_length) == censored
+        assert_summary_is_the_oracle(m, clock, config.episode_length)
+
+    def test_zero_vehicle_flow(self, table4):
+        config = pl.SimConfig(episode_length=100)
+        m = pl.run_controller(lambda s: 0, config, table4, FlowSchedule((), (), ()))
+        assert m.vehicles == ()
+        assert_summary_is_the_oracle(m, 100, config.episode_length)
 
     @pytest.mark.parametrize("grid", ("1x1", "2x2"))
     def test_mid_episode_metrics_are_a_snapshot(self, table4, grid):
@@ -686,6 +724,68 @@ class TestSummaryPath:
         assert mid == stopped
         assert mid != end
         assert all(len(rows) == 100 for rows in mid.intervals)
+        clock = 100 * config.decision_interval
+        assert any(r.exit is None for r in mid.vehicles if r.entry < clock)
+        assert_summary_is_the_oracle(mid, clock, config.episode_length)
+
+
+class TestHeldEpisode:
+    """A held EpisodeMetrics keeps its numpy columns and no records."""
+
+    def test_retained_bytes(self):
+        # 3600 s on one intersection: boxed floats and tuples retained 193 KB,
+        # and 379 KB once the records had been read and cached.
+        config = harness.ExperimentConfig(flow=harness.FlowConfig(name="unbalanced-WE"))
+        table = config.build_table()
+        flow = harness.build_flow(config, harness.eval_flow_seed(config))
+        controller = harness.make_classical_controller("sotl", config, table, flow)
+        held = []
+
+        def episode():
+            return pl.run_controller(controller, config.sim, table, flow)
+
+        def growth(action) -> int:
+            """Traced bytes that ``action`` leaves allocated."""
+            gc.collect()
+            start = tracemalloc.get_traced_memory()[0]
+            action()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - start
+
+        def read_twice():
+            for _ in range(2):
+                assert len(held[0].vehicles) == len(held[0].entry_times)
+                assert len(held[0].intervals[0]) == 360
+
+        episode()  # first-call allocations are not the episode's
+        held.append(None)  # the list's slot, allocated before tracing
+        tracemalloc.start()
+        try:
+            nothing = growth(lambda: None)
+            retained = growth(lambda: held.__setitem__(0, episode())) - nothing
+            read = growth(read_twice) - nothing
+        finally:
+            tracemalloc.stop()
+        assert retained <= 80 * 1024
+        # Unchanged but for tens of bytes of interpreter bookkeeping; kept
+        # records would add about 190 KB.
+        assert abs(read) < 1024
+
+    def test_columns_are_read_only_records_are_python_values(self, table4):
+        config = pl.SimConfig(episode_length=100)
+        m = pl.run_controller(lambda s: 0, config, table4, single_hop([0.0, 90.0], 0))
+        (c,) = m.interval_columns
+        for column in (m.queue_join_times, m.exit_times, *c):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+        assert m.exit_times.dtype == np.float64 and np.isnan(m.exit_times[1])
+        assert c.counts.dtype == np.int64 and c.counts.shape == (10, 8)
+        first, late = m.vehicles
+        assert first == (0, 0.0, 30.0, 32.0) and late == (1, 90.0, None, None)
+        assert all(type(x) is float for x in first[1:])
+        row = m.intervals[0][0]
+        assert (type(row.t), type(row.phase), type(row.reward)) == (float, int, float)
+        assert type(row.counts) is tuple and all(type(n) is int for n in row.counts)
 
 
 class TestResetReuse:

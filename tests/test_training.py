@@ -19,8 +19,9 @@ from phaselab.training import (
     train,
 )
 from phaselab.replay import Batch, PrioritizedReplayBuffer
+from phaselab.state import states_equal
 
-from conftest import random_rows, random_state
+from conftest import golden_platform_note, random_rows, random_state
 
 
 def _small_net(table):
@@ -289,6 +290,34 @@ class TestGreedyMemo:
         assert memoized.intervals == reference.intervals
         assert len(policy._memo) < sum(len(rows) for rows in memoized.intervals)
 
+    def test_two_way_tie_that_a_flip_swaps(self, table4, group4):
+        # A flip-invariant state: phases 3 (E-T, E-L) and 7 (W-T, W-L) get
+        # bitwise-equal Q, the row's maximum, and the tie key picks 3.
+        flip = next(op for op in group4 if op.name == "flip")
+        net = FrapNetwork(table4, FrapConfig())
+        params = net.init_params(4)
+        state = pl.TrafficState(
+            np.array([10, 6, 0, 2, 5, 6, 0, 2]), np.array(table4.phases[4].bits), 4
+        )
+        assert states_equal(pl.apply_symmetry(flip, state), state)
+        q = net.q_values(params, state)
+        best = np.flatnonzero(q == q.max())
+        assert best.tolist() == [3, 7] and flip.phase_perm[3] == 7
+        policy = GreedyPolicy(net, params)
+        assert policy(state) == min(best, key=lambda p: policy._tie_key(int(p), state)) == 3
+
+    @pytest.mark.parametrize(
+        "row",
+        [[np.nan] + [0.0] * 7, [0.0] * 7 + [np.nan], [1.0, np.inf] + [0.0] * 6, [-np.inf] * 8],
+        ids=["nan-first", "nan-last", "inf", "all-minus-inf"],
+    )
+    def test_non_finite_q_raises(self, table4, row):
+        net = _small_net(table4)
+        policy = GreedyPolicy(net, net.init_params(0))
+        net.q_values = lambda params, state, prepared=None: np.array(row)
+        with pytest.raises(ValueError, match="non-finite Q"):
+            policy(random_state(table4, np.random.default_rng(0)))
+
     def test_new_parameters_drop_the_memo(self, table4):
         net = _small_net(table4)
         state = random_state(table4, np.random.default_rng(1))
@@ -519,9 +548,9 @@ class TestTrain:
 
 
 # sha256 over the name and bytes of every ckpt*.bin and curve.csv that a small
-# sync cmd_train writes, recorded on numpy 2.4.6 with OpenBLAS 0.3.31. Batched
-# forwards go through BLAS, so another BLAS build may round differently; the
-# digests must change only on purpose.
+# sync cmd_train writes, recorded on the numpy and BLAS build named in
+# tests/data/golden_platform.json. Batched forwards go through BLAS, so another
+# BLAS build may round differently; the digests must change only on purpose.
 GOLDEN_TRAIN_DIGESTS = {
     1: "021cca941f8d5e1436701feacc4b8b394f9aba99e7114905284fda2fb44e8242",
     2: "7290801c77419c7580dada136b6790a70fabc240a02f57c58dc2132d5d14f7fb",
@@ -553,4 +582,4 @@ class TestGoldenTraining:
         for path in sorted([*tmp_path.glob("ckpt*.bin"), tmp_path / "curve.csv"]):
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
-        assert digest.hexdigest() == GOLDEN_TRAIN_DIGESTS[grid]
+        assert digest.hexdigest() == GOLDEN_TRAIN_DIGESTS[grid], golden_platform_note()
