@@ -104,6 +104,11 @@ class ExperimentConfig:
                 f"flow.rates needs one rate per movement: {2 * self.approaches} for "
                 f"{self.approaches} approaches, got {len(self.flow.rates)}"
             )
+        if self.flow.name is not None and self.approaches != 4:
+            raise ValueError(
+                f"flow.name {self.flow.name!r} is a 4-approach benchmark of 8 movements; "
+                f"on {self.approaches} approaches give flow.rates or flow.path"
+            )
         if self.n_intersections > 1 and self.flow.path is None:
             if abs(self.flow.duration - self.sim.episode_length) > 1e-9:
                 raise ValueError("flow duration must match the episode length")
@@ -136,13 +141,10 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
     return config_from_dict(data)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def echo_config(config: ExperimentConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True))
+    text = json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True)
+    (out_dir / "config.json").write_text(text)
     (out_dir / "table.json").write_text(config.build_table().to_json())
 
 
@@ -338,8 +340,12 @@ def cmd_compare(
 
     Classical methods are calibrated on a draw of their own seed stream, not
     on the held-out flow they are scored on (a flow file is both at once).
+    A checkpoint given for any method but frap or vanilla raises ValueError.
     """
     checkpoints = checkpoints or {}
+    for method in methods:
+        if method in checkpoints and method not in ("frap", "vanilla"):
+            raise ValueError(f"method {method} takes no checkpoint, got {method}={checkpoints[method]}")
     out = Path(config.out_dir)
     echo_config(config, out)
     table = config.build_table()
@@ -380,7 +386,9 @@ def cmd_transfer(
 
     Reports the travel time on the original flow, on the mirrored flow with the
     unchanged checkpoint, and (optionally) with a model retrained on the
-    mirrored flow.
+    mirrored flow. The retrained model is a ``config.agent``, so with
+    ``retrain`` a checkpoint of another kind raises ValueError before any
+    episode runs.
     """
     if config.n_intersections != 1:
         raise ValueError("transfer experiments are single-intersection only")
@@ -391,7 +399,7 @@ def cmd_transfer(
     flow = build_flow(config, eval_flow_seed(config))
     mirrored = fl.mirror_flow(op, flow)
 
-    original = evaluate_checkpoint(config, checkpoint, flow)
+    original = evaluate_checkpoint(config, checkpoint, flow, kind=config.agent if retrain else None)
     transferred = evaluate_checkpoint(config, checkpoint, mirrored)
     results = {
         "original": original.avg_travel_time,

@@ -191,7 +191,7 @@ class FrapNetwork:
         def dense(fan_in: int, fan_out: int) -> np.ndarray:
             return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
 
-        return {
+        return nm.read_only({
             "w_v": dense(1, cfg.movement_hidden),
             "b_v": np.zeros(cfg.movement_hidden),
             "w_s": dense(1, cfg.movement_hidden),
@@ -205,7 +205,7 @@ class FrapNetwork:
             "b_r0": np.zeros(cfg.conv_channels),
             "w_out": dense(cfg.conv_channels, 1),
             "b_out": np.zeros(1),
-        }
+        })
 
     def _demand(self, p: dict[str, np.ndarray], xv: np.ndarray, xs: np.ndarray):
         """(h, d) of movement rows with scaled counts xv [N, 1] and signal bits
@@ -434,7 +434,7 @@ class VanillaNetwork:
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             params[f"w{i}"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
             params[f"b{i}"] = np.zeros(fan_out)
-        return params
+        return nm.read_only(params)
 
     def prepare(self, params: Params) -> Prepared:
         """Single-state constants of ``params``: its arrays by name."""
@@ -519,9 +519,9 @@ _FIXED_FRAP_KEYS = {"conv_layers": 1, "output_relu": False}
 
 
 def load_checkpoint(path: str | Path, table: PhaseTable):
-    """Load (kind, network, params); raises ValueError on a table mismatch,
-    on a sidecar config value of the wrong type (the checks of a JSON config)
-    or on arrays whose names or shapes the described network does not have.
+    """Load (kind, network, read-only params); raises ValueError on a table
+    mismatch, on a sidecar config value of the wrong type (the checks of a
+    JSON config) or on arrays whose names or shapes the network lacks.
     A FRAP sidecar may still hold ``conv_layers`` 1 and ``output_relu``
     false, which are dropped; any other value of either raises."""
     path = Path(path)
@@ -554,4 +554,4 @@ def load_checkpoint(path: str | Path, table: PhaseTable):
                 f"checkpoint {path}: array {name!r} has shape {arrays[name].shape}, "
                 f"its {kind} network expects {expected[name]}"
             )
-    return kind, network, arrays
+    return kind, network, nm.read_only(arrays)

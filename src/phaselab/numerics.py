@@ -6,9 +6,8 @@ the taken actions and its hand-derived VJP next to them. ``backward`` puts
 the learner's weighted Huber loss on top of that VJP, so one call is the
 whole backward pass of a learner step.
 
-Nothing here mutates its inputs: ``backward`` and ``adam_update`` always
-allocate fresh arrays. Actors and greedy policies share parameter arrays
-with learner snapshots, so that is what keeps them consistent.
+Nothing mutates a parameter array: each one the lab makes is ``read_only``,
+so a write raises ValueError, and ``adam_update`` returns a fresh set.
 """
 
 from __future__ import annotations
@@ -63,6 +62,13 @@ class AdamState:
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
+def read_only(params: Params) -> Params:
+    """``params``, each array marked read-only, so that a write raises."""
+    for a in params.values():
+        a.flags.writeable = False
+    return params
+
+
 def _flat(arrays: Iterable[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.ravel(a) for a in arrays])
 
@@ -92,7 +98,7 @@ def adam_update(
     eps: float = 1e-8,
 ) -> dict[str, np.ndarray]:
     """One Adam step with bias correction on the flat parameter vector;
-    returns fresh parameter arrays, views into one new flat vector.
+    returns fresh parameter arrays, read-only views into one new flat vector.
 
     A non-finite gradient raises before the state changes."""
     if set(params) != set(grads):
@@ -107,8 +113,9 @@ def adam_update(
     state.v = beta2 * state.v + (1.0 - beta2) * g * g
     m_hat = state.m / (1.0 - beta1**t)
     v_hat = state.v / (1.0 - beta2**t)
-    theta = _flat(params.values())
-    return _views(theta - lr * m_hat / (np.sqrt(v_hat) + eps), params)
+    theta = _flat(params.values()) - lr * m_hat / (np.sqrt(v_hat) + eps)
+    theta.flags.writeable = False  # the named views inherit the flag
+    return _views(theta, params)
 
 
 # --- checkpoints --------------------------------------------------------------

@@ -4,19 +4,20 @@ N actors run epsilon-greedy episodes on private K-intersection simulators;
 each intersection has one learner whose prioritized buffer takes that
 intersection's transition of every actor decision. A learner samples batches,
 applies Adam on an importance-weighted Huber loss, and periodically syncs the
-target network; the actors take a parameter snapshot from every learner every
+target network; the actors take every learner's parameters every
 ``snapshot_period`` rounds. A single intersection is the K = 1 case.
 
 Training runs on one thread on a fixed schedule and is bit-reproducible:
 each round, all actors decide in lockstep (one batched forward per
 intersection), hand each learner the round's rows in one ``replay.Batch``,
 then every learner steps once. Replay keeps transitions as rows of arrays,
-so a learner step gathers its batch with one index per array. Parameters
-are plain arrays by name, and every snapshot is a copy. A learner step
-computes Q only where it reads it: the online Q of the next states in full,
-for the argmax, then the target Q at that argmax and the online Q at the
-taken actions, the latter with its VJP, which ``numerics.backward`` turns
-into the loss and the gradients."""
+so a learner step gathers its batch with one index per array. Parameter
+sets are read-only values: a step replaces the online set, and everything
+else holds a learner's sets by reference. A learner step computes Q only
+where it reads it: the online Q of the next states in full, for the argmax,
+then the target Q at that argmax and the online Q at the taken actions, the
+latter with its VJP, which ``numerics.backward`` turns into the loss and the
+gradients."""
 
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ class TrainConfig:
     max_learner_steps: int = 10_000
     warmup_transitions: int = 500
     eval_period: int = 500
-    snapshot_period: int = 10  # actor decisions between snapshot refreshes
+    snapshot_period: int = 10  # actor rounds between parameter refreshes
     # The only schedule; False is rejected by train(). Kept because callers
     # such as the benchmark's workloads still pass sync=True.
     sync: bool = True
@@ -125,7 +126,8 @@ def td_targets(
 
 
 class Learner:
-    """Owns the online/target parameters and the prioritized buffer of rows."""
+    """Owns the online/target parameters and the prioritized buffer of rows.
+    A step replaces ``online``; a target sync points ``target`` at it."""
 
     def __init__(
         self,
@@ -139,13 +141,9 @@ class Learner:
         self.config = config
         self.buffer = buffer
         self.rng = rng
-        self.online = dict(params)
-        self.target = self.snapshot()
+        self.online = self.target = params
         self.adam = nm.adam_init(self.online)
         self.step_count = 0
-
-    def snapshot(self) -> Params:
-        return {k: v.copy() for k, v in self.online.items()}
 
     def step(self) -> float:
         cfg = self.config
@@ -166,7 +164,7 @@ class Learner:
         self.buffer.update_priorities(indices, np.abs(td_errors) + cfg.priority_eps)
         self.step_count += 1
         if self.step_count % cfg.target_sync == 0:
-            self.target = self.snapshot()
+            self.target = self.online
         return loss
 
 
@@ -194,38 +192,25 @@ class GreedyPolicy:
     by keeping the current phase; both keys permute along with the state. The
     raw index only decides between phases the state cannot distinguish.
 
-    Setting ``params`` prepares their single-state constants and clears the
-    action memo, which holds one entry per distinct state seen.
+    A policy scores the one parameter set it is built with: it prepares that
+    set's single-state constants once and memoizes one action per distinct
+    state seen. The arrays are read-only, so neither can go stale.
     """
 
     def __init__(self, network, params: Params):
         self.network = network
-        self.params = params
+        self._prepared = network.prepare(params)
+        self._memo: dict[tuple[bytes, bytes, int], int] = {}
         table = network.table
         self._members = []
         self._cross_approach = []
         for ph in table.phases:
             i, j = ph.members
             mi, mj = table.movements[i], table.movements[j]
-            if mi.approach == mj.approach:
-                # same-approach pair: through before left is symmetry-stable
-                ordered = (i, j) if mi.turn < mj.turn else (j, i)
-                self._cross_approach.append(False)
-                self._members.append(ordered)
-            else:
-                self._cross_approach.append(True)
-                self._members.append((i, j))
-
-    @property
-    def params(self) -> Params:
-        return self._params
-
-    @params.setter
-    def params(self, params: Params) -> None:
-        """New parameters: prepare their single-state constants, drop the memo."""
-        self._params = params
-        self._prepared = self.network.prepare(params)
-        self._memo: dict[tuple[bytes, bytes, int], int] = {}
+            cross = mi.approach != mj.approach
+            # same-approach pair: through before left is symmetry-stable
+            self._members.append((i, j) if cross or mi.turn < mj.turn else (j, i))
+            self._cross_approach.append(cross)
 
     def _tie_key(self, p: int, state: TrafficState):
         i, j = self._members[p]
@@ -244,7 +229,7 @@ class GreedyPolicy:
         key = (state.counts.tobytes(), state.signal_bits.tobytes(), state.phase_index)
         action = self._memo.get(key)
         if action is None:
-            q = self.network.q_values(self.params, state, self._prepared).tolist()
+            q = self.network.q_values(self._prepared.params, state, self._prepared).tolist()
             if not all(map(math.isfinite, q)):
                 raise ValueError(f"non-finite Q values {q}")
             top = max(q)
@@ -282,8 +267,8 @@ class Actors:
     ``env_factory(actor_id, episode)`` (a K-intersection GridSim; an
     IntersectionSim is K = 1). Actor i explores at ``config.actor_epsilon(i)``
     and draws from one rng, seeded ``seed * 7919 + 31 i + 1``, at its K
-    intersections in order. All actors act on the same parameters: one set
-    per intersection, refreshed every ``config.snapshot_period`` rounds.
+    intersections in order. All actors act on the same parameters: the
+    learners' ``online`` sets, taken every ``config.snapshot_period`` rounds.
     ``states[i]`` is actor i's current state at each intersection: the first
     states of an episode, then the states of its last step.
     """
@@ -314,8 +299,8 @@ class Actors:
         """One decision of every actor; ``learners[k]`` gets one Batch of the
         actors' transitions at intersection k, in actor order.
 
-        Every ``snapshot_period`` rounds, from round 0, the actors take one
-        snapshot per learner. Actors without an episode start one. At each
+        Every ``snapshot_period`` rounds, from round 0, the actors take each
+        learner's ``online`` set. Actors without an episode start one. At each
         intersection, batched forwards of up to ``ROUND_BLOCK`` states (one,
         for up to 64 actors) score every actor's state, explorers included.
         Row i of a batched forward is bitwise the Q-values of state i alone,
@@ -324,7 +309,7 @@ class Actors:
         the actors' states after the step, stacked again.
         """
         if self.rounds % self.snapshot_period == 0:
-            self.params = [learner.snapshot() for learner in learners]
+            self.params = [learner.online for learner in learners]
         for i, sim in enumerate(self.sims):
             if sim is None:
                 self.sims[i] = sim = self.env_factory(i, self.episodes[i])
@@ -392,8 +377,8 @@ def censored_travel_time(metrics, episode_length: float) -> float:
 @dataclass
 class TrainResult:
     """Outcome of a run. ``best`` and ``final`` hold one parameter set per
-    intersection; ``best_params`` and ``final_params`` are the single set of a
-    one-intersection run."""
+    intersection, the learners' read-only sets themselves; ``best_params``
+    and ``final_params`` are the single set of a one-intersection run."""
 
     best: list[Params]
     best_travel_time: float
@@ -459,14 +444,12 @@ def train(
         )
         for k in range(n)
     ]
-    result = TrainResult(
-        best=[l.snapshot() for l in learners], best_travel_time=np.inf, best_step=0
-    )
+    result = TrainResult(best=[l.online for l in learners], best_travel_time=np.inf, best_step=0)
 
     def evaluate(step: int, sim: GridSim | None = None) -> None:
         sim = eval_factory() if sim is None else sim
-        policies = [GreedyPolicy(network, l.snapshot()) for l in learners]
-        m = run_episode(sim, policies)
+        params = [l.online for l in learners]
+        m = run_episode(sim, [GreedyPolicy(network, p) for p in params])
         censored = censored_travel_time(m, sim.config.episode_length)
         result.curve.append(
             CurvePoint(
@@ -479,7 +462,7 @@ def train(
         if censored < result.best_travel_time:
             result.best_travel_time = censored
             result.best_step = step
-            result.best = [p.params for p in policies]
+            result.best = params
 
     evaluate(0, first_eval)
     if config.max_learner_steps > 0:
@@ -494,5 +477,5 @@ def train(
                 evaluate(learners[0].step_count)
         if learners[0].step_count % config.eval_period != 0:
             evaluate(learners[0].step_count)
-    result.final = [l.snapshot() for l in learners]
+    result.final = [l.online for l in learners]
     return result

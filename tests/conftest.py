@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 from pathlib import Path
@@ -58,23 +59,55 @@ def random_rows(table, rng, n: int, done_every: int = 0) -> Batch:
 GOLDEN_PLATFORM = Path(__file__).parent / "data" / "golden_platform.json"
 
 
+# The run-time core name: scipy-openblas64 wheels prefix and suffix their
+# symbols, 32-bit-integer and plain OpenBLAS builds do not.
+_CORENAME_SYMBOLS = (
+    "scipy_openblas_get_corename64_",
+    "scipy_openblas_get_corename",
+    "openblas_get_corename64_",
+    "openblas_get_corename",
+)
+
+
+def openblas_core() -> str | None:
+    """The kernel core OpenBLAS picked at run time (with DYNAMIC_ARCH, one per
+    CPU), read through ctypes from the OpenBLAS libraries this process has
+    loaded, those in a directory named after numpy first (scipy may load its
+    own). None where the loaded libraries are not listed in /proc/self/maps
+    or none of them exports a corename symbol."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    paths = {line.split()[-1] for line in maps.splitlines() if "openblas" in line.rpartition("/")[2]}
+    for path in sorted(paths, key=lambda path: not Path(path).parent.name.startswith("numpy")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library deleted since it was mapped
+            continue
+        for symbol in _CORENAME_SYMBOLS:
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def blas_platform() -> dict[str, str | None]:
-    """numpy's version and its BLAS name, version and kernel, from
-    ``np.show_config``. The kernel is the core named in OpenBLAS's build
-    configuration; with DYNAMIC_ARCH that is the build's, and numpy does not
-    report the one picked at run time."""
+    """numpy's version and its BLAS name and version, from
+    ``np.show_config``, and the BLAS kernel core picked at run time
+    (``openblas_core``). The build configuration also names a core, but with
+    DYNAMIC_ARCH that is the build machine's, not the one that runs."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.25 has no mode and reports nothing here
         config = {}
     blas = config.get("Build Dependencies", {}).get("blas", {})
-    words = blas.get("openblas configuration", "").split()
-    kernel = next((w for w, after in zip(words, words[1:]) if after.startswith("MAX_THREADS=")), None)
     return {
         "numpy": np.__version__,
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
-        "blas_kernel": kernel,
+        "blas_kernel": openblas_core(),
     }
 
 
@@ -89,10 +122,7 @@ def golden_platform_note() -> str:
         if current.get(key) != value
     ]
     if not differences:
-        return (
-            f"numpy and its BLAS build match the goldens' record {recorded}; "
-            "the BLAS kernel picked at run time is not known here"
-        )
+        return f"numpy, its BLAS build and its run-time kernel match the goldens' record {recorded}"
     return (
         "goldens were recorded on another platform, so a different digest may be "
         "rounding rather than a regression: " + "; ".join(differences)

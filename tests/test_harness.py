@@ -113,12 +113,20 @@ class TestConfig:
         assert cfg.train.double_dqn is False
         assert cfg.classical.fixedtime_cycles == (40, 60.0)
 
-    @pytest.mark.parametrize("approaches, n_rates", [(4, 7), (4, 9), (3, 8)])
+    @pytest.mark.parametrize(
+        "approaches, n_rates", [(4, 7), (4, 9), (3, 8), (5, "balanced-8"), (3, "balanced-8")]
+    )
     def test_flow_rates_need_one_rate_per_movement(self, approaches, n_rates):
         # With 7 rates movement 7 silently got no traffic; 9 failed only
-        # when the first simulator was built.
+        # when the first simulator was built. A named flow has the 8 rates of
+        # the 4-approach table: on 5 approaches it left R4 empty, on 3 it
+        # failed when the simulator met movement id 6.
+        if isinstance(n_rates, str):
+            flow = {"name": n_rates}
+        else:
+            flow = {"name": None, "rates": [240.0] * n_rates}
         with pytest.raises(ValueError, match="flow.rates"):
-            config_from_dict({"approaches": approaches, "flow": {"name": None, "rates": [240.0] * n_rates}})
+            config_from_dict({"approaches": approaches, "flow": flow})
         config_from_dict({"approaches": approaches, "flow": {"name": None, "rates": [240.0] * 2 * approaches}})
 
     def test_load_config_with_overrides(self, tmp_path):
@@ -213,6 +221,31 @@ class TestCommands:
         with pytest.raises(ValueError, match="vanilla checkpoint, not frap"):
             cmd_compare(cfg, ["frap"], {"frap": str(paths["checkpoint"])})
         assert not (tmp_path / "compare" / "compare.csv").exists()
+
+    def test_compare_rejects_a_checkpoint_for_a_classical_method(self, tmp_path):
+        # sotl=PATH used to score SOTL and drop the checkpoint unread.
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(ValueError, match="method sotl takes no checkpoint"):
+            cmd_compare(cfg, ["fixedtime", "sotl"], {"sotl": "runs/frap/ckpt.bin"})
+        assert not (tmp_path / "out" / "compare.csv").exists()
+
+    def test_transfer_retrain_needs_a_checkpoint_of_the_agent_kind(self, tmp_path, monkeypatch):
+        # The retrain is of config.agent: a vanilla checkpoint's transfer was
+        # compared with a FRAP retrain.
+        cfg = tiny_config(tmp_path)
+        net = build_network("vanilla", cfg.build_table(), harness.network_config(cfg, "vanilla"))
+        ckpt = save_checkpoint(tmp_path / "vanilla.bin", "vanilla", net, net.init_params(0))
+        episodes = []
+        run = harness.run_grid_controller
+        monkeypatch.setattr(
+            harness, "run_grid_controller", lambda *args: episodes.append(args) or run(*args)
+        )
+        with pytest.raises(ValueError, match="vanilla checkpoint, not frap"):
+            cmd_transfer(cfg, ckpt, "flip", retrain=True)
+        assert episodes == []
+        assert not (tmp_path / "out" / "retrain").exists()
+        # Without a retrain there is nothing to compare the kind with.
+        assert set(cmd_transfer(cfg, ckpt, "flip")) == {"original", "transferred"}
 
     def test_transfer_identity_matches_eval(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -472,6 +472,23 @@ class TestCheckpointSidecar:
         with pytest.raises(ValueError, match=f"config.{key} must be"):
             load_checkpoint(tmp_path / "model.bin", table4)
 
+    @pytest.mark.parametrize("kind", ["frap", "vanilla"])
+    def test_parameter_arrays_are_read_only(self, table4, tmp_path, kind):
+        # A greedy policy prepares constants from a parameter set and memoizes
+        # its actions; an in-place write used to leave both stale, silently.
+        net = build_network(kind, table4)
+        made = net.init_params(0)
+        path = save_checkpoint(tmp_path / "model.bin", kind, net, made)
+        loaded = load_checkpoint(path, table4)[2]
+        for params in (made, loaded):
+            for array in params.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    np.negative(array, out=array)
+        for name, array in made.items():
+            assert np.array_equal(loaded[name], array), name
+
     def test_vanilla_sidecar_roundtrip(self, table4, tmp_path):
         net = VanillaNetwork(table4, VanillaConfig(hidden=(16,)))
         path = save_checkpoint(tmp_path / "model.bin", "vanilla", net, net.init_params(0))

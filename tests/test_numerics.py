@@ -164,8 +164,8 @@ class TestForwardSemantics:
             nm.backward(_identity_vjp, np.ones((2, 3)), ones, ones)
 
     def test_ops_do_not_mutate_inputs(self, table4):
-        # Actors and greedy policies share parameter arrays with learner
-        # snapshots (and a policy's prepared demand table is built from them),
+        # Actors and greedy policies hold a learner's parameter sets by
+        # reference (and a policy's prepared demand table is built from them),
         # so a forward, a backward and an Adam step must leave every input
         # array as it was.
         rng = np.random.default_rng(3)
@@ -332,6 +332,17 @@ class TestAdam:
             nm.adam_update(params, {"a": np.ones(2), "b": np.array([np.inf])}, state, lr=0.1)
         assert state.step == 1
         assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    def test_update_returns_read_only_views(self):
+        # A learner step's new set is shared by the target network, the
+        # actors and the evaluation policies, so no one may write into it.
+        params = {"w": np.ones((2, 3)), "b": np.zeros(3)}
+        grads = {"w": np.full((2, 3), 0.5), "b": np.ones(3)}
+        new = nm.adam_update(params, grads, nm.adam_init(params), lr=0.1)
+        for array in new.values():
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1.0
+        assert params["w"].flags.writeable  # the inputs keep their flags
 
     def test_key_mismatch_rejected(self):
         params = {"a": np.array([1.0])}

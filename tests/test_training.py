@@ -51,15 +51,17 @@ class _Buffer(list):
 
 
 class _StubLearner:
-    """A learner's face to the actors: ``snapshot()`` and ``buffer.add``."""
+    """A learner's face to the actors: ``online`` and ``buffer.add``. Each
+    read of ``online`` is counted and returns ``params_fn()``."""
 
     def __init__(self, params_fn):
         self.params_fn = params_fn
-        self.snapshots = 0
+        self.reads = 0
         self.buffer = _Buffer()
 
-    def snapshot(self):
-        self.snapshots += 1
+    @property
+    def online(self):
+        self.reads += 1
         return self.params_fn()
 
 
@@ -154,6 +156,20 @@ class TestLearner:
                 assert not same
                 initial = {k: v.copy() for k, v in learner.target.items()}
 
+    def test_a_step_replaces_the_read_only_online_set(self, table4):
+        learner = self._loaded_learner(table4)
+        first = learner.online
+        assert learner.target is first
+        learner.step()
+        assert learner.online is not first and learner.target is first
+        for params in (first, learner.online):
+            for array in params.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    array *= -1.0
+        while learner.step_count % learner.config.target_sync:
+            learner.step()
+        assert learner.target is learner.online
+
     def test_loss_decreases_on_fixed_buffer(self, table4):
         learner = self._loaded_learner(table4)
         first = np.mean([learner.step() for _ in range(5)])
@@ -241,7 +257,7 @@ class TestActorPolicy:
             actors.decide([learner])
         assert len(learner.buffer) == 12  # one block per round
         assert actors.episodes == [2]
-        assert learner.snapshots == 4  # rounds 0, 3, 6 and 9
+        assert learner.reads == 4  # rounds 0, 3, 6 and 9
         rows = learner.buffer.rows()
         assert np.flatnonzero(rows.not_done == 0.0).tolist() == [4, 9]
         assert np.all(rows.reward <= 0)
@@ -306,6 +322,20 @@ class TestGreedyMemo:
         policy = GreedyPolicy(net, params)
         assert policy(state) == min(best, key=lambda p: policy._tie_key(int(p), state)) == 3
 
+    def test_a_write_into_the_scored_set_raises(self, table4):
+        # Negating w_out in place after 200 decisions left all 200 memoized
+        # actions stale, and nothing was raised.
+        net = FrapNetwork(table4, FrapConfig())
+        params = net.init_params(0)
+        policy = GreedyPolicy(net, params)
+        rng = np.random.default_rng(0)
+        states = [random_state(table4, rng) for _ in range(200)]
+        actions = [policy(s) for s in states]
+        with pytest.raises(ValueError, match="read-only"):
+            np.negative(params["w_out"], out=params["w_out"])
+        fresh = GreedyPolicy(net, params)
+        assert [policy(s) for s in states] == [fresh(s) for s in states] == actions
+
     @pytest.mark.parametrize(
         "row",
         [[np.nan] + [0.0] * 7, [0.0] * 7 + [np.nan], [1.0, np.inf] + [0.0] * 6, [-np.inf] * 8],
@@ -317,19 +347,6 @@ class TestGreedyMemo:
         net.q_values = lambda params, state, prepared=None: np.array(row)
         with pytest.raises(ValueError, match="non-finite Q"):
             policy(random_state(table4, np.random.default_rng(0)))
-
-    def test_new_parameters_drop_the_memo(self, table4):
-        net = _small_net(table4)
-        state = random_state(table4, np.random.default_rng(1))
-        zero = {k: np.zeros_like(v) for k, v in net.init_params(0).items()}
-        for seed in range(20):  # some parameter set prefers another phase
-            params = net.init_params(seed)
-            if GreedyPolicy(net, params)(state) != GreedyPolicy(net, zero)(state):
-                break
-        greedy = GreedyPolicy(net, zero)
-        before = greedy(state)
-        greedy.params = params
-        assert greedy(state) == GreedyPolicy(net, params)(state) != before
 
 
 class TestTrainConfig:
@@ -385,7 +402,7 @@ class TestLockstep:
         runs = []
         for block in (1, training.ROUND_BLOCK):
             monkeypatch.setattr(training, "ROUND_BLOCK", block)
-            learners = [  # a fresh copy per snapshot, whose values follow the clock
+            learners = [  # a fresh set per read, whose values follow the clock
                 _StubLearner(lambda k=k: net.init_params(10 * clock[0] + k)) for k in range(4)
             ]
             actors = self._grid_actors(table4, net)
@@ -398,7 +415,7 @@ class TestLockstep:
         for a, b in zip(alone.policies, together.policies):
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
         for la, lb in zip(alone_learners, together_learners):
-            assert la.snapshots == lb.snapshots == 3
+            assert la.reads == lb.reads == 3
             assert len(la.buffer) == len(lb.buffer) == 8  # one block of 3 rows per round
             rows_a, rows_b = la.buffer.rows(), lb.buffer.rows()
             assert len(rows_a.action) == 3 * 8
@@ -420,11 +437,33 @@ class TestLockstep:
         actors = self._grid_actors(table4, net)
         monkeypatch.setattr(net, "forward", counting_forward)
         actors.decide(learners)  # every actor refreshes at round 0
-        assert [l.snapshots for l in learners] == [1, 1, 1, 1]
+        assert [l.reads for l in learners] == [1, 1, 1, 1]
         assert forwards == [4]
         actors.decide(learners)
-        assert [l.snapshots for l in learners] == [1, 1, 1, 1]
+        assert [l.reads for l in learners] == [1, 1, 1, 1]
         assert forwards == [8]
+
+    def test_actors_hold_the_learners_sets_until_the_next_refresh(self, table4):
+        # Refreshes at rounds 0, 3 and 6 take each learner's online set by
+        # reference; every round's learner step replaces the learner's own.
+        net = _small_net(table4)
+        cfg = TrainConfig(batch_size=3, warmup_transitions=3, buffer_capacity=64)
+        learners = [
+            Learner(
+                net, net.init_params(k), cfg, PrioritizedReplayBuffer(64, cfg.alpha),
+                np.random.default_rng(k),
+            )
+            for k in range(4)
+        ]
+        actors = self._grid_actors(table4, net)
+        for round_ in range(8):
+            if round_ % 3 == 0:
+                held = [learner.online for learner in learners]
+            actors.decide(learners)
+            assert all(a is b for a, b in zip(actors.params, held, strict=True))
+            for learner in learners:
+                learner.step()
+            assert not any(l.online is h for l, h in zip(learners, held))
 
     def test_states_hand_off_across_staggered_episodes(self, table4):
         # Actor i's episodes last 3 + i rounds, so in most rounds one actor
