@@ -19,9 +19,10 @@ Both networks are fused kernels over plain parameter arrays: ``forward``
 computes the Q-values in numpy. Given the taken ``actions`` it computes only
 Q[b, actions[b]], and with ``vjp=True`` it also returns the network's
 hand-derived backward pass, a map from the gradient of those taken Q-values
-to the gradient of each named parameter. ``q_values`` scores one state from the
-constants ``prepare`` builds once per parameter set; its output is bitwise
-row 0 of ``forward``.
+to the gradient of each named parameter. ``q_values`` scores one state,
+bitwise row 0 of ``forward``. Both take a set as ``prepare`` returns it, or
+a plain dict, prepared for that call alone. FRAP computes a (count, signal
+bit) pair's demand once per prepared set, and every Q gathers it from there.
 """
 
 from __future__ import annotations
@@ -102,34 +103,20 @@ def _taken(actions, batch: int, n_actions: int) -> np.ndarray:
     return actions
 
 
-def _selector(index: np.ndarray, n: int) -> np.ndarray:
-    """One-hot matrix S [index.size, n] with S[k, index[k]] = 1; S.T @ g
-    scatter-adds the rows of g into the n slots they were gathered from."""
-    flat = index.ravel()
-    out = np.zeros((flat.size, n))
-    out[np.arange(flat.size), flat] = 1.0
-    return out
+# Counts per movement-table block, one product over its rows, so a row's bits
+# do not depend on which counts came first (one block at lane capacity 40).
+_TABLE_BLOCK = 64
 
 
 class Prepared:
-    """Constants of one parameter set for single-state Q (see ``prepare``):
-    ``params``, the parameter arrays by name; for FRAP also ``w_rel``, the
-    relation branch's weights, and ``table``, the movement-demand table,
-    whose row 2c + b is the demand of a movement with count c and signal
-    bit b. The table grows as larger counts arrive."""
+    """A parameter set with the constants its Q-values reuse (see ``prepare``):
+    ``params``, the arrays by name; for FRAP also ``hr`` and ``w_rel``, the
+    relation rows and those times ``w_out`` [2, C], and the movement tables
+    ``h`` [N, 2H] and ``d`` [N, D], whose row 2c + b holds the branch
+    activations and demand of count c with bit b, grown as counts arrive."""
 
-    def __init__(self, params: Params):
-        self.params = params
-        self.w_rel: np.ndarray | None = None
-        self.table: np.ndarray | None = None
-
-
-def _prepared_for(network, params: Params, prepared: Prepared | None) -> Prepared:
-    if prepared is None:
-        return network.prepare(params)
-    if prepared.params is not params:
-        raise ValueError("prepared constants belong to another parameter set")
-    return prepared
+    def __init__(self, params: Params, hr=None, w_rel=None, h=None, d=None):
+        self.params, self.hr, self.w_rel, self.h, self.d = params, hr, w_rel, h, d
 
 
 class FrapNetwork:
@@ -150,11 +137,11 @@ class FrapNetwork:
     - Taken-action mode. A learner reads one Q-value per row, so given the
       actions the forward builds only the P-1 cells of each row's action,
       and its VJP maps the gradient of those [B] values back.
+    - Movement tables. A movement's demand depends only on its (count,
+      signal bit) pair: every Q gathers it from the prepared set's table.
 
-    ``opponents``, ``pair_relation`` and their flat index arrays are fixed at
-    construction. The VJP borrows one scratch buffer the network keeps, so
-    calls must not run concurrently. A prepared demand table only ever grows
-    by replacement, so it may be shared.
+    Index arrays and the VJP's one-hot selectors are fixed at construction.
+    The VJP borrows one scratch buffer, so calls must not run concurrently.
     """
 
     def __init__(self, table: PhaseTable, config: FrapConfig = FrapConfig()):
@@ -175,6 +162,10 @@ class FrapNetwork:
         self._member_rows = self.members.T.ravel()  # first members, then second
         self._cells = np.arange(opponents.size)
         self._relation_flat = self.pair_relation.ravel()
+        # One-hot sums of the VJP: cells by relation kind [2, cells] (kept a
+        # transposed view) and phases by member movement [P, M].
+        self._kind_of_cell = np.eye(2)[self._relation_flat].T
+        self._member_of = np.eye(table.n_movements)[self.members].sum(axis=1)
         # Zeros the VJP lays the taken cells' activations into, grown to the
         # largest batch seen. A fresh array of this size every step made the
         # allocator return pages and fault them back in each time.
@@ -207,34 +198,55 @@ class FrapNetwork:
             "b_out": np.zeros(1),
         })
 
-    def _demand(self, p: dict[str, np.ndarray], xv: np.ndarray, xs: np.ndarray):
-        """(h, d) of movement rows with scaled counts xv [N, 1] and signal bits
-        xs [N, 1]: concatenated branch activations [N, 2H] and demands [N, D]."""
+    def prepare(self, params: Params | Prepared) -> Prepared:
+        """``params`` with its relation rows and empty movement tables, which
+        the Q-values fill. A ``Prepared`` is returned as it is."""
+        if isinstance(params, Prepared):
+            return params
+        hr, cfg = _relu_rows(params["rel_emb"], params["w_r0"], params["b_r0"]), self.config
+        h, d = np.empty((0, 2 * cfg.movement_hidden)), np.empty((0, cfg.demand_dim))
+        return Prepared(params, hr, hr * params["w_out"][:, 0], h, d)
+
+    def _demand(self, p: dict[str, np.ndarray], first: int):
+        """(h, d) of the table block from count ``first``, rows 2c + b:
+        concatenated branch activations [N, 2H] and demands [N, D]."""
+        counts = np.arange(first, first + _TABLE_BLOCK, dtype=np.float64).repeat(2)[:, None]
+        xv, xs = counts / self.config.norm_capacity, np.tile([0.0, 1.0], _TABLE_BLOCK)[:, None]
         h = np.concatenate(
             [_relu_rows(xv, p["w_v"], p["b_v"]), _relu_rows(xs, p["w_s"], p["b_s"])], axis=1
         )
         return h, _relu_rows(h, p["w_h"], p["b_h"])
 
-    def _movement_rows(self, p: dict[str, np.ndarray], counts, bits):
-        """(xv, xs, h, d): branch inputs [M*B, 1], concatenated branch
-        activations [M*B, 2H] and demands [M*B, D], rows movement-major."""
-        counts, bits = _as_batch(counts, bits)
+    def _grow(self, prepared: Prepared, top: int) -> None:
+        """Extend the tables of ``prepared`` to counts 0..top, a block at a time."""
+        while len(prepared.d) <= 2 * top + 1:
+            h, d = self._demand(prepared.params, len(prepared.d) // 2)
+            prepared.h = np.concatenate([prepared.h, h])
+            prepared.d = np.concatenate([prepared.d, d])
+
+    def _table_rows(self, prepared: Prepared, counts: np.ndarray, bits: np.ndarray) -> np.ndarray:
+        """Table rows 2c + b [M, B] of a batch's movements, movement-major,
+        the tables of ``prepared`` grown to hold them."""
         if counts.shape[1] != self.table.n_movements:
             raise ValueError(f"expected {self.table.n_movements} movements, got {counts.shape[1]}")
-        xv = counts.T.reshape(-1, 1) / self.config.norm_capacity
-        xs = bits.T.reshape(-1, 1)
-        return (xv, xs, *self._demand(p, xv, xs))
+        top = counts.max(initial=0.0)
+        in_range = counts.min(initial=0.0) >= 0.0 and top < np.inf  # False on a NaN too
+        whole = in_range and (np.floor(counts) == counts).all()
+        if not (whole and ((bits == 0) | (bits == 1)).all()):
+            raise ValueError("counts must be non-negative integers and signal bits 0 or 1")
+        self._grow(prepared, int(top))
+        return (2.0 * counts + bits).T.astype(np.intp)
 
-    def _relation_rows(self, p: dict[str, np.ndarray]):
-        """(hr, w_rel): the relation branch's activations [2, C], one row per
-        relation kind, and w_rel [2, C], those times ``w_out``."""
-        hr = _relu_rows(p["rel_emb"], p["w_r0"], p["b_r0"])
-        return hr, hr * p["w_out"][:, 0]
+    def _phase_rows(self, prepared: Prepared, rows: np.ndarray) -> np.ndarray:
+        """Phase demands [P*B, D], phase-major, of table rows [M, B] or [M]."""
+        member = prepared.d.take(rows[self._member_rows].ravel(), axis=0)
+        return member[: len(member) // 2] + member[len(member) // 2 :]
 
-    def movement_demand(self, params: Params, counts, bits) -> np.ndarray:
+    def movement_demand(self, params: Params | Prepared, counts, bits) -> np.ndarray:
         """Per-movement demand vectors, shape [B, M, demand_dim]."""
-        d = self._movement_rows(params, counts, bits)[3]
-        return d.reshape(self.table.n_movements, -1, d.shape[1]).transpose(1, 0, 2)
+        prepared = self.prepare(params)
+        index = self._table_rows(prepared, *_as_batch(counts, bits))
+        return prepared.d.take(index.T, axis=0)
 
     def phase_demand(self, movement_demands: np.ndarray) -> np.ndarray:
         """Sum the two member demands of every phase: [B, M, .] -> [B, P, .]."""
@@ -292,9 +304,10 @@ class FrapNetwork:
         return self._opponent_sum(scores.T), hd
 
     def forward(
-        self, params: Params, counts, bits, actions=None, vjp: bool = False
+        self, params: Params | Prepared, counts, bits, actions=None, vjp: bool = False
     ) -> np.ndarray | tuple[np.ndarray, Vjp]:
-        """Q-values for a batch of states, shape [B, P].
+        """Q-values for a batch of states, shape [B, P], from non-negative
+        integer counts and 0/1 signal bits.
 
         Given ``actions`` [B], only each row's taken Q-value, shape [B]:
         bitwise ``forward(params, counts, bits)[arange(B), actions]``, from
@@ -302,13 +315,13 @@ class FrapNetwork:
         ``vjp``, which needs ``actions``, the pair (Q, VJP): the VJP maps the
         gradient of those [B] values to the gradient of each parameter."""
         cfg = self.config
-        p = params
+        prepared = self.prepare(params)
+        p, w_rel = prepared.params, prepared.w_rel
         n_ph, n_dem, n_ch = self.table.n_phases, cfg.demand_dim, cfg.conv_channels
-        xv, xs, h, d = self._movement_rows(p, counts, bits)
-        batch = xv.shape[0] // self.table.n_movements
-        d3 = d.reshape(-1, batch, n_dem)
-        dp = (d3[self.members[:, 0]] + d3[self.members[:, 1]]).reshape(-1, n_dem)  # [P*B, D]
-        hr, w_rel = self._relation_rows(p)
+        counts, bits = _as_batch(counts, bits)
+        index = self._table_rows(prepared, counts, bits)
+        batch = index.shape[1]
+        dp = self._phase_rows(prepared, index)  # [P*B, D]
         if actions is None:
             if vjp:
                 raise ValueError("the VJP is of the taken Q-values: pass actions")
@@ -321,7 +334,9 @@ class FrapNetwork:
         n_opp = n_ph - 1
         rows = np.arange(batch)
         opponents, relation = self.opponents[actions].T, self.pair_relation[actions].T  # [P-1, B]
-        w0 = p["w_d0"]
+        w0, hr = p["w_d0"], prepared.hr
+        xv, xs = counts.T.reshape(-1, 1) / cfg.norm_capacity, bits.T.reshape(-1, 1)  # [M*B, 1]
+        h, d = prepared.h.take(index.ravel(), axis=0), prepared.d.take(index.ravel(), axis=0)
 
         def grads_of(gq: np.ndarray) -> Params:
             g: Params = {}
@@ -343,7 +358,7 @@ class FrapNetwork:
                 gh_cells = np.matmul(gs_cells[:, None, :], h3).reshape(-1, n_ch)
             finally:  # the buffer is all zeros between calls
                 h3[cell_of, rows] = 0.0
-            g_rel = _selector(self.pair_relation, 2).T @ gh_cells  # [2, C]
+            g_rel = self._kind_of_cell @ gh_cells  # [2, C]
             g["w_out"] = (g_rel * hr).sum(axis=0)[:, None]
             g["rel_emb"], g["w_r0"], g["b_r0"] = _relu_grads(
                 g_rel * p["w_out"][:, 0], p["rel_emb"], hr, p["w_r0"]
@@ -356,14 +371,11 @@ class FrapNetwork:
             g_a[actions, rows] = g_h.sum(axis=0)
             g_bq = np.zeros((n_ph, batch, n_ch))
             g_bq[opponents, rows] = g_h
-            g_a = g_a.reshape(-1, n_ch)
-            g_bq = g_bq.reshape(-1, n_ch)
+            g_a, g_bq = g_a.reshape(-1, n_ch), g_bq.reshape(-1, n_ch)
             g["w_d0"] = np.concatenate([dp.T @ g_a, dp.T @ g_bq])
             g["b_d0"] = g_a.sum(axis=0)
             g_dp = g_a @ w0[:n_dem].T + g_bq @ w0[n_dem:].T  # [P*B, D]
-            n_mov = self.table.n_movements
-            member_of = _selector(self.members[:, 0], n_mov) + _selector(self.members[:, 1], n_mov)
-            g_d = (member_of.T @ g_dp.reshape(n_ph, -1)).reshape(-1, n_dem)
+            g_d = (self._member_of.T @ g_dp.reshape(n_ph, -1)).reshape(-1, n_dem)
             g_h, g["w_h"], g["b_h"] = _relu_grads(g_d, h, d, p["w_h"])
             n_hid = cfg.movement_hidden
             for br, x, c in (("v", xv, slice(None, n_hid)), ("s", xs, slice(n_hid, None))):
@@ -373,46 +385,18 @@ class FrapNetwork:
 
         return q, grads_of
 
-    def prepare(self, params: Params) -> Prepared:
-        """Single-state constants of ``params``: the relation weights and an
-        empty movement-demand table."""
-        prepared = Prepared(params)
-        prepared.w_rel = self._relation_rows(params)[1]
-        prepared.table = np.empty((0, self.config.demand_dim))
-        return prepared
-
-    def _demand_table(self, prepared: Prepared, top: int) -> np.ndarray:
-        """The demand table of ``prepared``, grown to cover counts 0..top by
-        one movement product over the missing rows. The rows are bitwise a
-        forward's, since a row of that product does not depend on the rows
-        beside it (test_prepared_q_is_the_forward_row pins this)."""
-        table = prepared.table
-        have = len(table) // 2
-        if top >= have:
-            counts = np.repeat(np.arange(have, top + 1, dtype=np.float64), 2)[:, None]
-            bits = np.tile([0.0, 1.0], top + 1 - have)[:, None]
-            new = self._demand(prepared.params, counts / self.config.norm_capacity, bits)[1]
-            table = prepared.table = np.concatenate([table, new])
-        return table
-
-    def q_values(
-        self, params: Params, state: TrafficState, prepared: Prepared | None = None
-    ) -> np.ndarray:
+    def q_values(self, params: Params | Prepared, state: TrafficState) -> np.ndarray:
         """Q-values of one state, shape [P]: bitwise row 0 of ``forward`` on
-        it. The 8 movement demands come from the demand table of
-        ``prepared`` (built from ``params`` when not given), then the
-        forward's own pair stage runs on them."""
-        prepared = _prepared_for(self, params, prepared)
+        it, by the same gather and pair stage."""
+        prepared = self.prepare(params)
         counts, bits = state.counts, state.signal_bits
         if counts.shape != (self.table.n_movements,):
             raise ValueError(f"expected {self.table.n_movements} movements, got {counts.shape}")
         listed = counts.tolist()  # 8 Python ints check faster than numpy reductions
         if min(listed) < 0 or not {0, 1}.issuperset(bits.tolist()):
-            raise ValueError("counts must be non-negative and signal bits 0 or 1")
-        table = self._demand_table(prepared, max(listed))
-        member = table.take((2 * counts + bits)[self._member_rows], axis=0)
-        n_ph = self.table.n_phases
-        dp = member[:n_ph] + member[n_ph:]  # [P, D]
+            raise ValueError("counts must be non-negative integers and signal bits 0 or 1")
+        self._grow(prepared, max(listed))
+        dp = self._phase_rows(prepared, 2 * counts + bits)  # [P, D]
         return self._pair_stage(prepared.params, dp, 1, prepared.w_rel)[0]
 
 
@@ -436,9 +420,9 @@ class VanillaNetwork:
             params[f"b{i}"] = np.zeros(fan_out)
         return nm.read_only(params)
 
-    def prepare(self, params: Params) -> Prepared:
-        """Single-state constants of ``params``: its arrays by name."""
-        return Prepared(params)
+    def prepare(self, params: Params | Prepared) -> Prepared:
+        """``params`` as a ``Prepared``; a ``Prepared`` is returned as it is."""
+        return params if isinstance(params, Prepared) else Prepared(params)
 
     def _layers(self, p: dict[str, np.ndarray], counts, bits):
         """(hs, q): the input and hidden activations, and Q [B, P]."""
@@ -450,12 +434,13 @@ class VanillaNetwork:
         return hs, _rows_at(hs[-1], p[f"w{n_layers}"]) + p[f"b{n_layers}"]
 
     def forward(
-        self, params: Params, counts, bits, actions=None, vjp: bool = False
+        self, params: Params | Prepared, counts, bits, actions=None, vjp: bool = False
     ) -> np.ndarray | tuple[np.ndarray, Vjp]:
         """Q-values for a batch of states, shape [B, P]; given ``actions``,
         the taken ones [B], gathered from them. With ``vjp``, which needs
         ``actions``, the pair (Q, VJP) of the taken Q and its backward pass."""
         n_layers = len(self.config.hidden)
+        params = self.prepare(params).params
         hs, q = self._layers(params, counts, bits)
         if actions is None:
             if vjp:
@@ -479,11 +464,9 @@ class VanillaNetwork:
 
         return q[rows, actions], grads_of
 
-    def q_values(
-        self, params: Params, state: TrafficState, prepared: Prepared | None = None
-    ) -> np.ndarray:
+    def q_values(self, params: Params | Prepared, state: TrafficState) -> np.ndarray:
         """Q-values of one state, shape [P]: bitwise row 0 of ``forward`` on it."""
-        p = _prepared_for(self, params, prepared).params
+        p = self.prepare(params).params
         return self._layers(p, state.counts, state.signal_bits)[1][0]
 
 
@@ -554,4 +537,4 @@ def load_checkpoint(path: str | Path, table: PhaseTable):
                 f"checkpoint {path}: array {name!r} has shape {arrays[name].shape}, "
                 f"its {kind} network expects {expected[name]}"
             )
-    return kind, network, nm.read_only(arrays)
+    return kind, network, arrays

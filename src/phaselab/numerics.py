@@ -69,6 +69,16 @@ def read_only(params: Params) -> Params:
     return params
 
 
+def check_read_only(params: Params) -> Params:
+    """``params``, if no array is writeable, else ValueError naming the first:
+    what a holder derives from a set (prepared tables, memoized actions)
+    would go stale after a write."""
+    for name, a in params.items():
+        if a.flags.writeable:
+            raise ValueError(f"parameter {name!r} is writeable: hold read_only sets only")
+    return params
+
+
 def _flat(arrays: Iterable[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.ravel(a) for a in arrays])
 
@@ -173,7 +183,7 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(raw, dtype=entry["dtype"], count=count, offset=entry["offset"])
         out[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    return out
+    return read_only(out)
 
 
 # --- config sections read from JSON ---------------------------------------------

@@ -102,6 +102,8 @@ class PrioritizedReplayBuffer:
             raise ValueError("every column of a block needs one entry per row")
         if n > self.capacity:
             raise ValueError(f"a block of {n} rows overflows a buffer of {self.capacity}")
+        if not n:  # nothing stored: the cached max and its slot stay as they are
+            return
         priority = self._max or 1.0
         mass = priority**self.alpha
         start = self._next

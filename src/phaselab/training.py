@@ -13,11 +13,12 @@ intersection), hand each learner the round's rows in one ``replay.Batch``,
 then every learner steps once. Replay keeps transitions as rows of arrays,
 so a learner step gathers its batch with one index per array. Parameter
 sets are read-only values: a step replaces the online set, and everything
-else holds a learner's sets by reference. A learner step computes Q only
-where it reads it: the online Q of the next states in full, for the argmax,
-then the target Q at that argmax and the online Q at the taken actions, the
-latter with its VJP, which ``numerics.backward`` turns into the loss and the
-gradients."""
+else holds a learner's sets by reference, each prepared once
+(``network.prepare``): the online set per step, the actors' per snapshot. A
+learner step computes Q only where it reads it: the online Q of the next
+states in full, for the argmax, then the target Q at that argmax and the
+online Q at the taken actions, the latter with its VJP, which
+``numerics.backward`` turns into the loss and the gradients."""
 
 from __future__ import annotations
 
@@ -109,7 +110,7 @@ def td_targets(
     gamma: float,
     double_dqn: bool,
 ) -> np.ndarray:
-    """TD targets of a batch of rows.
+    """TD targets of a batch of rows; either set may be prepared.
 
     target = r for terminal transitions, else r + gamma * Q_target(s', a*),
     where a* is the online argmax (double-DQN) or the target argmax. Double
@@ -127,7 +128,8 @@ def td_targets(
 
 class Learner:
     """Owns the online/target parameters and the prioritized buffer of rows.
-    A step replaces ``online``; a target sync points ``target`` at it."""
+    A step replaces ``online``; a target sync points ``target`` at it. Each
+    set is prepared once, so ``params`` must be read-only."""
 
     def __init__(
         self,
@@ -141,9 +143,12 @@ class Learner:
         self.config = config
         self.buffer = buffer
         self.rng = rng
-        self.online = self.target = params
-        self.adam = nm.adam_init(self.online)
+        self._online = self._target = network.prepare(nm.check_read_only(params))
+        self.adam = nm.adam_init(params)
         self.step_count = 0
+
+    online = property(lambda self: self._online.params, doc="The online parameter set.")
+    target = property(lambda self: self._target.params, doc="The target parameter set.")
 
     def step(self) -> float:
         cfg = self.config
@@ -151,20 +156,20 @@ class Learner:
             cfg.batch_size, cfg.beta(self.step_count), self.rng
         )
         targets = td_targets(
-            batch, self.network, self.online, self.target, cfg.gamma, cfg.double_dqn
+            batch, self.network, self._online, self._target, cfg.gamma, cfg.double_dqn
         )
         q, vjp = self.network.forward(
-            self.online, batch.counts, batch.bits, actions=batch.action, vjp=True
+            self._online, batch.counts, batch.bits, actions=batch.action, vjp=True
         )
         loss, grads = nm.backward(vjp, q, targets, weights)
         td_errors = targets - q
-        self.online = nm.adam_update(
-            self.online, grads, self.adam, lr=cfg.learning_rate(self.step_count)
+        self._online = self.network.prepare(
+            nm.adam_update(self.online, grads, self.adam, lr=cfg.learning_rate(self.step_count))
         )
         self.buffer.update_priorities(indices, np.abs(td_errors) + cfg.priority_eps)
         self.step_count += 1
         if self.step_count % cfg.target_sync == 0:
-            self.target = self.online
+            self._target = self._online
         return loss
 
 
@@ -193,13 +198,13 @@ class GreedyPolicy:
     raw index only decides between phases the state cannot distinguish.
 
     A policy scores the one parameter set it is built with: it prepares that
-    set's single-state constants once and memoizes one action per distinct
-    state seen. The arrays are read-only, so neither can go stale.
+    set once and memoizes one action per distinct state seen. The arrays must
+    be read-only, so neither can go stale.
     """
 
     def __init__(self, network, params: Params):
         self.network = network
-        self._prepared = network.prepare(params)
+        self._prepared = network.prepare(nm.check_read_only(params))
         self._memo: dict[tuple[bytes, bytes, int], int] = {}
         table = network.table
         self._members = []
@@ -229,7 +234,7 @@ class GreedyPolicy:
         key = (state.counts.tobytes(), state.signal_bits.tobytes(), state.phase_index)
         action = self._memo.get(key)
         if action is None:
-            q = self.network.q_values(self._prepared.params, state, self._prepared).tolist()
+            q = self.network.q_values(self._prepared, state).tolist()
             if not all(map(math.isfinite, q)):
                 raise ValueError(f"non-finite Q values {q}")
             top = max(q)
@@ -254,8 +259,8 @@ def _stack(states: Sequence[Sequence[TrafficState]], k: int) -> tuple[np.ndarray
 # single-state Q of state i only up to some batch size, and only because the
 # networks pad each product's rows to a multiple of 4 (``networks._rows_at``).
 # Both limits depend on the BLAS kernels and the layer shapes: on OpenBLAS
-# 0.3.31, FRAP rows diverge at B = 512, and unpadded products of output width
-# 1, 2, 3 or 10 round their last M % 4 rows apart from the others.
+# 0.3.31, FRAP rows diverge in the pair stage from B = 391, and unpadded
+# products of output width 1, 2, 3 or 10 round their last M % 4 rows apart.
 # test_batched_row_is_the_single_state_q pins B <= 64 on every table.
 ROUND_BLOCK = 64
 
@@ -268,7 +273,7 @@ class Actors:
     IntersectionSim is K = 1). Actor i explores at ``config.actor_epsilon(i)``
     and draws from one rng, seeded ``seed * 7919 + 31 i + 1``, at its K
     intersections in order. All actors act on the same parameters: the
-    learners' ``online`` sets, taken every ``config.snapshot_period`` rounds.
+    learners' ``online`` sets, prepared every ``config.snapshot_period`` rounds.
     ``states[i]`` is actor i's current state at each intersection: the first
     states of an episode, then the states of its last step.
     """
@@ -293,7 +298,7 @@ class Actors:
         self.states: list[list[TrafficState]] = [[] for _ in range(config.n_actors)]
         self.episodes = [0] * config.n_actors
         self.rounds = 0
-        self.params: list[Params] = []  # one set per intersection
+        self.params: list = []  # one prepared set per intersection
 
     def decide(self, learners: Sequence[Learner]) -> None:
         """One decision of every actor; ``learners[k]`` gets one Batch of the
@@ -309,7 +314,7 @@ class Actors:
         the actors' states after the step, stacked again.
         """
         if self.rounds % self.snapshot_period == 0:
-            self.params = [learner.online for learner in learners]
+            self.params = [self.network.prepare(learner.online) for learner in learners]
         for i, sim in enumerate(self.sims):
             if sim is None:
                 self.sims[i] = sim = self.env_factory(i, self.episodes[i])

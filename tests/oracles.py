@@ -108,6 +108,62 @@ def _selector(index, n):
     return out
 
 
+def _frap_demand_stage(net, params, counts, bits):
+    """The movement and relation rows of a FRAP batch, computed per call as
+    the forward did before its movement tables: (counts, bits) [B, M], the
+    branch inputs xv, xs [M*B, 1], activations h [M*B, 2H] and demands
+    d [M*B, D] (rows movement-major), phase demands dp [P*B, D] (phase-major),
+    the relation rows hr [2, C] and w_rel = hr * w_out."""
+    cfg, table, p = net.config, net.table, params
+    members = np.array([ph.members for ph in table.phases], dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.float64).reshape(-1, table.n_movements)
+    bits = np.asarray(bits, dtype=np.float64).reshape(-1, table.n_movements)
+    xv = counts.T.reshape(-1, 1) / cfg.norm_capacity
+    xs = bits.T.reshape(-1, 1)
+    h = np.concatenate(
+        [_relu_rows(xv, p["w_v"], p["b_v"]), _relu_rows(xs, p["w_s"], p["b_s"])], axis=1
+    )
+    d = _relu_rows(h, p["w_h"], p["b_h"])
+    d3 = d.reshape(-1, len(counts), cfg.demand_dim)
+    dp = (d3[members[:, 0]] + d3[members[:, 1]]).reshape(-1, cfg.demand_dim)
+    hr = _relu_rows(p["rel_emb"], p["w_r0"], p["b_r0"])
+    return counts, bits, xv, xs, h, d, dp, hr, hr * p["w_out"][:, 0]
+
+
+def frap_dense_forward(net, params, counts, bits, actions=None):
+    """Q [B, P] of the FRAP network, or given ``actions`` the taken Q [B],
+    with the movement products run per call over all M*B movement rows. This
+    is the forward the prepared movement tables replaced, op for op, so a
+    forward that gathers its rows from the tables must agree with it bitwise."""
+    cfg, table, p = net.config, net.table, params
+    n_ph, n_dem, n_ch = table.n_phases, cfg.demand_dim, cfg.conv_channels
+    opponents = np.array([[q for q in range(n_ph) if q != pi] for pi in range(n_ph)])
+    relation = np.take_along_axis(table.relation, opponents, axis=1)
+    counts, _, _, _, _, _, dp, _, w_rel = _frap_demand_stage(net, params, counts, bits)
+    batch = len(counts)
+    w0 = p["w_d0"]
+    a = dp @ w0[:n_dem]
+    a += p["b_d0"]
+    bq = dp @ w0[n_dem:]
+    if actions is None:
+        cells = bq.reshape(n_ph, -1).take(opponents.ravel(), axis=0)
+        cells = cells.reshape(n_ph, -1, batch * n_ch)
+        cells += a.reshape(n_ph, 1, batch * n_ch)
+        hd = np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)
+        by_kind = (hd @ w_rel.T).reshape(relation.size, batch, 2)
+        scores = by_kind[np.arange(relation.size), :, relation.ravel()].reshape(n_ph, -1, batch)
+        scores += p["b_out"][0]
+        return np.add.reduce(np.sort(scores.transpose(0, 2, 1), axis=-1), axis=-1).T
+    rows = np.arange(batch)
+    cells = bq.reshape(n_ph, batch, n_ch)[opponents[actions].T, rows]
+    cells += a.reshape(n_ph, batch, n_ch)[actions, rows]
+    hd = np.maximum(cells, 0.0, out=cells).reshape(-1, n_ch)
+    by_kind = (hd @ w_rel.T).reshape(n_ph - 1, batch, 2)
+    scores = by_kind[np.arange(n_ph - 1)[:, None], rows, relation[actions].T]
+    scores += p["b_out"][0]
+    return np.add.reduce(np.sort(scores.T, axis=-1), axis=-1)
+
+
 def frap_dense_vjp(net, params, counts, bits):
     """(Q [B, P], VJP) of the FRAP network over all P(P-1) pair cells of
     every row, the VJP mapping a gradient of the full Q [B, P] to the
@@ -119,19 +175,8 @@ def frap_dense_vjp(net, params, counts, bits):
     opponents = np.array([[q for q in range(n_ph) if q != pi] for pi in range(n_ph)])
     relation = np.take_along_axis(table.relation, opponents, axis=1)
     n_cells = relation.size
-    counts = np.asarray(counts, dtype=np.float64).reshape(-1, table.n_movements)
-    bits = np.asarray(bits, dtype=np.float64).reshape(-1, table.n_movements)
+    counts, bits, xv, xs, h, d, dp, hr, w_rel = _frap_demand_stage(net, params, counts, bits)
     batch = len(counts)
-    xv = counts.T.reshape(-1, 1) / cfg.norm_capacity
-    xs = bits.T.reshape(-1, 1)
-    h = np.concatenate(
-        [_relu_rows(xv, p["w_v"], p["b_v"]), _relu_rows(xs, p["w_s"], p["b_s"])], axis=1
-    )
-    d = _relu_rows(h, p["w_h"], p["b_h"])
-    d3 = d.reshape(-1, batch, n_dem)
-    dp = (d3[members[:, 0]] + d3[members[:, 1]]).reshape(-1, n_dem)
-    hr = _relu_rows(p["rel_emb"], p["w_r0"], p["b_r0"])
-    w_rel = hr * p["w_out"][:, 0]
 
     w0 = p["w_d0"]
     a = dp @ w0[:n_dem]

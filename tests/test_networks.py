@@ -19,6 +19,7 @@ from phaselab.networks import (
 from conftest import golden_platform_note, random_state
 from oracles import (
     finite_difference_grads_filtered,
+    frap_dense_forward,
     frap_dense_vjp,
     frap_reference,
     masked_relative_error,
@@ -332,7 +333,8 @@ def test_taken_mode_checks_its_actions(table4, kind):
 def test_prepared_q_is_the_forward_row(kind, config, table):
     # Greedy policies score one state at a time from one prepared object per
     # parameter set. Rising counts, up to three times the norm capacity,
-    # make FRAP's demand table grow many times under that one object.
+    # make FRAP's demand table grow, block by block, under that one object;
+    # each row must still be the one the per-call movement products give.
     net = build_network(kind, table, config)
     top = 3 * int(config.norm_capacity)
     rng = np.random.default_rng(11)
@@ -344,20 +346,64 @@ def test_prepared_q_is_the_forward_row(kind, config, table):
         states.append(pl.TrafficState(np.full(n_mov, top), np.zeros(n_mov), 0))
         states += [random_state(table, rng) for _ in range(50)]
         for state in states:
-            row = net.forward(params, state.counts, state.signal_bits)[0]
-            assert np.array_equal(net.q_values(params, state, prepared), row)
+            if kind == "frap":
+                row = frap_dense_forward(net, params, state.counts, state.signal_bits)[0]
+            else:
+                row = net.forward(params, state.counts, state.signal_bits)[0]
+            assert np.array_equal(net.q_values(prepared, state), row)
         if kind == "frap":
-            assert len(prepared.table) == 2 * (top + 1)
+            assert len(prepared.d) == len(prepared.h) == 2 * 128  # two blocks of 64 counts
+
+
+@pytest.mark.parametrize("table", [_T4, _T4_PHASE, _T3, _T5], ids=["8", "4-phase", "3", "5"])
+@pytest.mark.parametrize("batch", [1, 2, 4, 7, 33, 64])
+def test_forward_is_the_per_call_oracle(table, batch):
+    # forward gathers its movement rows from the prepared tables; its dense
+    # and taken Q must be bitwise the forward that ran the movement products
+    # on every call, and q_values its row 0.
+    net = FrapNetwork(table, FrapConfig())
+    rng = np.random.default_rng(batch)
+    for seed in range(2):
+        params = net.init_params(seed)
+        prepared = net.prepare(params)
+        counts, bits = _random_batch(table, rng, batch)
+        actions = rng.integers(0, net.n_actions, size=batch)
+        dense = frap_dense_forward(net, params, counts, bits)
+        assert np.array_equal(net.forward(prepared, counts, bits), dense)
+        taken = frap_dense_forward(net, params, counts, bits, actions=actions)
+        assert np.array_equal(net.forward(prepared, counts, bits, actions=actions), taken)
+        assert np.array_equal(net.forward(params, counts, bits, actions=actions), taken)
+        state = pl.TrafficState(counts[0].astype(np.int64), bits[0].astype(np.int64), 0)
+        assert np.array_equal(net.q_values(prepared, state), dense[0])
 
 
 def test_prepared_constants_belong_to_their_parameters(frap4, table4):
+    # A prepared set's tables hold rows for non-negative counts and 0/1
+    # signal bits only, so single-state Q rejects anything else.
     params = frap4.init_params(0)
-    state = random_state(table4, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="another parameter set"):
-        frap4.q_values(frap4.init_params(1), state, frap4.prepare(params))
     for counts, bits in ((np.full(8, -1), np.zeros(8)), (np.zeros(8), np.full(8, 2))):
         with pytest.raises(ValueError, match="non-negative"):
             frap4.q_values(params, pl.TrafficState(counts, bits, 0))
+
+
+def test_forward_rejects_counts_and_bits_no_table_row_holds(frap4):
+    # Table rows are indexed by 2 * count + bit, so a fractional, negative
+    # or non-finite count, or a bit other than 0 or 1, names no row.
+    params = frap4.init_params(0)
+    state = random_state(frap4.table, np.random.default_rng(0))
+    counts, bits = state.counts.astype(float), state.signal_bits.astype(float)
+    bad = ((2, 0.5, None), (5, -1.0, None), (3, None, 2.0), (0, np.nan, None), (1, np.inf, None))
+    for at, count, bit in bad:
+        bad_counts, bad_bits = counts.copy(), bits.copy()
+        if count is not None:
+            bad_counts[at] = count
+        if bit is not None:
+            bad_bits[at] = bit
+        with pytest.raises(ValueError, match="non-negative integers"):
+            frap4.forward(params, bad_counts, bad_bits)
+        with pytest.raises(ValueError, match="non-negative integers"):
+            frap4.forward(params, np.stack([counts, bad_counts]), np.stack([bits, bad_bits]))
+    assert np.array_equal(frap4.forward(params, counts, bits)[0], frap4.q_values(params, state))
 
 
 class TestVanilla:

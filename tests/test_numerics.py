@@ -360,6 +360,17 @@ class TestCheckpoints:
         for k in arrays:
             assert np.array_equal(loaded[k], arrays[k])
 
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        # A policy or learner refuses a writeable set, and a loaded set is
+        # handed to both.
+        path = nm.save_arrays(tmp_path / "ckpt.bin", {"w": np.ones((2, 3)), "b": np.zeros(3)})
+        loaded = nm.load_arrays(path)
+        assert nm.check_read_only(loaded) is loaded
+        with pytest.raises(ValueError, match="read-only"):
+            loaded["w"][0, 0] = 2.0
+        with pytest.raises(ValueError, match="'b' is writeable"):
+            nm.check_read_only({"b": np.zeros(3)})
+
     def test_manifest_is_little_endian_with_offsets(self, tmp_path):
         import json
 

@@ -274,6 +274,21 @@ class TestBlockAdd:
             buf.add(rows._replace(reward=rows.reward[:2]))
         assert len(buf) == 0 and buf._next == 0 and not buf._mass.any()
 
+    def test_an_empty_block_changes_nothing(self, table4):
+        # A zero-row block once set the cached max to 1 and its slot to
+        # (start - 1) % capacity: slot 4999 of a ring with 1024 slots allocated.
+        buf = PrioritizedReplayBuffer(5000, alpha=0.6)
+        rows = random_rows(table4, np.random.default_rng(0), 3)
+        empty = Batch(*(column[:0] for column in rows))
+        buf.add(empty)
+        assert len(buf) == 0 and buf.max_priority() == 0.0
+        buf.add(rows)
+        buf.update_priorities([0, 1, 2], [0.5, 2.0, 0.25])
+        buf.add(empty)
+        assert len(buf) == 3 and buf.max_priority() == 2.0
+        buf.update_priorities([1], [0.1])  # lowers the slot holding the max: a rescan
+        assert buf.max_priority() == 0.5
+
 
 class TestGrowth:
     @staticmethod

@@ -7,6 +7,7 @@ from scipy import stats
 
 import phaselab as pl
 from phaselab import harness, replay, training
+from phaselab import numerics as nm
 from phaselab.flows import FlowSynthesisSpec, synthesize_flow, synthesize_grid_flow
 from phaselab.networks import FrapConfig, FrapNetwork, VanillaConfig, VanillaNetwork
 from phaselab.training import (
@@ -156,6 +157,26 @@ class TestLearner:
                 assert not same
                 initial = {k: v.copy() for k, v in learner.target.items()}
 
+    def test_each_set_builds_its_movement_table_once(self, table4, monkeypatch):
+        # A step prepares its online set once, for the dense next-state and
+        # the taken-action forwards, and a sync makes the next online set
+        # the target, so no step rebuilds a target table: every step builds
+        # one table (counts up to 40 fill one block), its online set's.
+        learner = self._loaded_learner(table4)
+        built, demand = [], learner.network._demand
+
+        def counting_demand(params, first):
+            built.append(params)
+            return demand(params, first)
+
+        monkeypatch.setattr(learner.network, "_demand", counting_demand)
+        online = []
+        for _ in range(2 * learner.config.target_sync + 1):
+            online.append(learner.online)
+            learner.step()
+        assert len(built) == len(online)
+        assert all(b is o for b, o in zip(built, online))
+
     def test_a_step_replaces_the_read_only_online_set(self, table4):
         learner = self._loaded_learner(table4)
         first = learner.online
@@ -219,7 +240,7 @@ class TestActorPolicy:
         # All-equal Q with an asymmetric state: the evaluation greedy must
         # choose conjugately under every symmetry op.
         net = _small_net(table4)
-        params = {k: np.zeros_like(v) for k, v in net.init_params(0).items()}
+        params = nm.read_only({k: np.zeros_like(v) for k, v in net.init_params(0).items()})
         greedy = GreedyPolicy(net, params)
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -231,7 +252,7 @@ class TestActorPolicy:
 
     def test_greedy_prefers_loaded_then_current_phase(self, table4):
         net = _small_net(table4)
-        params = {k: np.zeros_like(v) for k, v in net.init_params(0).items()}
+        params = nm.read_only({k: np.zeros_like(v) for k, v in net.init_params(0).items()})
         greedy = GreedyPolicy(net, params)
         counts = np.zeros(8, dtype=int)
         counts[4] = counts[5] = 3  # S approach queues: phase {S-T, S-L} max load
@@ -294,7 +315,7 @@ class TestGreedyMemo:
         net = net_of(table4)
         params = net.init_params(2)
         if zero:
-            params = {k: np.zeros_like(v) for k, v in params.items()}
+            params = nm.read_only({k: np.zeros_like(v) for k, v in params.items()})
         cfg = harness.ExperimentConfig(flow=harness.FlowConfig(name=flow))
         schedule = harness.build_flow(cfg, harness.eval_flow_seed(cfg))
         policy = GreedyPolicy(net, params)
@@ -335,6 +356,20 @@ class TestGreedyMemo:
             np.negative(params["w_out"], out=params["w_out"])
         fresh = GreedyPolicy(net, params)
         assert [policy(s) for s in states] == [fresh(s) for s in states] == actions
+
+    @pytest.mark.parametrize("holder", ["greedy", "learner"])
+    def test_a_writeable_set_is_refused(self, table4, holder):
+        # A caller copied init_params(1) into a dict, gave it to a policy and
+        # negated w_out in place: the policy kept acting on the old values
+        # (phase 0 where a fresh policy picks 6), and nothing was raised.
+        net = FrapNetwork(table4, FrapConfig())
+        writeable = {k: v.copy() for k, v in net.init_params(1).items()}
+        with pytest.raises(ValueError, match="'w_v' is writeable"):
+            if holder == "greedy":
+                GreedyPolicy(net, writeable)
+            else:
+                buffer = PrioritizedReplayBuffer(64, 0.6)
+                Learner(net, writeable, TrainConfig(), buffer, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "row",
@@ -460,7 +495,7 @@ class TestLockstep:
             if round_ % 3 == 0:
                 held = [learner.online for learner in learners]
             actors.decide(learners)
-            assert all(a is b for a, b in zip(actors.params, held, strict=True))
+            assert all(a.params is b for a, b in zip(actors.params, held, strict=True))
             for learner in learners:
                 learner.step()
             assert not any(l.online is h for l, h in zip(learners, held))
